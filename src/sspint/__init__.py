@@ -37,7 +37,7 @@ from .methods import (
     list_methods,
     method_names,
 )
-from .expm import ExpCache, build_cache, expm, quantize_gap, required_gaps
+from .expm import Circulant, ExpCache, build_cache, expm, quantize_gap, required_gaps
 from .integrators import (
     SemiDiscretization,
     StepPlan,
@@ -51,6 +51,7 @@ from .spatial import (
     Grid1D,
     make_problem,
     upwind_matrix,
+    upwind_operator,
     weno5_burgers_rhs,
 )
 from .analysis import (

@@ -18,10 +18,11 @@ from .integrators import (
     SemiDiscretization,
     StageObserver,
     ifrk_step,
-    ifrk_step_general,
     integrate,
+    make_general_plan,
     make_plan,
     rk_step,
+    shu_osher_form,
 )
 from .methods import MethodRecord
 
@@ -41,11 +42,9 @@ LOG_FLOOR = 1e-300
 StepperBuilder = Callable[[SemiDiscretization, float], Callable]
 
 
-def ifrk_builder(method: MethodRecord) -> StepperBuilder:
-    """Stepper builder for the integrating-factor form of a method."""
-
+def _plan_builder(plan_for) -> StepperBuilder:
     def build(sys: SemiDiscretization, dt: float):
-        plan = make_plan(method, sys, dt)
+        plan = plan_for(sys, dt)
 
         def step(u, obs, k):
             return ifrk_step(plan, sys, u, obs, k)
@@ -55,36 +54,30 @@ def ifrk_builder(method: MethodRecord) -> StepperBuilder:
     return build
 
 
+def ifrk_builder(method: MethodRecord) -> StepperBuilder:
+    """Stepper builder for the integrating-factor form of a method."""
+    return _plan_builder(lambda sys, dt: make_plan(method, sys, dt))
+
+
 def ifrk_general_builder(method: MethodRecord) -> StepperBuilder:
     """Integrating-factor stepper builder without the abscissa-ordering
-    restriction; exponentials are evaluated per call, so this is the path
-    for small systems and for decreasing-abscissa counterexamples."""
-    so = method.shu_osher
-    if so is None:
-        raise ValueError(f"{method.name} has no stored Shu-Osher form")
-    c = method.tableau.c
-
-    def build(sys: SemiDiscretization, dt: float):
-        def step(u, obs, k):
-            return ifrk_step_general(so, c, sys, u, dt, obs, k)
-
-        return step
-
-    return build
+    restriction: the path for small dense systems and for
+    decreasing-abscissa counterexamples."""
+    so, c = shu_osher_form(method), method.tableau.c
+    return _plan_builder(lambda sys, dt: make_general_plan(so, c, sys, dt))
 
 
 def rk_builder(method: MethodRecord) -> StepperBuilder:
     """Stepper builder applying the method as a plain Runge-Kutta scheme
     to the combined right-hand side L u + N(u)."""
+    so = shu_osher_form(method)
 
     def build(sys: SemiDiscretization, dt: float):
-        L = np.asarray(sys.L, dtype=float)
-
         def F(u):
-            return L @ u + sys.N(u)
+            return sys.L @ u + sys.N(u)
 
         def step(u, obs, k):
-            return rk_step(method, F, u, dt, obs, k)
+            return rk_step(so, F, u, dt, obs, k)
 
         return step
 

@@ -154,7 +154,21 @@ def _merged_config(args, experiment: str) -> Dict[str, str]:
             f"unknown config keys for {experiment}: {', '.join(unknown)} "
             f"(allowed: {', '.join(sorted(allowed))})"
         )
+    _check_values(cfg)
     return cfg
+
+
+def _check_values(cfg: Dict[str, str]):
+    """Reject malformed or out-of-range problem values before any work."""
+    for key, kind, low in (("n", int, spatial.MIN_POINTS), ("steps", int, 0),
+                           ("threshold", float, -np.inf)):
+        try:
+            if key in cfg and kind(cfg[key]) < low:
+                raise ConfigError(f"{key} must be at least {low}, got {cfg[key]}")
+        except ValueError:
+            raise ConfigError(f"{key} must be {kind.__name__}, got {cfg[key]!r}")
+    if any(a < 0 for a in _floats(cfg.get("a", ""))):
+        raise ConfigError(f"wavespeeds must be nonnegative, got {cfg['a']!r}")
 
 
 def split_method_names(text: str) -> List[str]:
@@ -506,6 +520,7 @@ def cmd_sweep(args) -> int:
             f"unknown problem {args.problem!r}; choose from "
             + ", ".join(sorted(_PROBLEMS))
         )
+    _check_values({"n": str(args.n), "steps": str(args.steps), "a": str(args.a)})
     sys_, u0 = spatial.make_problem(_PROBLEMS[args.problem], a=args.a, n=args.n)
     if args.stepper == "rk":
         build = analysis.rk_builder(rec)

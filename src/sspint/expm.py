@@ -1,18 +1,19 @@
-"""Dense matrix exponential and the per-run exponential cache.
+"""Dense matrix exponential, circulant operators, and the per-run
+exponential cache.
 
 ``expm`` implements scaling-and-squaring with the degree-13 diagonal Pade
-approximant.  ``ExpCache`` precomputes one exponential per distinct
+approximant.  ``Circulant`` holds a periodic convolution operator (the 1D
+upwind operators) by its DFT symbol: it applies by FFT and its exponentials
+stay circulant.  ``ExpCache`` precomputes one exponential per distinct
 abscissa gap of an integrating-factor method so a constant-step run pays
-for each exponential exactly once.  Circulant operators (the periodic 1D
-upwind matrices used by the experiment harness) get an FFT fast path that
-is exact to roundoff and avoids forming n x n exponentials.
+for each exponential exactly once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NegativeGap, NonFinite
+from .errors import NegativeGap, NonFinite, SspError
 
 #: gaps are quantized at this resolution so abscissas printed as repeated
 #: decimals collapse onto a single cache entry.
@@ -78,24 +79,7 @@ def quantize_gap(g: float) -> float:
     return round(g / GAP_QUANTUM) * GAP_QUANTUM
 
 
-def _circulant_first_column(L: np.ndarray):
-    """Return the first column if L is circulant, else None."""
-    n = L.shape[0]
-    if n < 2:
-        return None
-    col = L[:, 0]
-    # circulant: column j is column 0 rolled down by j
-    for j in (1, n - 1):
-        if not np.array_equal(L[:, j], np.roll(col, j)):
-            return None
-    step = max(2, n // 8)
-    for j in range(2, n - 1, step):
-        if not np.array_equal(L[:, j], np.roll(col, j)):
-            return None
-    return col
-
-
-def required_gaps(c, quantum: float = GAP_QUANTUM):
+def required_gaps(c):
     """All distinct quantized gaps (c_i - c_j, i > j) plus (1 - c_j)."""
     c = np.asarray(c, dtype=float)
     gaps = set()
@@ -106,61 +90,88 @@ def required_gaps(c, quantum: float = GAP_QUANTUM):
     return sorted(gaps)
 
 
-class ExpCache:
-    """Exponentials e^(g * dt * L) keyed by quantized abscissa gap g."""
+def circulant_matrix(col) -> np.ndarray:
+    """The dense circulant matrix whose column j is col rolled down by j."""
+    col = np.asarray(col, dtype=float)
+    n = len(col)
+    return col[(np.arange(n)[:, None] - np.arange(n)) % n]
 
-    def __init__(self, L: np.ndarray, dt: float, gaps):
-        L = np.asarray(L, dtype=float)
-        if not np.isfinite(L).all():
+
+class Circulant:
+    """A periodic convolution operator held by its DFT symbol."""
+
+    def __init__(self, symbol):
+        self.symbol = np.asarray(symbol)
+
+    @classmethod
+    def from_column(cls, col) -> "Circulant":
+        return cls(np.fft.fft(col))
+
+    @property
+    def shape(self):
+        return (len(self.symbol), len(self.symbol))
+
+    def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        return np.fft.ifft(self.symbol * np.fft.fft(u)).real
+
+    def exp(self, tau: float) -> "Circulant":
+        """e^(tau * L), again circulant."""
+        return Circulant(np.exp(tau * self.symbol))
+
+    def dense(self) -> np.ndarray:
+        return circulant_matrix(np.fft.ifft(self.symbol).real)
+
+
+class ExpCache:
+    """Exponentials e^(g * dt * L) keyed by quantized abscissa gap g, for
+    L a ``Circulant`` or a dense array.  Negative gaps are refused unless
+    ``allow_negative`` is set (the decreasing-abscissa counterexample)."""
+
+    def __init__(self, L, dt: float, gaps, allow_negative: bool = False):
+        self.circulant = isinstance(L, Circulant)
+        if not self.circulant:
+            L = np.asarray(L, dtype=float)
+        if not np.isfinite(L.symbol if self.circulant else L).all():
             raise NonFinite("operator contains NaN or Inf")
         self.L = L
         self.dt = float(dt)
-        neg = [g for g in gaps if g < -_NEG_GAP_TOL]
-        if neg:
-            raise NegativeGap(
-                f"negative abscissa gaps {neg}; the integrating-factor "
-                "construction requires non-decreasing abscissas"
-            )
-        self.gaps = sorted({quantize_gap(max(g, 0.0)) for g in gaps})
-        self._eigs = None
-        col = _circulant_first_column(L)
-        if col is not None:
-            self._eigs = np.fft.fft(col)
-            self._entries = {
-                g: np.exp(g * self.dt * self._eigs) for g in self.gaps
-            }
-        else:
-            self._entries = {g: expm(g * self.dt * L) for g in self.gaps}
+        if not allow_negative:
+            neg = [g for g in gaps if g < -_NEG_GAP_TOL]
+            if neg:
+                raise NegativeGap(
+                    f"negative abscissa gaps {neg}; the integrating-factor "
+                    "construction requires non-decreasing abscissas"
+                )
+            gaps = [max(g, 0.0) for g in gaps]
+        self.gaps = sorted({quantize_gap(g) for g in gaps})
+        self._entries = {
+            g: L.exp(g * self.dt) if self.circulant else expm(g * self.dt * L)
+            for g in self.gaps
+        }
         self.construction_count = len(self.gaps)
 
-    @property
-    def circulant(self) -> bool:
-        return self._eigs is not None
+    def _entry(self, g: float):
+        try:
+            return self._entries[quantize_gap(g)]
+        except KeyError:
+            raise SspError(f"abscissa gap {g!r} was not planned in this cache "
+                           f"(planned gaps: {self.gaps})") from None
 
     def matrix(self, g: float) -> np.ndarray:
         """The cached exponential as a dense matrix."""
-        g = quantize_gap(g)
-        if self.circulant:
-            spec = self._entries[g]
-            n = len(spec)
-            first_col = np.fft.ifft(spec).real
-            return np.column_stack([np.roll(first_col, j) for j in range(n)])
-        return self._entries[g]
+        E = self._entry(g)
+        return E.dense() if self.circulant else E
 
     def apply(self, g: float, u: np.ndarray) -> np.ndarray:
         """Apply e^(g * dt * L) to a vector."""
-        g = quantize_gap(g)
-        if self.circulant:
-            return np.fft.ifft(self._entries[g] * np.fft.fft(u)).real
-        return self._entries[g] @ u
+        return self._entry(g) @ u
 
 
-def build_cache(L: np.ndarray, dt: float, c) -> ExpCache:
+def build_cache(L, dt: float, c) -> ExpCache:
     """Cache every exponential an integrating-factor step will need for
-    abscissas c (plus the output row at abscissa 1)."""
+    abscissas c (plus the output row at abscissa 1); decreasing abscissas
+    give negative gaps, which the cache refuses."""
     c = np.asarray(c, dtype=float)
     if len(c) and abs(c[0]) > 1e-13:
         raise ValueError("first abscissa must be 0")
-    if np.any(np.diff(c) < -_NEG_GAP_TOL):
-        raise NegativeGap("abscissas are not non-decreasing")
     return ExpCache(L, dt, required_gaps(c))

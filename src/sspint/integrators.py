@@ -17,9 +17,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NegativeGap, NonFinite
-from .expm import ExpCache, build_cache, expm, quantize_gap
+from .expm import ExpCache, build_cache, quantize_gap, required_gaps
 from .methods import FAMILY_PLUS, MethodRecord
-from .tableau import ButcherTableau, ShuOsherForm, abscissas_nondecreasing
+from .ssp_radius import ssp_radius
+from .tableau import (
+    ShuOsherForm,
+    abscissas_nondecreasing,
+    butcher_to_canonical_shu_osher,
+)
 
 StageObserver = Callable[[int, int, np.ndarray], None]
 """Callback (step index, stage index, stage vector); stage 0 of step 0 is
@@ -29,10 +34,10 @@ its last stage.  Observers must not mutate the vector they receive."""
 
 @dataclass(frozen=True)
 class SemiDiscretization:
-    """A method-of-lines system u_t = L u + N(u)."""
+    """A method-of-lines system u_t = L u + N(u), L a Circulant or an ndarray."""
 
     n: int
-    L: np.ndarray
+    L: object
     N: Callable[[np.ndarray], np.ndarray]
     dx: float
     fe_dt_nonlinear: float = float("nan")
@@ -41,11 +46,24 @@ class SemiDiscretization:
 
 @dataclass(frozen=True)
 class StepPlan:
-    """An integrating-factor method bound to an operator and step size."""
+    """An integrating-factor method bound to an operator and step size:
+    its Shu-Osher arrays, the abscissa ``ceff`` of every Shu-Osher stage
+    (stage i, 1-based, sits at Butcher abscissa c_{i+1}; the output row
+    acts at 1) and the cache of every exponential they need."""
 
-    method: MethodRecord
+    alpha: np.ndarray
+    beta: np.ndarray
+    ceff: np.ndarray
     cache: ExpCache
-    dt: float
+
+
+def shu_osher_form(method: MethodRecord | ShuOsherForm) -> ShuOsherForm:
+    """The stored Shu-Osher form, or the canonical one at the SSP radius
+    for records without one (every optimizer output)."""
+    if not isinstance(method, MethodRecord):
+        return method
+    t = method.tableau
+    return method.shu_osher or butcher_to_canonical_shu_osher(t, ssp_radius(t).radius)
 
 
 def make_plan(method: MethodRecord, sys: SemiDiscretization, dt: float) -> StepPlan:
@@ -55,28 +73,23 @@ def make_plan(method: MethodRecord, sys: SemiDiscretization, dt: float) -> StepP
             f"{method.name} has decreasing abscissas; integrating-factor "
             "plans require non-decreasing abscissas"
         )
-    cache = build_cache(sys.L, dt, method.tableau.c)
-    return StepPlan(method=method, cache=cache, dt=dt)
+    so = shu_osher_form(method)
+    c = method.tableau.c
+    return StepPlan(so.alpha, so.beta, np.append(c, 1.0), build_cache(sys.L, dt, c))
+
+
+def make_general_plan(so: ShuOsherForm, c, sys, dt: float) -> StepPlan:
+    """An IFRK plan for arbitrary abscissa ordering: the counterexample
+    path showing why decreasing abscissas break the SSP property, so
+    exponentials of negative gaps are cached too."""
+    c = np.asarray(c, dtype=float)
+    cache = ExpCache(sys.L, dt, required_gaps(c), allow_negative=True)
+    return StepPlan(so.alpha, so.beta, np.append(c, 1.0), cache)
 
 
 def _check_finite(u: np.ndarray, what: str):
     if not np.isfinite(u).all():
         raise NonFinite(f"{what} contains NaN or Inf")
-
-
-def _so_arrays(method_or_so):
-    if isinstance(method_or_so, MethodRecord):
-        so = method_or_so.shu_osher
-        if so is None:
-            from .tableau import butcher_to_canonical_shu_osher
-            from .ssp_radius import ssp_radius as _radius
-
-            rec = method_or_so
-            so = butcher_to_canonical_shu_osher(
-                rec.tableau, _radius(rec.tableau).radius
-            )
-        return so.alpha, so.beta
-    return method_or_so.alpha, method_or_so.beta
 
 
 def rk_step(
@@ -90,7 +103,8 @@ def rk_step(
     """One explicit Runge-Kutta step in Shu-Osher form."""
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    alpha, beta = _so_arrays(method)
+    so = shu_osher_form(method)
+    alpha, beta = so.alpha, so.beta
     s = alpha.shape[0] - 1
     stages = [np.asarray(u, dtype=float)]
     for i in range(1, s + 1):
@@ -110,13 +124,15 @@ def rk_step(
     return stages[-1]
 
 
-def _if_stage_abscissas(c: np.ndarray) -> np.ndarray:
-    """Effective abscissa of every Shu-Osher stage: stage i (1-based) sits
-    at Butcher abscissa c_{i+1}; the output row acts at 1."""
-    return np.append(c, 1.0)
-
-
-def _ifrk_stages(alpha, beta, ceff, apply_exp, N, u, dt, obs, step_index):
+def ifrk_step(
+    plan: StepPlan,
+    sys: SemiDiscretization,
+    u: np.ndarray,
+    obs: Optional[StageObserver] = None,
+    step_index: int = 0,
+) -> np.ndarray:
+    """One integrating-factor Runge-Kutta step using the plan's cache."""
+    alpha, beta, ceff, dt = plan.alpha, plan.beta, plan.ceff, plan.cache.dt
     s = alpha.shape[0] - 1
     stages = [np.asarray(u, dtype=float)]
     for i in range(1, s + 1):
@@ -128,34 +144,19 @@ def _ifrk_stages(alpha, beta, ceff, apply_exp, N, u, dt, obs, step_index):
             g = quantize_gap(ceff[i] - ceff[j])
             term = a * stages[j]
             if b != 0.0:
-                term = term + dt * b * N(stages[j])
+                term = term + dt * b * sys.N(stages[j])
             if g in grouped:
                 grouped[g] = grouped[g] + term
             else:
                 grouped[g] = term
         acc = np.zeros_like(stages[0])
         for g, w in grouped.items():
-            acc = acc + apply_exp(g, w)
+            acc = acc + plan.cache.apply(g, w)
         _check_finite(acc, f"stage {i}")
         stages.append(acc)
         if obs is not None:
             obs(step_index, i, acc)
     return stages[-1]
-
-
-def ifrk_step(
-    plan: StepPlan,
-    sys: SemiDiscretization,
-    u: np.ndarray,
-    obs: Optional[StageObserver] = None,
-    step_index: int = 0,
-) -> np.ndarray:
-    """One integrating-factor Runge-Kutta step using the plan's cache."""
-    alpha, beta = _so_arrays(plan.method)
-    ceff = _if_stage_abscissas(plan.method.tableau.c)
-    return _ifrk_stages(
-        alpha, beta, ceff, plan.cache.apply, sys.N, u, plan.dt, obs, step_index
-    )
 
 
 def ifrk_step_general(
@@ -167,35 +168,9 @@ def ifrk_step_general(
     obs: Optional[StageObserver] = None,
     step_index: int = 0,
 ) -> np.ndarray:
-    """Integrating-factor step for arbitrary abscissa ordering.
-
-    Exponentials of negative gaps are computed directly; this is the
-    counterexample path showing why decreasing abscissas break the SSP
-    property, so no cache or sign restriction is imposed.
-    """
-    ceff = _if_stage_abscissas(np.asarray(c, dtype=float))
-    exps = {}
-    eigs = None
-    from .expm import _circulant_first_column
-
-    col = _circulant_first_column(np.asarray(sys.L, dtype=float))
-    if col is not None:
-        eigs = np.fft.fft(col)
-
-    def apply_exp(g, w):
-        if g not in exps:
-            if eigs is not None:
-                exps[g] = np.exp(g * dt * eigs)
-            else:
-                exps[g] = expm(g * dt * np.asarray(sys.L, dtype=float))
-        E = exps[g]
-        if eigs is not None:
-            return np.fft.ifft(E * np.fft.fft(w)).real
-        return E @ w
-
-    return _ifrk_stages(
-        so.alpha, so.beta, ceff, apply_exp, sys.N, u, dt, obs, step_index
-    )
+    """Integrating-factor step for arbitrary abscissa ordering (one step
+    of a ``make_general_plan`` plan)."""
+    return ifrk_step(make_general_plan(so, c, sys, dt), sys, u, obs, step_index)
 
 
 def integrate(

@@ -1,4 +1,7 @@
-"""1D periodic semi-discretizations and the built-in test problems."""
+"""1D periodic semi-discretizations and the built-in test problems.
+
+The periodic upwind operators are built as ``expm.Circulant``;
+``upwind_matrix`` is the same operator as a dense array."""
 
 from __future__ import annotations
 
@@ -7,9 +10,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFinite
+from .expm import Circulant, circulant_matrix
 from .integrators import SemiDiscretization
 
 WENO_EPS = 1e-6
+
+#: smallest grid the five-point WENO stencils and the problems accept.
+MIN_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -19,8 +26,8 @@ class Grid1D:
     n: int
 
     def __post_init__(self):
-        if self.n < 8:
-            raise ValueError("grid requires at least 8 points")
+        if self.n < MIN_POINTS:
+            raise ValueError(f"grid requires at least {MIN_POINTS} points")
 
     @property
     def dx(self) -> float:
@@ -31,16 +38,24 @@ class Grid1D:
         return np.arange(self.n) * self.dx
 
 
-def upwind_matrix(grid: Grid1D, a: float) -> np.ndarray:
-    """First-order upwind discretization of -a * u_x (periodic, a >= 0):
-    row i holds (a/dx) * (u_{i-1} - u_i)."""
+def _upwind_column(grid: Grid1D, a: float) -> np.ndarray:
     if a < 0:
         raise ValueError("negative wavespeed not supported (downwinding out of scope)")
-    n = grid.n
-    col = np.zeros(n)
+    col = np.zeros(grid.n)
     col[0] = -a / grid.dx
     col[1] = a / grid.dx
-    return np.column_stack([np.roll(col, j) for j in range(n)])
+    return col
+
+
+def upwind_operator(grid: Grid1D, a: float) -> Circulant:
+    """First-order upwind discretization of -a * u_x (periodic, a >= 0):
+    row i holds (a/dx) * (u_{i-1} - u_i)."""
+    return Circulant.from_column(_upwind_column(grid, a))
+
+
+def upwind_matrix(grid: Grid1D, a: float) -> np.ndarray:
+    """``upwind_operator`` as a dense n x n array."""
+    return circulant_matrix(_upwind_column(grid, a))
 
 
 def _weno5_reconstruct(fm2, fm1, f0, fp1, fp2):
@@ -102,15 +117,6 @@ ADVECTION_BURGERS_SMOOTH = "AdvectionBurgersSmooth"
 VAN_DER_POL = "VanDerPol"
 
 
-def _linear_callback(M: np.ndarray):
-    eigs = np.fft.fft(M[:, 0])
-
-    def N(u):
-        return np.fft.ifft(eigs * np.fft.fft(u)).real
-
-    return N
-
-
 def van_der_pol_splitting(which: str):
     """The two linear/nonlinear splittings of the van der Pol system
     u1' = u2, u2' = -u1 + (1 - u1^2) u2."""
@@ -140,27 +146,19 @@ def make_problem(kind: str, a: float = 0.0, n: int = 1000, splitting: str = "a")
     """Build (SemiDiscretization, initial state) for a named test problem."""
     if kind == VAN_DER_POL:
         L, N = van_der_pol_splitting(splitting)
-        sys = SemiDiscretization(
-            n=2, L=L, N=N, dx=float("nan"),
-            fe_dt_nonlinear=float("nan"), fe_dt_linear=float("nan"),
-        )
+        sys = SemiDiscretization(n=2, L=L, N=N, dx=float("nan"))
         return sys, np.array([2.0, 0.0])
 
     grid = Grid1D(n)
     x = grid.x
-    L = upwind_matrix(grid, a)
-    fe_linear = grid.dx / a if a > 0 else float("inf")
-
     if kind == LINEAR_ADVECTION_STEP:
         u0 = ((x >= 0.25) & (x <= 0.75)).astype(float)
-        N = _linear_callback(upwind_matrix(grid, 1.0))
-        sys = SemiDiscretization(
-            n=n, L=L, N=N, dx=grid.dx,
-            fe_dt_nonlinear=grid.dx, fe_dt_linear=fe_linear,
-        )
-        return sys, u0
+        unit = upwind_operator(grid, 1.0)
 
-    if kind in (ADVECTION_BURGERS_STEP, ADVECTION_BURGERS_SMOOTH):
+        def N(u):
+            return unit @ u
+
+    elif kind in (ADVECTION_BURGERS_STEP, ADVECTION_BURGERS_SMOOTH):
         if kind == ADVECTION_BURGERS_STEP:
             u0 = ((x >= 0.0) & (x <= 0.5)).astype(float)
         else:
@@ -169,10 +167,11 @@ def make_problem(kind: str, a: float = 0.0, n: int = 1000, splitting: str = "a")
         def N(u):
             return weno5_burgers_rhs(grid, u)
 
-        sys = SemiDiscretization(
-            n=n, L=L, N=N, dx=grid.dx,
-            fe_dt_nonlinear=grid.dx, fe_dt_linear=fe_linear,
-        )
-        return sys, u0
-
-    raise ValueError(f"unknown problem kind {kind!r}")
+    else:
+        raise ValueError(f"unknown problem kind {kind!r}")
+    fe_linear = grid.dx / a if a > 0 else float("inf")
+    sys = SemiDiscretization(
+        n=n, L=upwind_operator(grid, a), N=N, dx=grid.dx,
+        fe_dt_nonlinear=grid.dx, fe_dt_linear=fe_linear,
+    )
+    return sys, u0

@@ -47,9 +47,10 @@ class ButcherTableau:
     order: int = 1
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        c = np.asarray(self.c, dtype=float)
+        # copies, so freezing them below leaves the caller's arrays writeable
+        A = np.array(self.A, dtype=float)
+        b = np.array(self.b, dtype=float)
+        c = np.array(self.c, dtype=float)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)

@@ -105,6 +105,25 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, argv", [
+    ("n=abc\n", ["run", "table6"]),
+    (None, ["run", "table7", "--n", "4"]),
+    (None, ["run", "ex4", "--n", "4"]),
+    ("threshold=tiny\n", ["run", "table7"]),
+    (None, ["run", "table6", "--steps", "-1"]),
+    (None, ["sweep", "--method", "eSSPRK+(3,3)", "--a", "-1"]),
+])
+def test_cli_bad_values_exit_one_with_one_line(tmp_path, capsys, config, argv):
+    if config is not None:
+        path = tmp_path / "bad.cfg"
+        path.write_text(config)
+        argv = argv + ["--config", str(path)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_sweep_deterministic_output(tmp_path):
     args = [
         "sweep",

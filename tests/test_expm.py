@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sspint import methods
-from sspint.errors import NegativeGap, NonFinite
+from sspint.errors import NegativeGap, NonFinite, SspError
 from sspint.expm import (
+    Circulant,
     ExpCache,
     build_cache,
+    circulant_matrix,
     expm,
     quantize_gap,
     required_gaps,
 )
-from sspint.spatial import Grid1D, upwind_matrix
+from sspint.spatial import Grid1D, upwind_matrix, upwind_operator
 
 
 def taylor_expm(M, terms=150):
@@ -67,13 +71,69 @@ def test_cache_circulant_matches_dense():
     grid = Grid1D(32)
     L = upwind_matrix(grid, 2.0)
     gaps = [0.0, 0.25, 1.0]
-    cache = ExpCache(L, 0.01, gaps)
+    cache = ExpCache(upwind_operator(grid, 2.0), 0.01, gaps)
     assert cache.circulant
     for g in gaps:
         dense = expm(g * 0.01 * L)
         assert np.allclose(cache.matrix(g), dense, atol=1e-11)
         u = np.sin(2 * np.pi * grid.x)
         assert np.allclose(cache.apply(g, u), dense @ u, atol=1e-11)
+
+
+def test_dense_array_is_never_treated_as_circulant():
+    # an upwind matrix with one off-circulant entry; sampling a few
+    # columns used to classify it circulant, 0.62 away from expm
+    L = upwind_matrix(Grid1D(16), 1.0)
+    L[0, 3] += 5.0
+    cache = ExpCache(L, 0.1, [1.0])
+    assert not cache.circulant
+    u = np.arange(16.0)
+    assert np.abs(cache.apply(1.0, u) - expm(0.1 * L) @ u).max() <= 1e-12
+
+
+def test_upwind_matrix_is_the_dense_upwind_operator():
+    grid = Grid1D(12)
+    M = upwind_matrix(grid, 3.0)
+    assert np.array_equal(M, np.column_stack(
+        [np.roll(M[:, 0], j) for j in range(12)]))
+    assert np.allclose(upwind_operator(grid, 3.0).dense(), M, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(8, 64),
+    seed=st.integers(0, 2**32 - 1),
+    dt=st.floats(0.0, 0.5),
+)
+def test_circulant_matches_dense_reference(n, seed, dt):
+    # fast path (FFT symbol) against the reference path (dense circulant
+    # matrix and Pade-13 expm), to 1e-10 relative to the operator's size
+    rng = np.random.default_rng(seed)
+    col = rng.standard_normal(n)
+    u = rng.standard_normal(n)
+    op = Circulant.from_column(col)
+    M = circulant_matrix(col)
+    assert op.shape == M.shape == (n, n)
+    assert np.allclose(op @ u, M @ u, rtol=0, atol=1e-12 * np.abs(col).sum())
+    gaps = [-0.5, 0.0, 0.25, 1.0]
+    fast = ExpCache(op, dt, gaps, allow_negative=True)
+    dense = ExpCache(M, dt, gaps, allow_negative=True)
+    assert fast.circulant and not dense.circulant
+    for g in gaps:
+        ref = expm(g * dt * M)
+        scale = max(1.0, np.abs(ref).max())
+        assert np.allclose(fast.matrix(g), ref, rtol=0, atol=1e-10 * scale)
+        assert np.allclose(fast.apply(g, u), ref @ u, rtol=0,
+                           atol=1e-10 * scale * np.abs(u).sum())
+        assert np.allclose(dense.apply(g, u), ref @ u, rtol=0,
+                           atol=1e-10 * scale * np.abs(u).sum())
+
+
+def test_cache_unplanned_gap_is_typed_error():
+    cache = ExpCache(np.eye(3), 0.1, [0.5])
+    for lookup in (lambda g: cache.apply(g, np.ones(3)), cache.matrix):
+        with pytest.raises(SspError, match="0.75"):
+            lookup(0.75)
 
 
 def test_cache_dense_fallback():

@@ -1,8 +1,11 @@
+import dataclasses
+import importlib
+
 import numpy as np
 import pytest
 
 from sspint import methods
-from sspint.analysis import ifrk_builder, max_tv_rise, total_variation
+from sspint.analysis import ifrk_builder, max_tv_rise, rk_builder, total_variation
 from sspint.errors import NegativeGap, NonFinite
 from sspint.expm import expm
 from sspint.integrators import (
@@ -106,3 +109,34 @@ def test_integrate_zero_steps_returns_initial_state():
     u0 = np.arange(4.0)
     out = integrate(lambda u, o, k: u + 1, u0, 0)
     assert np.array_equal(out, u0)
+
+
+def test_shu_osher_form_resolved_once_per_build(monkeypatch):
+    # optimizer outputs carry no Shu-Osher form; it is derived from the
+    # SSP radius once per builder or plan, not once per step
+    calls = []
+    radius_module = importlib.import_module("sspint.ssp_radius")
+    radius = radius_module.ssp_radius
+
+    def counting(t, *args, **kwargs):
+        calls.append(t)
+        return radius(t, *args, **kwargs)
+
+    monkeypatch.setattr(radius_module, "ssp_radius", counting)
+    monkeypatch.setattr(importlib.import_module("sspint.integrators"),
+                        "ssp_radius", counting, raising=False)
+    sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=1.0, n=64)
+    dt = 0.5 * sys_.dx
+
+    rec = dataclasses.replace(methods.get("eSSPRK(3,3)"), shu_osher=None)
+    u = integrate(rk_builder(rec)(sys_, dt), u0, 10)
+    assert len(calls) == 1
+    v = u0
+    for _ in range(10):
+        v = rk_step(rec, lambda w: sys_.L @ w + sys_.N(w), v, dt)
+    assert np.array_equal(u, v)
+
+    calls.clear()
+    plus = dataclasses.replace(methods.get("eSSPRK+(3,3)"), shu_osher=None)
+    integrate(ifrk_builder(plus)(sys_, dt), u0, 10)
+    assert len(calls) == 1

@@ -54,6 +54,17 @@ def test_tableau_c_defaults_to_row_sums():
     assert t.stages == 2
 
 
+def test_tableau_freezes_copies_not_the_callers_arrays():
+    A = np.array([[0.0, 0.0], [1.0, 0.0]])
+    b = np.array([0.5, 0.5])
+    c = np.array([0.0, 1.0])
+    t = ButcherTableau(A=A, b=b, c=c)
+    assert A.flags.writeable and b.flags.writeable and c.flags.writeable
+    assert not (t.A.flags.writeable or t.b.flags.writeable or t.c.flags.writeable)
+    A[1, 0] = 2.0
+    assert t.A[1, 0] == 1.0
+
+
 def test_tableau_json_round_trip(tmp_path):
     t = methods.get("eSSPRK+(5,4)").tableau
     path = tmp_path / "t.json"
