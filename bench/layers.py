@@ -1,0 +1,165 @@
+"""Layer timings of sspint's observed-TVD search and L2-CFL probe.
+
+Usage (from the repository root):
+
+    python3 bench/layers.py [--quick] [--src DIR] [--label NAME] [--out FILE]
+
+Each layer is timed with ``time.perf_counter``; the reported figure is
+the median of k repeats (k = 5, or 1 with ``--quick``, which finishes in
+under 30 s).  ``--src`` imports sspint from another checkout's ``src``
+directory, so one script times two commits on the same machine.  A layer
+that the imported package cannot run (a function it lacks) is recorded as
+``null``.  With ``--out`` the run is merged into that JSON file under
+``runs[label]``, beside the machine facts; without it the run is printed.
+
+Layers (n = 1000 linear-advection step, 10 steps, eSSPRK+(5,4), a = 10):
+
+- ``prescan``: the 50-point pre-scan of ``observed_tvd_lambda`` up to
+  the chunk holding the first 1e-10 crossing.  A package without
+  ``analysis.prescan_bracket`` runs it as its own ``observed_tvd_lambda``
+  did: ``max_tv_rise`` one lambda at a time up to the crossing.
+- ``observed_tvd_lambda``: the full search (pre-scan plus bisection).
+- ``run_table6``: ``sspint run table6`` at its default config, in-process.
+- ``ifrk_step``: one integrating-factor step on physical values.
+- ``ifrk_step_spectral_k50``: one step of the 50-lambda pre-scan batch on
+  real-FFT coefficients.
+- ``l2cfl_dense`` / ``l2cfl_circulant``: ``observed_l2_cfl`` of
+  eSSPRK(3,3) (wavespeed 11 at unit spacing, lambda <= 0.2, 500 steps,
+  seed 0) on the dense matrix and on the circulant operator.
+"""
+
+import argparse
+import glob
+import json
+import os
+import platform
+import statistics
+import sys
+import tempfile
+import time
+
+N = 1000
+STEPS = 10
+A = 10.0
+METHOD = "eSSPRK+(5,4)"
+
+
+def _median_time(fn, repeats, inner=1):
+    samples = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(inner):
+            fn()
+        samples.append((time.perf_counter() - start) / inner)
+    return {"median_s": statistics.median(samples), "repeats": repeats,
+            "samples_s": samples}
+
+
+def layers(quick):
+    import numpy as np
+
+    from sspint import analysis, cli, integrators, methods, spatial
+    from sspint.integrators import ifrk_step, make_plan
+    from sspint.ssp_radius import observed_l2_cfl
+
+    k = 1 if quick else 5
+    rec = methods.get(METHOD)
+    hi = 1.5 * rec.claimed_C + 0.75
+    sys_, u0 = spatial.make_problem(spatial.LINEAR_ADVECTION_STEP, a=A, n=N)
+    build = analysis.ifrk_builder(rec)
+
+    def prescan():
+        if hasattr(analysis, "prescan_bracket"):
+            return analysis.prescan_bracket(build, sys_, u0, hi, STEPS)
+        grid = np.linspace(hi / analysis.PRESCAN_POINTS, hi,
+                           analysis.PRESCAN_POINTS)
+        for lam in grid:
+            if analysis.max_tv_rise(build, sys_, u0, lam, STEPS) > 1e-10:
+                return lam
+        return None
+
+    def table6():
+        with tempfile.TemporaryDirectory() as out:
+            cli.run_table6({}, out)
+
+    plan = make_plan(rec, sys_, 1.5 * sys_.dx)
+    out = {
+        "prescan": _median_time(prescan, k),
+        "observed_tvd_lambda": _median_time(
+            lambda: analysis.observed_tvd_lambda(build, sys_, u0, hi, STEPS), k),
+        "run_table6": _median_time(table6, k),
+        "ifrk_step": _median_time(lambda: ifrk_step(plan, sys_, u0), k, 200),
+        "ifrk_step_spectral_k50": None,
+        "l2cfl_circulant": None,
+    }
+    if hasattr(integrators, "spectral"):
+        spec = integrators.spectral(sys_)
+        lams = np.linspace(hi / 50, hi, 50)
+        batch = make_plan(rec, spec, lams[:, None] * sys_.dx)
+        uh0 = np.broadcast_to(np.fft.rfft(u0), (50, N // 2 + 1))
+        out["ifrk_step_spectral_k50"] = _median_time(
+            lambda: ifrk_step(batch, spec, uh0), k, 20)
+
+    t33 = methods.get("eSSPRK(3,3)").tableau
+    grid = spatial.Grid1D(N)
+    dense = spatial.upwind_matrix(grid, 11.0) * grid.dx
+    out["l2cfl_dense"] = _median_time(
+        lambda: observed_l2_cfl(t33, dense, 0.2, 500, seed=0), k)
+    circ = spatial.upwind_operator(grid, 11.0 * grid.dx)
+    try:
+        observed_l2_cfl(t33, circ, 0.2, 1, seed=0)
+    except TypeError:  # the package applies M only as a dense array
+        pass
+    else:
+        out["l2cfl_circulant"] = _median_time(
+            lambda: observed_l2_cfl(t33, circ, 0.2, 500, seed=0), k)
+    return out
+
+
+def _line_count(path):
+    with open(path) as fh:
+        return sum(1 for _ in fh)
+
+
+def machine():
+    import numpy
+    import scipy
+
+    return {"nproc": os.cpu_count(), "python": platform.python_version(),
+            "numpy": numpy.__version__, "scipy": scipy.__version__,
+            "machine": platform.machine()}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--quick", action="store_true")
+    parser.add_argument("--src", default=os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+    parser.add_argument("--label", default="change")
+    parser.add_argument("--out")
+    args = parser.parse_args(argv)
+    src = os.path.abspath(args.src)
+    sys.path.insert(0, src)
+    files = glob.glob(os.path.join(src, "sspint", "*.py"))
+    run = {
+        "src_lines": sum(_line_count(f) for f in files),
+        "quick": args.quick,
+        "layers": layers(args.quick),
+    }
+    if not args.out:
+        print(json.dumps({"machine": machine(), args.label: run}, indent=2))
+        return 0
+    data = {}
+    if os.path.exists(args.out):
+        with open(args.out) as fh:
+            data = json.load(fh)
+    data["machine"] = machine()
+    data.setdefault("runs", {})[args.label] = run
+    with open(args.out, "w") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

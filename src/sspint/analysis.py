@@ -3,7 +3,9 @@ convergence-slope estimation.
 
 A "stepper builder" is a callable ``build(sys, dt)`` returning a one-step
 map ``step(u, obs, k)``; this keeps the measurement layer independent of
-whether the step is plain Runge-Kutta or integrating-factor.
+whether the step is plain Runge-Kutta or integrating-factor.  An
+integrating-factor builder also steps a ``spectral`` system with a column
+of step sizes, which ``max_tv_rises`` uses to run lambdas in batches.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .integrators import (
     make_plan,
     rk_step,
     shu_osher_form,
+    spectral,
 )
 from .methods import MethodRecord
 
@@ -39,6 +42,10 @@ PRESCAN_POINTS = 50
 #: floor applied before taking log10 of a rise for plot output.
 LOG_FLOOR = 1e-300
 
+#: largest k * n a batched scan steps at once (k lambdas, n grid points);
+#: a larger pre-scan runs in chunks of at most this many elements.
+BATCH_ELEMENTS = 16384
+
 StepperBuilder = Callable[[SemiDiscretization, float], Callable]
 
 
@@ -51,6 +58,7 @@ def _plan_builder(plan_for) -> StepperBuilder:
 
         return step
 
+    build.batches = True
     return build
 
 
@@ -84,10 +92,10 @@ def rk_builder(method: MethodRecord) -> StepperBuilder:
     return build
 
 
-def total_variation(u: np.ndarray) -> float:
-    """Periodic TV semi-norm sum_i |u_{i+1} - u_i|."""
+def total_variation(u: np.ndarray):
+    """Periodic TV semi-norm sum_i |u_{i+1} - u_i|, one per row of a batch."""
     u = np.asarray(u, dtype=float)
-    return float(np.abs(u - np.roll(u, 1)).sum())
+    return np.abs(u - np.roll(u, 1, axis=-1)).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -153,6 +161,55 @@ def max_tv_rise(
         return float("inf")
 
 
+def _batch_system(build: StepperBuilder, sys: SemiDiscretization):
+    """The spectral form of sys if build can step it in batches, else None."""
+    return spectral(sys) if getattr(build, "batches", False) else None
+
+
+def max_tv_rises(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
+                 lams: Sequence[float], n_steps: int) -> np.ndarray:
+    """``max_tv_rise`` at every lambda.  With a batch system the lambdas
+    step together on real-FFT coefficients, each stage observed by one
+    batched ``irfft``; a non-finite batch is re-run one lambda at a time."""
+    lams = np.asarray(lams, dtype=float)
+    spec = _batch_system(build, sys)
+    if spec is None:
+        return np.array([max_tv_rise(build, sys, u0, lam, n_steps) for lam in lams])
+    values = []
+
+    def obs(k, i, uh):
+        values.append(total_variation(np.fft.irfft(uh, sys.n)))
+
+    try:
+        uh0 = np.broadcast_to(np.fft.rfft(u0), (len(lams), sys.n // 2 + 1))
+        integrate(build(spec, lams[:, None] * sys.dx), uh0, n_steps, obs)
+    except NonFinite:
+        if len(lams) == 1:
+            return np.where(lams == 0.0, 0.0, np.inf)
+        return np.concatenate([max_tv_rises(build, sys, u0, [lam], n_steps)
+                               for lam in lams])
+    rises = np.array([TvTrace(tuple(v)).max_rise for v in np.transpose(values)])
+    return np.where(lams == 0.0, 0.0, rises)
+
+
+def prescan_bracket(build: StepperBuilder, sys: SemiDiscretization,
+                    u0: np.ndarray, lambda_hi: float, n_steps: int,
+                    threshold: float = DEFAULT_THRESHOLD,
+                    ) -> Optional[Tuple[float, float]]:
+    """(grid point before, first grid point whose rise exceeds threshold)
+    on the pre-scan grid over (0, lambda_hi], or None; batches run in
+    chunks of at most BATCH_ELEMENTS, up to the one holding the crossing."""
+    grid = np.linspace(lambda_hi / PRESCAN_POINTS, lambda_hi, PRESCAN_POINTS)
+    chunk = max(1, BATCH_ELEMENTS // sys.n) if _batch_system(build, sys) else 1
+    for start in range(0, PRESCAN_POINTS, chunk):
+        rises = max_tv_rises(build, sys, u0, grid[start:start + chunk], n_steps)
+        above = np.flatnonzero(rises > threshold)
+        if above.size:
+            i = start + above[0]
+            return (grid[i - 1] if i else 0.0, grid[i])
+    return None
+
+
 def observed_tvd_lambda(
     build: StepperBuilder,
     sys: SemiDiscretization,
@@ -166,28 +223,18 @@ def observed_tvd_lambda(
     detection threshold.
 
     A 50-point pre-scan over (0, lambda_hi] brackets the first threshold
-    crossing; bisection then refines it to the requested width.  If no
-    grid point crosses, lambda_hi itself is returned; if the very first
-    grid point already exceeds the threshold the bracket starts at 0.
+    crossing (``prescan_bracket``); bisection then refines it to the
+    requested width, one lambda at a time.  If no grid point crosses,
+    lambda_hi itself is returned; if the very first grid point already
+    exceeds the threshold the bracket starts at 0.
     """
-
-    def rise(lam):
-        return max_tv_rise(build, sys, u0, lam, n_steps)
-
-    grid = np.linspace(lambda_hi / PRESCAN_POINTS, lambda_hi, PRESCAN_POINTS)
-    prev = 0.0
-    crossing = None
-    for lam in grid:
-        if rise(lam) > threshold:
-            crossing = (prev, lam)
-            break
-        prev = lam
+    crossing = prescan_bracket(build, sys, u0, lambda_hi, n_steps, threshold)
     if crossing is None:
         return ObservedCoefficient(float(lambda_hi), threshold, width)
     lo, hi = crossing
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
-        if rise(mid) > threshold:
+        if max_tv_rises(build, sys, u0, [mid], n_steps)[0] > threshold:
             hi = mid
         else:
             lo = mid

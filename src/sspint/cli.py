@@ -3,9 +3,7 @@ optimization, and the 1D experiment harness.
 
 Experiments write CSV artifacts with a header row and a trailing comment
 block of ``# key=value`` metadata; files are written atomically (temp file
-plus rename) so partial runs never leave truncated output.  The
-``SSPINT_THREADS`` environment variable sets the worker-pool size for
-independent (method, a, lambda) jobs.
+plus rename) so partial runs never leave truncated output.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -34,6 +31,9 @@ try:
     VERSION = _pkg_version("sspint")
 except Exception:  # pragma: no cover - not installed
     VERSION = "0.0.0"
+
+#: end time of the ex1 van der Pol runs.
+_EX1_T = 0.5
 
 EXPERIMENTS = ("ex1", "ex3", "ex4", "table6", "table7", "table8-partial", "fig1")
 
@@ -66,23 +66,6 @@ _PROBLEMS = {
 
 
 # --- small utilities -------------------------------------------------------
-
-
-def thread_count() -> int:
-    raw = os.environ.get("SSPINT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"SSPINT_THREADS must be an integer, got {raw!r}")
-
-
-def _pmap(fn, jobs: Sequence):
-    """Map preserving input order, optionally over a thread pool."""
-    workers = thread_count()
-    if workers == 1 or len(jobs) <= 1:
-        return [fn(j) for j in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, jobs))
 
 
 def atomic_write_text(path: str, text: str):
@@ -169,6 +152,13 @@ def _check_values(cfg: Dict[str, str]):
             raise ConfigError(f"{key} must be {kind.__name__}, got {cfg[key]!r}")
     if any(a < 0 for a in _floats(cfg.get("a", ""))):
         raise ConfigError(f"wavespeeds must be nonnegative, got {cfg['a']!r}")
+    dts = _floats(cfg.get("dts", ""))
+    if "dts" in cfg and (not all(0 < dt <= _EX1_T for dt in dts)
+                         or len({round(_EX1_T / dt) for dt in dts}) < 3):
+        raise ConfigError(f"dts must be step sizes in (0, {_EX1_T}] giving at least "
+                          f"3 distinct step counts, got {cfg['dts']!r}")
+    if not {x.strip() for x in cfg.get("splittings", "a").split(",")} <= {"a", "b"}:
+        raise ConfigError(f"splittings must be a and/or b, got {cfg['splittings']!r}")
 
 
 def split_method_names(text: str) -> List[str]:
@@ -255,7 +245,7 @@ def run_table6(cfg: Dict[str, str], outdir: str) -> List[str]:
         )
         return (name, a, obs.lambda_obs)
 
-    rows = _pmap(job, jobs)
+    rows = [job(item) for item in jobs]
     path = os.path.join(outdir, "table6.csv")
     write_csv(path, ("method", "a", "lambda_obs"), rows,
               _meta(cfg, experiment="table6", threshold=threshold))
@@ -276,7 +266,7 @@ def run_table7(cfg: Dict[str, str], outdir: str) -> List[str]:
         )
         return (rec.name, a, obs.lambda_obs)
 
-    rows = _pmap(job, a_vals)
+    rows = [job(a) for a in a_vals]
     path = os.path.join(outdir, "table7.csv")
     write_csv(path, ("method", "a", "lambda_obs"), rows,
               _meta(cfg, experiment="table7", threshold=threshold))
@@ -288,7 +278,8 @@ def run_table8(cfg: Dict[str, str], outdir: str) -> List[str]:
     steps = int(cfg.get("steps", "500"))
     with_opt = cfg.get("with_opt", "false").lower() in ("1", "true", "yes")
     grid = spatial.Grid1D(n)
-    M = spatial.upwind_matrix(grid, 11.0) * grid.dx  # unit-grid-spacing scaling
+    # wavespeed 11 at unit grid spacing: the upwind operator times dx
+    M = spatial.upwind_operator(grid, 11.0 * grid.dx)
 
     rows = []
     t33 = methods.get("eSSPRK(3,3)").tableau
@@ -310,7 +301,7 @@ def run_table8(cfg: Dict[str, str], outdir: str) -> List[str]:
         except NonFinite:
             return ("ifrk_norm_at_lambda27", name, float("inf"))
 
-    rows += _pmap(job, list(_TABLE6_METHODS))
+    rows += [job(name) for name in _TABLE6_METHODS]
     path = os.path.join(outdir, "table8_partial.csv")
     write_csv(path, ("quantity", "method", "value"), rows,
               _meta(cfg, experiment="table8-partial"))
@@ -344,10 +335,7 @@ def run_sweep_experiment(cfg: Dict[str, str], outdir: str, experiment: str) -> L
     sys_, u0 = spatial.make_problem(spatial.ADVECTION_BURGERS_STEP, a=a, n=n)
     paths = []
     for label, build in builders:
-        recs = _pmap(
-            lambda lam: analysis.lambda_sweep(build, sys_, u0, [lam], steps)[0],
-            lambdas,
-        )
+        recs = analysis.lambda_sweep(build, sys_, u0, lambdas, steps)
         path = os.path.join(outdir, f"{experiment}_{_safe_name(label)}.csv")
         write_csv(
             path,
@@ -359,7 +347,7 @@ def run_sweep_experiment(cfg: Dict[str, str], outdir: str, experiment: str) -> L
     return paths
 
 
-def van_der_pol_reference(dt: float = 1e-5, T: float = 0.5) -> np.ndarray:
+def van_der_pol_reference(dt: float = 1e-5, T: float = _EX1_T) -> np.ndarray:
     """High-resolution plain Runge-Kutta reference solution at time T."""
     from .integrators import rk_step
 
@@ -370,7 +358,7 @@ def van_der_pol_reference(dt: float = 1e-5, T: float = 0.5) -> np.ndarray:
     return u
 
 
-def van_der_pol_errors(rec, splitting: str, dts, uref, T: float = 0.5):
+def van_der_pol_errors(rec, splitting: str, dts, uref, T: float = _EX1_T):
     """(dt, max-norm error) pairs; dt is adjusted so an integer number of
     steps lands exactly on T."""
     sys_, u0 = spatial.make_problem(spatial.VAN_DER_POL, splitting=splitting)
@@ -529,10 +517,7 @@ def cmd_sweep(args) -> int:
     else:
         build = analysis.ifrk_builder(rec)
     lambdas = parse_lambda_grid(args.lambdas)
-    recs = _pmap(
-        lambda lam: analysis.lambda_sweep(build, sys_, u0, [lam], args.steps)[0],
-        lambdas,
-    )
+    recs = analysis.lambda_sweep(build, sys_, u0, lambdas, args.steps)
     meta = {
         "version": VERSION,
         "method": rec.name,
@@ -576,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="sspint",
         description="SSP Runge-Kutta and integrating-factor time-integration "
-        "toolkit (SSPINT_THREADS controls the worker-pool size).",
+        "toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

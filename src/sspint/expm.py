@@ -4,9 +4,11 @@ exponential cache.
 ``expm`` implements scaling-and-squaring with the degree-13 diagonal Pade
 approximant.  ``Circulant`` holds a periodic convolution operator (the 1D
 upwind operators) by its DFT symbol: it applies by FFT and its exponentials
-stay circulant.  ``ExpCache`` precomputes one exponential per distinct
-abscissa gap of an integrating-factor method so a constant-step run pays
-for each exponential exactly once.
+stay circulant.  ``Spectral`` is the same operator acting on real-FFT
+coefficients, where it is a multiplication.  ``ExpCache`` precomputes one
+exponential per distinct abscissa gap of an integrating-factor method so a
+constant-step run pays for each exponential exactly once; a column of step
+sizes gives one exponential per row, for a batch of step sizes at once.
 """
 
 from __future__ import annotations
@@ -114,17 +116,33 @@ class Circulant:
     def __matmul__(self, u: np.ndarray) -> np.ndarray:
         return np.fft.ifft(self.symbol * np.fft.fft(u)).real
 
-    def exp(self, tau: float) -> "Circulant":
-        """e^(tau * L), again circulant."""
-        return Circulant(np.exp(tau * self.symbol))
+    def exp(self, tau) -> "Circulant":
+        """e^(tau * L) of the same kind; a column tau gives one symbol per row."""
+        return type(self)(np.exp(tau * self.symbol))
 
     def dense(self) -> np.ndarray:
         return circulant_matrix(np.fft.ifft(self.symbol).real)
 
+    def spectral(self) -> "Spectral":
+        """This operator on the coefficients of ``np.fft.rfft``."""
+        return Spectral(self.symbol[: len(self.symbol) // 2 + 1])
+
+
+class Spectral(Circulant):
+    """A circulant operator acting on real-FFT coefficients, where it is
+    the multiplication by its symbol; a 2-D state is a batch of rows."""
+
+    def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        return self.symbol * u
+
+    def dense(self) -> np.ndarray:
+        return np.diag(self.symbol)
+
 
 class ExpCache:
     """Exponentials e^(g * dt * L) keyed by quantized abscissa gap g, for
-    L a ``Circulant`` or a dense array.  Negative gaps are refused unless
+    L a ``Circulant`` or a dense array; dt may be a column of step sizes
+    when L is a ``Circulant``.  Negative gaps are refused unless
     ``allow_negative`` is set (the decreasing-abscissa counterexample)."""
 
     def __init__(self, L, dt: float, gaps, allow_negative: bool = False):
@@ -134,7 +152,7 @@ class ExpCache:
         if not np.isfinite(L.symbol if self.circulant else L).all():
             raise NonFinite("operator contains NaN or Inf")
         self.L = L
-        self.dt = float(dt)
+        self.dt = np.asarray(dt, dtype=float)
         if not allow_negative:
             neg = [g for g in gaps if g < -_NEG_GAP_TOL]
             if neg:
@@ -163,7 +181,7 @@ class ExpCache:
         return E.dense() if self.circulant else E
 
     def apply(self, g: float, u: np.ndarray) -> np.ndarray:
-        """Apply e^(g * dt * L) to a vector."""
+        """Apply e^(g * dt * L) to a vector (a batch of rows for a dt column)."""
         return self._entry(g) @ u
 
 

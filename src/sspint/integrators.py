@@ -6,18 +6,20 @@ The integrating-factor step evaluates
 
 where stage abscissas come from the Butcher form and the output row acts
 at abscissa 1.  Terms sharing the same exponential gap are grouped before
-the (expensive) exponential is applied.
+the (expensive) exponential is applied.  The same loop runs on physical
+values or, for a ``spectral`` system, on real-FFT coefficients, where a
+plan with a column of step sizes advances one row per step size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import NegativeGap, NonFinite
-from .expm import ExpCache, build_cache, quantize_gap, required_gaps
+from .expm import Circulant, ExpCache, build_cache, quantize_gap, required_gaps
 from .methods import FAMILY_PLUS, MethodRecord
 from .ssp_radius import ssp_radius
 from .tableau import (
@@ -34,7 +36,9 @@ its last stage.  Observers must not mutate the vector they receive."""
 
 @dataclass(frozen=True)
 class SemiDiscretization:
-    """A method-of-lines system u_t = L u + N(u), L a Circulant or an ndarray."""
+    """A method-of-lines system u_t = L u + N(u), L a Circulant or an
+    ndarray; ``N_linear`` is the explicit term as a Circulant when it is
+    linear, and N is then its matvec."""
 
     n: int
     L: object
@@ -42,6 +46,16 @@ class SemiDiscretization:
     dx: float
     fe_dt_nonlinear: float = float("nan")
     fe_dt_linear: float = float("nan")
+    N_linear: Optional[Circulant] = None
+
+
+def spectral(sys: SemiDiscretization) -> Optional[SemiDiscretization]:
+    """The system on real-FFT coefficients, where L and N are
+    multiplications, or None unless both are Circulant."""
+    if not (isinstance(sys.L, Circulant) and isinstance(sys.N_linear, Circulant)):
+        return None
+    N = sys.N_linear.spectral()
+    return replace(sys, L=sys.L.spectral(), N=N.__matmul__, N_linear=N)
 
 
 @dataclass(frozen=True)
@@ -85,6 +99,11 @@ def make_general_plan(so: ShuOsherForm, c, sys, dt: float) -> StepPlan:
     c = np.asarray(c, dtype=float)
     cache = ExpCache(sys.L, dt, required_gaps(c), allow_negative=True)
     return StepPlan(so.alpha, so.beta, np.append(c, 1.0), cache)
+
+
+def _state(u) -> np.ndarray:
+    """u as a float array; complex real-FFT coefficients stay complex."""
+    return np.asarray(u, dtype=np.result_type(np.asarray(u), np.float64))
 
 
 def _check_finite(u: np.ndarray, what: str):
@@ -134,7 +153,7 @@ def ifrk_step(
     """One integrating-factor Runge-Kutta step using the plan's cache."""
     alpha, beta, ceff, dt = plan.alpha, plan.beta, plan.ceff, plan.cache.dt
     s = alpha.shape[0] - 1
-    stages = [np.asarray(u, dtype=float)]
+    stages = [_state(u)]
     for i in range(1, s + 1):
         grouped = {}
         for j in range(i):
@@ -183,7 +202,7 @@ def integrate(
     state as stage 0 of step 0 and then every stage of every step."""
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    u = np.asarray(u0, dtype=float)
+    u = _state(u0)
     if obs is not None:
         obs(0, 0, u)
     for k in range(n_steps):

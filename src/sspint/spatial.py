@@ -1,7 +1,9 @@
 """1D periodic semi-discretizations and the built-in test problems.
 
 The periodic upwind operators are built as ``expm.Circulant``;
-``upwind_matrix`` is the same operator as a dense array."""
+``upwind_matrix`` is the same operator as a dense array.  The linear
+advection step's explicit term is the unit upwind operator, held as
+``SemiDiscretization.N_linear`` so steppers can act on it spectrally."""
 
 from __future__ import annotations
 
@@ -151,12 +153,11 @@ def make_problem(kind: str, a: float = 0.0, n: int = 1000, splitting: str = "a")
 
     grid = Grid1D(n)
     x = grid.x
+    N_linear = None
     if kind == LINEAR_ADVECTION_STEP:
         u0 = ((x >= 0.25) & (x <= 0.75)).astype(float)
-        unit = upwind_operator(grid, 1.0)
-
-        def N(u):
-            return unit @ u
+        N_linear = upwind_operator(grid, 1.0)
+        N = N_linear.__matmul__
 
     elif kind in (ADVECTION_BURGERS_STEP, ADVECTION_BURGERS_SMOOTH):
         if kind == ADVECTION_BURGERS_STEP:
@@ -172,6 +173,6 @@ def make_problem(kind: str, a: float = 0.0, n: int = 1000, splitting: str = "a")
     fe_linear = grid.dx / a if a > 0 else float("inf")
     sys = SemiDiscretization(
         n=n, L=upwind_operator(grid, a), N=N, dx=grid.dx,
-        fe_dt_nonlinear=grid.dx, fe_dt_linear=fe_linear,
+        fe_dt_nonlinear=grid.dx, fe_dt_linear=fe_linear, N_linear=N_linear,
     )
     return sys, u0

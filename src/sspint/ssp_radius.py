@@ -88,11 +88,11 @@ def observed_l2_cfl(
     """Largest lambda <= lambda_max for which stepping u' = lambda*M*u
     with dt = 1 keeps the L2 norm non-growing over n_steps.
 
-    The probe starts from a fixed-seed random unit vector and accepts a
-    step only if ||u|| <= (1 + 1e-10) ||u0|| at every step; the answer is
-    located by bisection to width 1e-3.
+    M is a dense array or an ``expm.Circulant``, applied only as M @ y,
+    once per stage.  The probe starts from a fixed-seed random unit vector
+    and accepts a step only if ||u|| <= (1 + 1e-10) ||u0|| at every step;
+    the answer is located by bisection to width 1e-3.
     """
-    M = np.asarray(M, dtype=float)
     n = M.shape[0]
     rng = np.random.default_rng(seed)
     u0 = rng.standard_normal(n)
@@ -102,19 +102,18 @@ def observed_l2_cfl(
     def stable(lam: float) -> bool:
         if lam <= 0.0:
             return True
-        Z = lam * M
         u = u0.copy()
         for _ in range(n_steps):
-            ys = []
+            zs = []  # lam * M @ y for every stage y
             for i in range(s):
                 y = u.copy()
                 for j in range(i):
                     if t.A[i, j] != 0.0:
-                        y = y + t.A[i, j] * (Z @ ys[j])
-                ys.append(y)
+                        y = y + t.A[i, j] * zs[j]
+                zs.append(lam * (M @ y))
             for j in range(s):
                 if t.b[j] != 0.0:
-                    u = u + t.b[j] * (Z @ ys[j])
+                    u = u + t.b[j] * zs[j]
             if not np.isfinite(u).all() or np.linalg.norm(u) > 1.0 + 1e-10:
                 return False
         return True

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sspint import methods
+from sspint import analysis, methods
 from sspint.analysis import (
     TvTrace,
     convergence_slope,
     ifrk_builder,
     lambda_sweep,
     max_tv_rise,
+    max_tv_rises,
     observed_tvd_lambda,
     rk_builder,
     sweep_transition,
@@ -103,3 +106,74 @@ def test_convergence_slope():
         convergence_slope([(0.1, 0.01), (0.05, 0.0025)])
     with pytest.raises(ValueError):
         convergence_slope([(d, -(d**2)) for d in dts])
+
+
+_NONDECREASING = [r.name for r in methods.list_methods() if r.nondecreasing]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(_NONDECREASING),
+    n=st.integers(8, 64),
+    a=st.floats(0.0, 20.0),
+    fracs=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4),
+)
+def test_batched_spectral_rises_match_physical(name, n, a, fracs):
+    # the batched real-FFT path against one physical run per lambda; past
+    # the TVD limit stages grow, and roundoff grows with the TVs compared
+    rec = methods.get(name)
+    sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=a, n=n)
+    lams = [f * (1.5 * rec.claimed_C + 0.75) for f in fracs]
+    build = ifrk_builder(rec)
+    fast = max_tv_rises(build, sys_, u0, lams, 3)
+    for lam, got in zip(lams, fast):
+        want = max_tv_rise(build, sys_, u0, lam, 3)
+        tol = 1e-12 * max(1.0, total_variation(u0) + want)
+        assert abs(got - want) <= tol, (lam, got, want)
+
+
+def test_batch_with_one_nonfinite_lambda():
+    sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=0.0, n=64)
+    build = ifrk_builder(methods.get("eSSPRK+(3,3)"))
+    rises = max_tv_rises(build, sys_, u0, [0.0, 0.4, 1e300, 1.3], 4)
+    assert max_tv_rise(build, sys_, u0, 1e300, 4) == np.inf
+    assert rises[0] == 0.0 and rises[2] == np.inf
+    assert rises[1] == max_tv_rises(build, sys_, u0, [0.4], 4)[0]
+    assert rises[3] == max_tv_rises(build, sys_, u0, [1.3], 4)[0]
+    assert rises[3] > 1e-6
+
+
+def test_chunked_prescan_matches_single_chunk_and_physical(monkeypatch):
+    rec = methods.get("eSSPRK+(4,3)")
+    sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=10.0, n=64)
+    build = ifrk_builder(rec)
+
+    def physical(s, dt):  # a plain builder: no batches, one lambda at a time
+        return build(s, dt)
+
+    found = {}
+    for label, elements in (("chunks of 3", 3 * 64), ("one chunk", 10**9)):
+        monkeypatch.setattr(analysis, "BATCH_ELEMENTS", elements)
+        found[label] = observed_tvd_lambda(build, sys_, u0, 2.5, 5).lambda_obs
+    found["physical"] = observed_tvd_lambda(physical, sys_, u0, 2.5, 5).lambda_obs
+    assert len(set(found.values())) == 1, found
+    assert 1.0 < found["physical"] < 2.5
+
+
+def test_wrapped_explicit_term_keeps_the_spectral_path():
+    # a tracer replaces sys.N by a plain wrapper; the path and the
+    # answer must not change
+    rec = methods.get("eSSPRK+(5,4)")
+    sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=1.0, n=100)
+    want = observed_tvd_lambda(ifrk_builder(rec), sys_, u0, 3.0, 4).lambda_obs
+    calls = []
+    inner = sys_.N
+
+    def wrapped(u):
+        calls.append(1)
+        return inner(u)
+
+    object.__setattr__(sys_, "N", wrapped)
+    got = observed_tvd_lambda(ifrk_builder(rec), sys_, u0, 3.0, 4).lambda_obs
+    assert got == want
+    assert calls == []

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from sspint import cli
 from sspint.cli import (
     config_hash,
     main,
@@ -112,8 +113,19 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     ("threshold=tiny\n", ["run", "table7"]),
     (None, ["run", "table6", "--steps", "-1"]),
     (None, ["sweep", "--method", "eSSPRK+(3,3)", "--a", "-1"]),
+    (None, ["run", "ex1", "--dts", "0"]),
+    (None, ["run", "ex1", "--dts", "0.1,0.2"]),
+    (None, ["run", "ex1", "--dts", "0.02,0.04,2"]),
+    (None, ["run", "ex1", "--dts", "0.3,0.31,0.32"]),
+    (None, ["run", "ex1", "--splittings", "c"]),
+    ("splittings=a,\n", ["run", "ex1"]),
 ])
-def test_cli_bad_values_exit_one_with_one_line(tmp_path, capsys, config, argv):
+def test_cli_bad_values_exit_one_with_one_line(tmp_path, capsys, monkeypatch,
+                                               config, argv):
+    def reference_not_reached():
+        raise AssertionError("bad values must be rejected before the reference solve")
+
+    monkeypatch.setattr(cli, "van_der_pol_reference", reference_not_reached)
     if config is not None:
         path = tmp_path / "bad.cfg"
         path.write_text(config)

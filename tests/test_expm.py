@@ -165,3 +165,19 @@ def test_build_cache_validates_abscissas():
         build_cache(L, 0.1, np.array([0.0, 1.0, 0.5]))
     cache = build_cache(L, 0.1, methods.get("eSSPRK+(3,3)").tableau.c)
     assert 0.0 not in [g for g in cache.gaps if g > 0]
+
+
+def test_spectral_operator_and_step_column_match_the_circulant():
+    # on real-FFT coefficients the operator is a multiplication, and a
+    # column of step sizes caches one exponential per row
+    n = 12
+    C = upwind_operator(Grid1D(n), 2.0)
+    u = np.random.default_rng(3).standard_normal(n)
+    uh = np.fft.rfft(u)
+    assert np.allclose(np.fft.irfft(C.spectral() @ uh, n), C @ u, rtol=0, atol=1e-12)
+    dts = np.array([[0.01], [0.05], [0.2]])
+    batch = ExpCache(C.spectral(), dts, [0.0, 0.5, 1.0])
+    rows = np.fft.irfft(batch.apply(0.5, np.broadcast_to(uh, (3, len(uh)))), n)
+    for row, dt in zip(rows, dts[:, 0]):
+        one = ExpCache(C, dt, [0.0, 0.5, 1.0]).apply(0.5, u)
+        assert np.allclose(row, one, rtol=0, atol=1e-12)
