@@ -1,8 +1,9 @@
-"""Layer timings of sspint's observed-TVD search and L2-CFL probe.
+"""Layer timings of sspint's observed-TVD search, L2-CFL probe and optimizer.
 
 Usage (from the repository root):
 
-    python3 bench/layers.py [--quick] [--src DIR] [--label NAME] [--out FILE]
+    python3 bench/layers.py [--quick] [--tier1] [--src DIR] [--label NAME]
+                            [--out FILE]
 
 Each layer is timed with ``time.perf_counter``; the reported figure is
 the median of k repeats (k = 5, or 1 with ``--quick``, which finishes in
@@ -11,6 +12,9 @@ directory, so one script times two commits on the same machine.  A layer
 that the imported package cannot run (a function it lacks) is recorded as
 ``null``.  With ``--out`` the run is merged into that JSON file under
 ``runs[label]``, beside the machine facts; without it the run is printed.
+``--tier1`` also records the tier-1 suite of the checkout that holds
+``--src`` (``python -m pytest -q --continue-on-collection-errors`` there,
+with that ``src`` on ``PYTHONPATH``): its wall time and summary line.
 
 Layers (n = 1000 linear-advection step, 10 steps, eSSPRK+(5,4), a = 10):
 
@@ -26,6 +30,8 @@ Layers (n = 1000 linear-advection step, 10 steps, eSSPRK+(5,4), a = 10):
 - ``l2cfl_dense`` / ``l2cfl_circulant``: ``observed_l2_cfl`` of
   eSSPRK(3,3) (wavespeed 11 at unit spacing, lambda <= 0.2, 500 steps,
   seed 0) on the dense matrix and on the circulant operator.
+- ``optimize_<s>_<p>``: ``optimize`` of (3,2), (3,3), (4,3) and (5,3) with
+  non-decreasing abscissas, 10 restarts, seed 0, with the certified C.
 """
 
 import argparse
@@ -34,6 +40,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -42,6 +49,7 @@ N = 1000
 STEPS = 10
 A = 10.0
 METHOD = "eSSPRK+(5,4)"
+OPTIMIZER_CASES = ((3, 2), (3, 3), (4, 3), (5, 3))
 
 
 def _median_time(fn, repeats, inner=1):
@@ -60,6 +68,7 @@ def layers(quick):
 
     from sspint import analysis, cli, integrators, methods, spatial
     from sspint.integrators import ifrk_step, make_plan
+    from sspint.optimizer import OptimizationSpec, optimize
     from sspint.ssp_radius import observed_l2_cfl
 
     k = 1 if quick else 5
@@ -113,7 +122,27 @@ def layers(quick):
     else:
         out["l2cfl_circulant"] = _median_time(
             lambda: observed_l2_cfl(t33, circ, 0.2, 500, seed=0), k)
+
+    for s, p in OPTIMIZER_CASES:
+        spec = OptimizationSpec(s, p, require_nondecreasing=True, restarts=10, seed=0)
+        found = []
+        out[f"optimize_{s}_{p}"] = _median_time(
+            lambda: found.append(optimize(spec).claimed_C), k)
+        out[f"optimize_{s}_{p}"]["C"] = found[-1]
     return out
+
+
+def tier1(src):
+    """Wall time and summary line of the tier-1 suite beside src."""
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+        cwd=os.path.dirname(src), env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": time.perf_counter() - start,
+            "summary": lines[-1] if lines else proc.stderr.strip()[-200:]}
 
 
 def _line_count(path):
@@ -133,6 +162,7 @@ def machine():
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true")
+    parser.add_argument("--tier1", action="store_true")
     parser.add_argument("--src", default=os.path.join(
         os.path.dirname(os.path.abspath(__file__)), "..", "src"))
     parser.add_argument("--label", default="change")
@@ -146,6 +176,8 @@ def main(argv=None):
         "quick": args.quick,
         "layers": layers(args.quick),
     }
+    if args.tier1:
+        run["tier1"] = tier1(src)
     if not args.out:
         print(json.dumps({"machine": machine(), args.label: run}, indent=2))
         return 0

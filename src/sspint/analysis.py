@@ -134,13 +134,12 @@ def tv_trace(
     n_steps: int,
 ) -> TvTrace:
     """Run n_steps at dt = lam * dx and record the TV of every stage."""
+    return _trace(build(sys, lam * sys.dx), u0, n_steps)
+
+
+def _trace(step, u0: np.ndarray, n_steps: int) -> TvTrace:
     values: List[float] = []
-
-    def obs(k, i, u):
-        values.append(total_variation(u))
-
-    step = build(sys, lam * sys.dx)
-    integrate(step, u0, n_steps, obs)
+    integrate(step, u0, n_steps, lambda k, i, u: values.append(total_variation(u)))
     return TvTrace(tuple(values))
 
 
@@ -155,8 +154,9 @@ def max_tv_rise(
     step boundaries), clamped at 0; a non-finite run counts as +inf."""
     if lam == 0.0:
         return 0.0
+    step = build(sys, lam * sys.dx)  # a non-finite operator raises: not a rise
     try:
-        return tv_trace(build, sys, u0, lam, n_steps).max_rise
+        return _trace(step, u0, n_steps).max_rise
     except NonFinite:
         return float("inf")
 
@@ -180,9 +180,10 @@ def max_tv_rises(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
     def obs(k, i, uh):
         values.append(total_variation(np.fft.irfft(uh, sys.n)))
 
+    step = build(spec, lams[:, None] * sys.dx)  # as in max_tv_rise
     try:
         uh0 = np.broadcast_to(np.fft.rfft(u0), (len(lams), sys.n // 2 + 1))
-        integrate(build(spec, lams[:, None] * sys.dx), uh0, n_steps, obs)
+        integrate(step, uh0, n_steps, obs)
     except NonFinite:
         if len(lams) == 1:
             return np.where(lams == 0.0, 0.0, np.inf)

@@ -146,10 +146,14 @@ def _check_values(cfg: Dict[str, str]):
     for key, kind, low in (("n", int, spatial.MIN_POINTS), ("steps", int, 0),
                            ("threshold", float, -np.inf)):
         try:
-            if key in cfg and kind(cfg[key]) < low:
-                raise ConfigError(f"{key} must be at least {low}, got {cfg[key]}")
+            value = kind(cfg.get(key, low))
         except ValueError:
             raise ConfigError(f"{key} must be {kind.__name__}, got {cfg[key]!r}")
+        if value < low:
+            raise ConfigError(f"{key} must be at least {low}, got {cfg[key]}")
+    for key in ("a", "threshold"):
+        if not np.isfinite(_floats(cfg.get(key, ""))).all():
+            raise ConfigError(f"{key} must be finite, got {cfg[key]!r}")
     if any(a < 0 for a in _floats(cfg.get("a", ""))):
         raise ConfigError(f"wavespeeds must be nonnegative, got {cfg['a']!r}")
     dts = _floats(cfg.get("dts", ""))

@@ -36,5 +36,5 @@ class NotFound(SspError):
     """The optimizer failed to locate any feasible method."""
 
 
-class ConfigError(SspError):
+class ConfigError(SspError, ValueError):
     """Invalid experiment configuration."""

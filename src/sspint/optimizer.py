@@ -1,35 +1,32 @@
 """Search for explicit SSP Runge-Kutta coefficients maximizing the SSP
 coefficient, optionally under the non-decreasing-abscissa constraint.
 
-Structure: an outer bisection on the candidate coefficient r (feasibility
-in r is monotone) around an inner penalized least-squares feasibility
-solve over the free Butcher entries (strictly lower triangular A plus b).
-The inner residual stacks the order conditions (equalities) with hinge
-penalties for negative entries of (I + rS)^{-1} e and r (I + rS)^{-1} S
-and, when requested, for abscissa-ordering violations.  Every output is
-re-certified by the independent radius computation.
+Each start is one nonlinear program over x = (theta, r), theta holding the
+free Butcher entries (strictly lower triangular A plus b): maximize r
+subject to the order conditions (equalities) and to (I + rS)^{-1} e >= 0,
+r (I + rS)^{-1} S >= 0 and, when requested, abscissa ordering
+(inequalities), solved by SLSQP (Ketcheson, SISC 30(4), 2008).  Every
+start's tableau is re-certified by the independent radius computation and
+``verify_certificate``; the best certified start wins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import minimize
 
-from .errors import NotFound
+from .errors import ConfigError, NotFound, SspError
 from .methods import FAMILY_CLASSIC, FAMILY_PLUS, MethodRecord
-from .ssp_radius import is_absolutely_monotonic, ssp_radius
-from .tableau import (
-    ButcherTableau,
-    abscissas_nondecreasing,
-    order_residuals,
-)
+from .ssp_radius import _stacked, is_absolutely_monotonic, ssp_radius
+from .tableau import (_ORDER_CONDITIONS, ButcherTableau, abscissas_nondecreasing,
+                      order_residuals)
 
 _FEAS_TOL = 1e-10
-_R_START = 1e-3
 _BOUND = 2.0
+_R0 = 0.1
 
 
 @dataclass(frozen=True)
@@ -39,133 +36,127 @@ class OptimizationSpec:
     require_nondecreasing: bool = True
     restarts: int = 10
     seed: int = 0
-    r_tolerance: float = 1e-4
 
     def __post_init__(self):
         if not 1 <= self.order <= 4:
-            raise ValueError("order must be in 1..4")
+            raise ConfigError("order must be in 1..4")
         if self.stages < self.order:
-            raise ValueError("stages must be >= order")
+            raise ConfigError("stages must be >= order")
         if self.order == 4 and self.stages < 5:
-            raise ValueError("no explicit four-stage fourth-order SSP method exists")
+            raise ConfigError("no explicit four-stage fourth-order SSP method exists")
         if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-
-
-def _n_free(s: int) -> int:
-    return s * (s - 1) // 2 + s
+            raise ConfigError("restarts must be >= 1")
 
 
 def _unpack(theta: np.ndarray, s: int) -> Tuple[np.ndarray, np.ndarray]:
-    A = np.zeros((s, s))
-    k = 0
-    for i in range(1, s):
-        A[i, :i] = theta[k : k + i]
-        k += i
-    b = theta[k : k + s]
-    return A, b
+    """A and b from theta, the strictly lower part of [[A, 0], [b^T, 0]]
+    read row by row."""
+    A = np.zeros((s, s), dtype=theta.dtype)
+    A[np.tril_indices(s, -1)] = theta[:-s]
+    return A, theta[-s:]
 
 
-def _order_equalities(A, b, c, p) -> List[float]:
-    res = [b.sum() - 1.0]
-    if p >= 2:
-        res.append(b @ c - 0.5)
-    if p >= 3:
-        res += [b @ (c * c) - 1.0 / 3.0, b @ (A @ c) - 1.0 / 6.0]
-    if p >= 4:
-        res += [
-            b @ (c**3) - 0.25,
-            b @ (c * (A @ c)) - 0.125,
-            b @ (A @ (c * c)) - 1.0 / 12.0,
-            b @ (A @ (A @ c)) - 1.0 / 24.0,
-        ]
-    return res
+def _start(rng: np.random.Generator, s: int) -> np.ndarray:
+    """A uniform(0, 1) draw of theta with row i of [[A, 0], [b^T, 0]]
+    rescaled to sum to i/s: evenly spaced abscissas and sum(b) = 1."""
+    row = np.tril_indices(s + 1, -1)[0]
+    theta = rng.uniform(0.0, 1.0, len(row))
+    return theta * row / s / np.bincount(row, theta)[row]
 
 
-def _residual(theta, s, p, r, nondecr) -> np.ndarray:
-    A, b = _unpack(theta, s)
-    c = A.sum(axis=1)
-    res = _order_equalities(A, b, c, p)
-    S = np.zeros((s + 1, s + 1))
-    S[:s, :s] = A
-    S[s, :s] = b
-    M = np.eye(s + 1) + r * S
+def _problem(spec: OptimizationSpec):
+    """Objective, constraints (with exact Jacobians) and bounds of the
+    max-r program over x = (theta, r)."""
+    s = spec.stages
+    conditions = [fn for _, order, fn in _ORDER_CONDITIONS if order <= spec.order]
+    K, L = np.tril_indices(s + 1, -1)  # theta[m] is S[K[m], L[m]]
+    n = len(K)
+
+    def order_conditions(x):
+        A, b = _unpack(x[:-1], s)
+        return np.array([fn(A, b, A.sum(axis=1)) for fn in conditions])
+
+    def order_jacobian(x):
+        # complex step: exact derivatives of the polynomial conditions
+        steps = x + 1e-30j * np.eye(n + 1)
+        return np.column_stack([order_conditions(y).imag for y in steps]) / 1e-30
+
+    def transform(x):
+        r, S = x[-1], _stacked(*_unpack(x[:-1], s))
+        R = np.linalg.inv(np.eye(s + 1) + r * S)
+        return r, R, R @ S
+
+    def monotonicity(x):
+        r, R, RS = transform(x)
+        return np.concatenate([R.sum(axis=1), r * RS[K, L]])
+
+    def monotonicity_jacobian(x):
+        # dR = -R d(rS) R, with d(rS)/dtheta_m = r at (K[m], L[m])
+        r, R, RS = transform(x)
+        v = R.sum(axis=1)
+        dv = np.column_stack([-r * R[:, K] * v[L], -RS @ v])
+        dP = np.column_stack([r * R[np.ix_(K, K)] * R[np.ix_(L, L)].T, (RS @ R)[K, L]])
+        return np.vstack([dv, dP])
+
+    constraints = [
+        {"type": "eq", "fun": order_conditions, "jac": order_jacobian},
+        {"type": "ineq", "fun": monotonicity, "jac": monotonicity_jacobian},
+    ]
+    if spec.require_nondecreasing:
+        # linear in x: diff(c) >= 0, 1 - c_s >= 0 and c >= 0, with c = dc @ x
+        dc = np.eye(s + 1)[:s, np.append(K, s)]  # 1 where x[m] lies in row i of A
+        G = np.vstack([np.diff(dc, axis=0), -dc[-1:], dc])
+        g = np.eye(len(G))[s - 1]
+        constraints.append({"type": "ineq", "fun": lambda x: G @ x + g,
+                            "jac": lambda x: G})
+    grad = -np.eye(n + 1)[n]
+    bounds = [(-_BOUND, _BOUND)] * n + [(0.0, 2.0 * s)]
+    return (lambda x: -x[-1]), (lambda x: grad), constraints, bounds
+
+
+def _certified(spec: OptimizationSpec, theta: np.ndarray) -> Optional[MethodRecord]:
+    """The record of this tableau if it certifies, else None."""
+    plus = spec.require_nondecreasing
     try:
-        R = np.linalg.solve(M, np.eye(s + 1))
-    except np.linalg.LinAlgError:
-        return np.array(res + [1e3])
-    v = R @ np.ones(s + 1)
-    P = r * (R @ S)
-    res += list(np.minimum(v, 0.0))
-    res += list(np.minimum(P, 0.0).ravel())
-    if nondecr:
-        res += list(np.minimum(np.diff(c), 0.0))
-        res.append(min(1.0 - c[-1], 0.0))
-        res += list(np.minimum(c, 0.0))
-    return np.array(res)
-
-
-def _feasible_point(spec: OptimizationSpec, r: float, warm) -> Optional[np.ndarray]:
-    """A parameter vector with max |residual| < tol at this r, or None."""
-    starts = []
-    if warm is not None:
-        starts.append(warm)
-    rng = np.random.default_rng(spec.seed)
-    for _ in range(spec.restarts):
-        starts.append(rng.uniform(0.0, 1.0, _n_free(spec.stages)))
-    for th0 in starts:
-        sol = least_squares(
-            _residual,
-            th0,
-            args=(spec.stages, spec.order, r, spec.require_nondecreasing),
-            bounds=(-_BOUND, _BOUND),
-            xtol=1e-15,
-            ftol=1e-15,
-            gtol=1e-15,
+        t = ButcherTableau.from_arrays(*_unpack(theta, spec.stages), order=spec.order,
+                                       name=f"opt{'+' * plus}({spec.stages},{spec.order})")
+        rec = MethodRecord(
+            tableau=t,
+            shu_osher=None,
+            claimed_C=ssp_radius(t).radius,
+            family=FAMILY_PLUS if plus else FAMILY_CLASSIC,
+            citation=f"numerical search (seed={spec.seed}, restarts={spec.restarts})",
         )
-        if np.abs(sol.fun).max() < _FEAS_TOL:
-            return sol.x
-    return None
+    except (ValueError, SspError):  # inconsistent b, or a singular transform
+        return None
+    return rec if verify_certificate(rec).ok else None
 
 
 def optimize(spec: OptimizationSpec) -> MethodRecord:
     """Maximize the SSP coefficient over s-stage order-p explicit methods.
 
-    Raises NotFound if no feasible tableau exists even at a tiny r.  The
-    returned record's claimed coefficient is the radius re-certified from
-    the final tableau alone, never the raw search value.
+    Runs one constrained solve per start and raises NotFound if no start
+    certifies.  The returned record's claimed coefficient is the radius
+    re-certified from the final tableau alone, never the raw search value;
+    ties go to the earliest start.
     """
-    best = _feasible_point(spec, _R_START, None)
+    fun, jac, constraints, bounds = _problem(spec)
+    rng = np.random.default_rng(spec.seed)
+    best = None
+    for _ in range(spec.restarts):
+        x0 = np.append(_start(rng, spec.stages), _R0)
+        sol = minimize(fun, x0, jac=jac, method="SLSQP", bounds=bounds,
+                       constraints=constraints,
+                       options={"maxiter": 500, "ftol": 1e-12})
+        rec = _certified(spec, sol.x[:-1])
+        if rec is not None and (best is None or rec.claimed_C > best.claimed_C):
+            best = rec
     if best is None:
         raise NotFound(
-            f"no feasible {spec.stages}-stage order-{spec.order} tableau "
-            f"found at r = {_R_START} after {spec.restarts} restarts"
+            f"no {spec.stages}-stage order-{spec.order} tableau certified "
+            f"after {spec.restarts} restarts"
         )
-    lo, hi = _R_START, 2.0 * spec.stages
-    while hi - lo > spec.r_tolerance:
-        mid = 0.5 * (lo + hi)
-        th = _feasible_point(spec, mid, warm=best)
-        if th is not None:
-            lo, best = mid, th
-        else:
-            hi = mid
-    A, b = _unpack(best, spec.stages)
-    # the solver leaves sum(b) - 1 at roundoff scale; renormalize so the
-    # tableau's exact consistency check passes
-    b = b / b.sum()
-    family = FAMILY_PLUS if spec.require_nondecreasing else FAMILY_CLASSIC
-    suffix = "+" if spec.require_nondecreasing else ""
-    t = ButcherTableau.from_arrays(
-        A, b, name=f"opt{suffix}({spec.stages},{spec.order})", order=spec.order
-    )
-    certified = ssp_radius(t).radius
-    return MethodRecord(
-        tableau=t,
-        shu_osher=None,
-        claimed_C=certified,
-        family=family,
-        citation=f"numerical search (seed={spec.seed}, restarts={spec.restarts})",
-    )
+    return best
 
 
 @dataclass(frozen=True)

@@ -34,17 +34,18 @@ class RadiusResult:
     bisection_width: float
 
 
-def _stacked(t: ButcherTableau) -> np.ndarray:
-    s = t.stages
+def _stacked(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The stacked stage matrix [[A, 0], [b^T, 0]]."""
+    s = len(b)
     S = np.zeros((s + 1, s + 1))
-    S[:s, :s] = t.A
-    S[s, :s] = t.b
+    S[:s, :s] = A
+    S[s, :s] = b
     return S
 
 
 def canonical_form(t: ButcherTableau, r: float) -> CanonicalShuOsher:
     """Compute v = (I + rS)^(-1) e and P = r (I + rS)^(-1) S."""
-    S = _stacked(t)
+    S = _stacked(t.A, t.b)
     M = np.eye(S.shape[0]) + r * S
     if np.linalg.cond(M, 1) > _COND_LIMIT:
         raise SingularTransform(f"(I + rS) is numerically singular at r = {r}")

@@ -18,7 +18,7 @@ from sspint.analysis import (
     tv_trace,
 )
 from sspint.errors import NonFinite
-from sspint.spatial import LINEAR_ADVECTION_STEP, make_problem
+from sspint.spatial import ADVECTION_BURGERS_STEP, LINEAR_ADVECTION_STEP, make_problem
 
 
 def test_total_variation_examples():
@@ -141,6 +141,14 @@ def test_batch_with_one_nonfinite_lambda():
     assert rises[1] == max_tv_rises(build, sys_, u0, [0.4], 4)[0]
     assert rises[3] == max_tv_rises(build, sys_, u0, [1.3], 4)[0]
     assert rises[3] > 1e-6
+
+
+@pytest.mark.parametrize("problem", [LINEAR_ADVECTION_STEP, ADVECTION_BURGERS_STEP])
+def test_nonfinite_operator_is_an_error_not_a_rise(problem):
+    sys_, u0 = make_problem(problem, a=np.inf, n=64)
+    build = ifrk_builder(methods.get("eSSPRK+(3,3)"))
+    with pytest.raises(NonFinite):
+        max_tv_rises(build, sys_, u0, [0.1, 0.2], 3)
 
 
 def test_chunked_prescan_matches_single_chunk_and_physical(monkeypatch):

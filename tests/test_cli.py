@@ -119,6 +119,11 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     (None, ["run", "ex1", "--dts", "0.3,0.31,0.32"]),
     (None, ["run", "ex1", "--splittings", "c"]),
     ("splittings=a,\n", ["run", "ex1"]),
+    (None, ["run", "ex3", "--a", "1e400"]),
+    (None, ["run", "table6", "--threshold", "nan"]),
+    (None, ["optimize", "--stages", "2", "--order", "3"]),
+    (None, ["optimize", "--stages", "3", "--order", "2", "--restarts", "0"]),
+    (None, ["optimize", "--stages", "4", "--order", "4"]),
 ])
 def test_cli_bad_values_exit_one_with_one_line(tmp_path, capsys, monkeypatch,
                                                config, argv):
@@ -205,3 +210,10 @@ def test_cli_optimize_writes_certificate(tmp_path, capsys):
     assert rc == 0
     data = json.loads(out.read_text())
     assert data["claimed_C"] >= 1.0 - 1e-3
+
+
+def test_cli_optimize_seed_six_certifies(capsys):
+    argv = ["optimize", "--stages", "3", "--order", "2", "--nondecreasing",
+            "--restarts", "10", "--seed", "6"]
+    assert main(argv) == 0
+    assert "order: ok" in capsys.readouterr().out

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sspint import methods
+from sspint import methods, optimizer
 from sspint.methods import FAMILY_PLUS, MethodRecord
 from sspint.optimizer import OptimizationSpec, optimize, verify_certificate
 from sspint.tableau import ButcherTableau
@@ -22,6 +22,37 @@ def test_optimize_recovers_three_stage_second_order():
     rec = optimize(OptimizationSpec(stages=3, order=2, seed=0))
     assert rec.claimed_C >= 2.0 - 1e-3
     assert verify_certificate(rec).ok
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_optimize_three_stage_second_order_certifies_for_every_seed(seed):
+    rec = optimize(OptimizationSpec(stages=3, order=2, seed=seed))
+    assert rec.claimed_C >= 2.0 - 1e-3
+    assert verify_certificate(rec).ok
+
+
+@pytest.mark.parametrize("stages, order, nondecreasing, floor", [
+    (5, 3, True, 0.999 * 2.6351),
+    (6, 4, True, 0.999 * 2.2738),
+    (4, 3, False, 2.0 - 1e-3),
+    (5, 4, False, 1.508 - 1e-3),
+])
+def test_optimize_reaches_known_optima(stages, order, nondecreasing, floor):
+    rec = optimize(OptimizationSpec(stages, order, require_nondecreasing=nondecreasing))
+    assert rec.claimed_C >= floor
+    assert verify_certificate(rec).ok
+
+
+@pytest.mark.parametrize("nondecreasing", [True, False])
+def test_constraint_jacobians_match_central_differences(nondecreasing):
+    spec = OptimizationSpec(5, 4, require_nondecreasing=nondecreasing)
+    _, _, constraints, _ = optimizer._problem(spec)
+    x = np.append(np.random.default_rng(1).uniform(0.0, 1.0, 15), 0.7)
+    h = 1e-6
+    for con in constraints:
+        fd = np.column_stack([(con["fun"](x + h * e) - con["fun"](x - h * e)) / (2 * h)
+                              for e in np.eye(len(x))])
+        assert np.abs(con["jac"](x) - fd).max() <= 1e-7 * max(1.0, np.abs(fd).max())
 
 
 def test_optimize_is_deterministic():
