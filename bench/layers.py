@@ -2,8 +2,7 @@
 
 Usage (from the repository root):
 
-    python3 bench/layers.py [--quick] [--tier1] [--src DIR] [--label NAME]
-                            [--out FILE]
+    python3 bench/layers.py [--quick] [--src DIR] [--label NAME] [--out FILE]
 
 Each layer is timed with ``time.perf_counter``; the reported figure is
 the median of k repeats (k = 5, or 1 with ``--quick``, which finishes in
@@ -12,9 +11,10 @@ directory, so one script times two commits on the same machine.  A layer
 that the imported package cannot run (a function it lacks) is recorded as
 ``null``.  With ``--out`` the run is merged into that JSON file under
 ``runs[label]``, beside the machine facts; without it the run is printed.
-``--tier1`` also records the tier-1 suite of the checkout that holds
-``--src`` (``python -m pytest -q --continue-on-collection-errors`` there,
-with that ``src`` on ``PYTHONPATH``): its wall time and summary line.
+A full run (not ``--quick``) also records the tier-1 suite of the
+checkout that holds ``--src`` (``python -m pytest -q
+--continue-on-collection-errors`` there, with that ``src`` on
+``PYTHONPATH``): its wall time and summary line.
 
 Layers (n = 1000 linear-advection step, 10 steps, eSSPRK+(5,4), a = 10):
 
@@ -138,7 +138,7 @@ def tier1(src):
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
-        cwd=os.path.dirname(src), env=dict(os.environ, PYTHONPATH=path),
+        cwd=os.path.dirname(os.path.abspath(src).rstrip(os.sep)), env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     return {"wall_s": time.perf_counter() - start,
@@ -162,7 +162,6 @@ def machine():
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true")
-    parser.add_argument("--tier1", action="store_true")
     parser.add_argument("--src", default=os.path.join(
         os.path.dirname(os.path.abspath(__file__)), "..", "src"))
     parser.add_argument("--label", default="change")
@@ -176,7 +175,7 @@ def main(argv=None):
         "quick": args.quick,
         "layers": layers(args.quick),
     }
-    if args.tier1:
+    if not args.quick:
         run["tier1"] = tier1(src)
     if not args.out:
         print(json.dumps({"machine": machine(), args.label: run}, indent=2))

@@ -18,11 +18,11 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import ConfigError, NotFound, SspError
+from .errors import ConfigError, NotFound, SingularTransform
 from .methods import FAMILY_CLASSIC, FAMILY_PLUS, MethodRecord
 from .ssp_radius import _stacked, is_absolutely_monotonic, ssp_radius
-from .tableau import (_ORDER_CONDITIONS, ButcherTableau, abscissas_nondecreasing,
-                      order_residuals)
+from .tableau import (_ORDER_CONDITIONS, _ROW_SUM_TOL, ButcherTableau,
+                      abscissas_nondecreasing, order_residuals)
 
 _FEAS_TOL = 1e-10
 _BOUND = 2.0
@@ -116,10 +116,13 @@ def _problem(spec: OptimizationSpec):
 
 def _certified(spec: OptimizationSpec, theta: np.ndarray) -> Optional[MethodRecord]:
     """The record of this tableau if it certifies, else None."""
+    A, b = _unpack(theta, spec.stages)
+    if not abs(b.sum() - 1.0) <= _ROW_SUM_TOL:  # the solve left sum(b) = 1 unmet
+        return None
     plus = spec.require_nondecreasing
+    t = ButcherTableau.from_arrays(A, b, order=spec.order,
+                                   name=f"opt{'+' * plus}({spec.stages},{spec.order})")
     try:
-        t = ButcherTableau.from_arrays(*_unpack(theta, spec.stages), order=spec.order,
-                                       name=f"opt{'+' * plus}({spec.stages},{spec.order})")
         rec = MethodRecord(
             tableau=t,
             shu_osher=None,
@@ -127,9 +130,9 @@ def _certified(spec: OptimizationSpec, theta: np.ndarray) -> Optional[MethodReco
             family=FAMILY_PLUS if plus else FAMILY_CLASSIC,
             citation=f"numerical search (seed={spec.seed}, restarts={spec.restarts})",
         )
-    except (ValueError, SspError):  # inconsistent b, or a singular transform
+        return rec if verify_certificate(rec).ok else None
+    except SingularTransform:
         return None
-    return rec if verify_certificate(rec).ok else None
 
 
 def optimize(spec: OptimizationSpec) -> MethodRecord:
