@@ -23,7 +23,8 @@ Layers (n = 1000 linear-advection step, 10 steps, eSSPRK+(5,4), a = 10):
   ``analysis.prescan_bracket`` runs it as its own ``observed_tvd_lambda``
   did: ``max_tv_rise`` one lambda at a time up to the crossing.
 - ``observed_tvd_lambda``: the full search (pre-scan plus bisection).
-- ``run_table6``: ``sspint run table6`` at its default config, in-process.
+- ``run_table6``: ``sspint run table6`` at its default config, in-process
+  through ``cli.main`` with stdout suppressed.
 - ``ifrk_step``: one integrating-factor step on physical values.
 - ``ifrk_step_spectral_k50``: one step of the 50-lambda pre-scan batch on
   real-FFT coefficients.
@@ -35,7 +36,9 @@ Layers (n = 1000 linear-advection step, 10 steps, eSSPRK+(5,4), a = 10):
 """
 
 import argparse
+import contextlib
 import glob
+import io
 import json
 import os
 import platform
@@ -88,8 +91,10 @@ def layers(quick):
         return None
 
     def table6():
-        with tempfile.TemporaryDirectory() as out:
-            cli.run_table6({}, out)
+        with tempfile.TemporaryDirectory() as out, \
+                contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(["run", "table6", "--out", out]) != 0:
+                raise RuntimeError("sspint run table6 failed")
 
     plan = make_plan(rec, sys_, 1.5 * sys_.dx)
     out = {

@@ -28,6 +28,7 @@ from .integrators import (
     spectral,
 )
 from .methods import MethodRecord
+from .ssp_radius import _bisect
 
 #: TV-rise detection threshold: well above accumulated roundoff
 #: (~1e-13 for n=1000 over 10 steps) and well below genuine oscillations.
@@ -232,13 +233,9 @@ def observed_tvd_lambda(
     crossing = prescan_bracket(build, sys, u0, lambda_hi, n_steps, threshold)
     if crossing is None:
         return ObservedCoefficient(float(lambda_hi), threshold, width)
-    lo, hi = crossing
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if max_tv_rises(build, sys, u0, [mid], n_steps)[0] > threshold:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _bisect(
+        lambda mid: max_tv_rises(build, sys, u0, [mid], n_steps)[0] <= threshold,
+        *crossing, width)
     return ObservedCoefficient(float(0.5 * (lo + hi)), threshold, width)
 
 

@@ -19,8 +19,8 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from . import analysis, methods, spatial
-from .errors import ConfigError, NonFinite, NotFound, SspError, UnknownMethod
-from .integrators import integrate
+from .errors import ConfigError, NonFinite, SspError
+from .integrators import integrate, rk_step
 from .optimizer import OptimizationSpec, optimize, verify_certificate
 from .ssp_radius import observed_l2_cfl, ssp_radius
 from .tableau import order_residuals
@@ -34,19 +34,6 @@ except Exception:  # pragma: no cover - not installed
 
 #: end time of the ex1 van der Pol runs.
 _EX1_T = 0.5
-
-EXPERIMENTS = ("ex1", "ex3", "ex4", "table6", "table7", "table8-partial", "fig1")
-
-#: config keys accepted by each experiment (all values are strings).
-_EXPERIMENT_KEYS = {
-    "ex1": {"methods", "splittings", "dts", "out"},
-    "ex3": {"methods", "a", "n", "steps", "threshold", "out"},
-    "table6": {"methods", "a", "n", "steps", "threshold", "out"},
-    "table7": {"a", "n", "steps", "threshold", "out"},
-    "table8-partial": {"n", "steps", "with_opt", "out"},
-    "ex4": {"methods", "a", "n", "steps", "lambdas", "out"},
-    "fig1": {"a", "n", "steps", "lambdas", "out"},
-}
 
 _TABLE6_METHODS = (
     "eSSPRK+(2,2)",
@@ -62,6 +49,13 @@ _PROBLEMS = {
     "advection-step": spatial.LINEAR_ADVECTION_STEP,
     "burgers-step": spatial.ADVECTION_BURGERS_STEP,
     "burgers-smooth": spatial.ADVECTION_BURGERS_SMOOTH,
+}
+
+#: stepper name -> stepper builder of a method record.
+_BUILDERS = {
+    "ifrk": analysis.ifrk_builder,
+    "rk": analysis.rk_builder,
+    "ifrk-general": analysis.ifrk_general_builder,
 }
 
 
@@ -91,11 +85,12 @@ def _fmt(x) -> str:
     return text
 
 
-def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence], meta: Dict):
+def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence], meta: Dict) -> str:
     lines = [",".join(header)]
     lines += [",".join(_fmt(x) for x in row) for row in rows]
     lines += [f"# {k}={v}" for k, v in sorted(meta.items())]
     atomic_write_text(path, "\n".join(lines) + "\n")
+    return path
 
 
 def config_hash(cfg: Dict[str, str]) -> str:
@@ -125,12 +120,11 @@ def _merged_config(args, experiment: str) -> Dict[str, str]:
     cfg: Dict[str, str] = {}
     if args.config:
         cfg.update(parse_config_file(args.config))
-    for key in ("methods", "a", "n", "steps", "threshold", "lambdas",
-                "splittings", "dts", "with_opt", "out"):
-        val = getattr(args, key.replace("-", "_"), None)
+    for key in sorted(set().union(*(keys for _, keys in _EXPERIMENTS.values()))):
+        val = getattr(args, key, None)
         if val is not None:
             cfg[key] = str(val)
-    allowed = _EXPERIMENT_KEYS[experiment]
+    allowed = _EXPERIMENTS[experiment][1]
     unknown = sorted(set(cfg) - allowed)
     if unknown:
         raise ConfigError(
@@ -183,6 +177,11 @@ def split_method_names(text: str) -> List[str]:
     return [n for n in names if n]
 
 
+def _records(names: str) -> List[methods.MethodRecord]:
+    """The registered methods named in a comma-separated list."""
+    return [methods.get(name) for name in split_method_names(names)]
+
+
 def _floats(csv: str) -> List[float]:
     try:
         return [float(x) for x in csv.split(",") if x.strip() != ""]
@@ -202,8 +201,12 @@ def parse_lambda_grid(text: str) -> List[float]:
             raise ConfigError(f"bad lambda grid {text!r}")
         if count < 1 or hi < lo:
             raise ConfigError(f"bad lambda grid {text!r}")
-        return list(np.linspace(lo, hi, count))
-    return _floats(text)
+        grid = list(np.linspace(lo, hi, count))
+    else:
+        grid = _floats(text)
+    if not all(np.isfinite(lam) and lam >= 0 for lam in grid):
+        raise ConfigError(f"lambdas must be finite and nonnegative, got {text!r}")
+    return grid
 
 
 def _safe_name(name: str) -> str:
@@ -224,57 +227,35 @@ def _meta(cfg: Dict[str, str], **extra) -> Dict:
 # --- experiments -----------------------------------------------------------
 
 
-def _tvd_lambda_hi(claimed_C: float) -> float:
-    # sweep well past the predicted coefficient; some methods' observed
-    # value exceeds C (stage step-size effects), so leave generous room
-    return 1.5 * claimed_C + 0.75
+#: observed-TVD tables: default methods and wavespeeds, stepper, and the
+#: top of the lambda search for claimed coefficient C; table6 leaves room,
+#: as some observed values exceed C (stage step-size effects).
+_TVD_TABLES = {
+    "table6": (_TABLE6_METHODS, "0,1,10,20", "ifrk", lambda C: 1.5 * C + 0.75),
+    "table7": (("eSSPRK(4,3)",), "0,1,2,10,20", "rk", lambda C: 2.5),
+}
 
 
-def run_table6(cfg: Dict[str, str], outdir: str) -> List[str]:
-    names = split_method_names(cfg.get("methods", ",".join(_TABLE6_METHODS)))
-    a_vals = _floats(cfg.get("a", "0,1,10,20"))
+def run_observed_tvd(cfg: Dict[str, str], outdir: str, table: str) -> List[str]:
+    default_methods, default_a, stepper, lambda_hi = _TVD_TABLES[table]
+    recs = _records(cfg.get("methods", ",".join(default_methods)))
+    a_vals = _floats(cfg.get("a", default_a))
     n = int(cfg.get("n", "1000"))
     steps = int(cfg.get("steps", "10"))
     threshold = float(cfg.get("threshold", str(analysis.DEFAULT_THRESHOLD)))
 
-    jobs = [(name.strip(), a) for name in names for a in a_vals]
-
-    def job(item):
-        name, a = item
-        rec = methods.get(name)
-        sys_, u0 = spatial.make_problem(spatial.LINEAR_ADVECTION_STEP, a=a, n=n)
-        obs = analysis.observed_tvd_lambda(
-            analysis.ifrk_builder(rec), sys_, u0,
-            _tvd_lambda_hi(rec.claimed_C), steps, threshold=threshold,
-        )
-        return (name, a, obs.lambda_obs)
-
-    rows = [job(item) for item in jobs]
-    path = os.path.join(outdir, "table6.csv")
-    write_csv(path, ("method", "a", "lambda_obs"), rows,
-              _meta(cfg, experiment="table6", threshold=threshold))
-    return [path]
-
-
-def run_table7(cfg: Dict[str, str], outdir: str) -> List[str]:
-    a_vals = _floats(cfg.get("a", "0,1,2,10,20"))
-    n = int(cfg.get("n", "1000"))
-    steps = int(cfg.get("steps", "10"))
-    threshold = float(cfg.get("threshold", str(analysis.DEFAULT_THRESHOLD)))
-    rec = methods.get("eSSPRK(4,3)")
-
-    def job(a):
-        sys_, u0 = spatial.make_problem(spatial.LINEAR_ADVECTION_STEP, a=a, n=n)
-        obs = analysis.observed_tvd_lambda(
-            analysis.rk_builder(rec), sys_, u0, 2.5, steps, threshold=threshold
-        )
-        return (rec.name, a, obs.lambda_obs)
-
-    rows = [job(a) for a in a_vals]
-    path = os.path.join(outdir, "table7.csv")
-    write_csv(path, ("method", "a", "lambda_obs"), rows,
-              _meta(cfg, experiment="table7", threshold=threshold))
-    return [path]
+    rows = []
+    for rec in recs:
+        build = _BUILDERS[stepper](rec)
+        for a in a_vals:
+            sys_, u0 = spatial.make_problem(spatial.LINEAR_ADVECTION_STEP, a=a, n=n)
+            obs = analysis.observed_tvd_lambda(
+                build, sys_, u0, lambda_hi(rec.claimed_C), steps, threshold=threshold
+            )
+            rows.append((rec.name, a, obs.lambda_obs))
+    path = os.path.join(outdir, f"{table}.csv")
+    return [write_csv(path, ("method", "a", "lambda_obs"), rows,
+                      _meta(cfg, experiment=table, threshold=threshold))]
 
 
 def run_table8(cfg: Dict[str, str], outdir: str) -> List[str]:
@@ -307,9 +288,15 @@ def run_table8(cfg: Dict[str, str], outdir: str) -> List[str]:
 
     rows += [job(name) for name in _TABLE6_METHODS]
     path = os.path.join(outdir, "table8_partial.csv")
-    write_csv(path, ("quantity", "method", "value"), rows,
-              _meta(cfg, experiment="table8-partial"))
-    return [path]
+    return [write_csv(path, ("quantity", "method", "value"), rows,
+                      _meta(cfg, experiment="table8-partial"))]
+
+
+def _write_sweep(path: str, build, sys_, u0, lambdas, steps: int, meta: Dict) -> str:
+    """Run the lambda sweep of one stepper and write its CSV."""
+    recs = analysis.lambda_sweep(build, sys_, u0, lambdas, steps)
+    return write_csv(path, ("lambda", "max_rise", "log10_rise"),
+                     [(r.lam, r.max_rise, r.log10_rise) for r in recs], meta)
 
 
 def run_sweep_experiment(cfg: Dict[str, str], outdir: str, experiment: str) -> List[str]:
@@ -318,43 +305,26 @@ def run_sweep_experiment(cfg: Dict[str, str], outdir: str, experiment: str) -> L
     steps = int(cfg.get("steps", "25"))
     if experiment == "fig1":
         lambdas = parse_lambda_grid(cfg.get("lambdas", "0.05:1.2:24"))
-        builders = [
-            ("decreasing-abscissa-IF", analysis.ifrk_general_builder(
-                methods.get("eSSPRK(3,3)"))),
-            ("eSSPRK+(3,3)", analysis.ifrk_builder(methods.get("eSSPRK+(3,3)"))),
-        ]
+        jobs = [("decreasing-abscissa-IF", "ifrk-general", methods.get("eSSPRK(3,3)")),
+                ("eSSPRK+(3,3)", "ifrk", methods.get("eSSPRK+(3,3)"))]
     else:
         lambdas = parse_lambda_grid(cfg.get("lambdas", "0.05:2.0:40"))
-        names = split_method_names(
-            cfg.get("methods", "eSSPRK+(5,4),eSSPRK+(6,4),eSSPRK(10,4)")
-        )
-        builders = []
-        for name in names:
-            rec = methods.get(name)
-            if rec.nondecreasing:
-                builders.append((name, analysis.ifrk_builder(rec)))
-            else:
-                builders.append((name, analysis.rk_builder(rec)))
+        recs = _records(cfg.get("methods", "eSSPRK+(5,4),eSSPRK+(6,4),eSSPRK(10,4)"))
+        jobs = [(r.name, "ifrk" if r.nondecreasing else "rk", r) for r in recs]
 
     sys_, u0 = spatial.make_problem(spatial.ADVECTION_BURGERS_STEP, a=a, n=n)
-    paths = []
-    for label, build in builders:
-        recs = analysis.lambda_sweep(build, sys_, u0, lambdas, steps)
-        path = os.path.join(outdir, f"{experiment}_{_safe_name(label)}.csv")
-        write_csv(
-            path,
-            ("lambda", "max_rise", "log10_rise"),
-            [(r.lam, r.max_rise, r.log10_rise) for r in recs],
+    return [
+        _write_sweep(
+            os.path.join(outdir, f"{experiment}_{_safe_name(label)}.csv"),
+            _BUILDERS[stepper](rec), sys_, u0, lambdas, steps,
             _meta(cfg, experiment=experiment, method=label, a=a, n=n, steps=steps),
         )
-        paths.append(path)
-    return paths
+        for label, stepper, rec in jobs
+    ]
 
 
 def van_der_pol_reference(dt: float = 1e-5, T: float = _EX1_T) -> np.ndarray:
     """High-resolution plain Runge-Kutta reference solution at time T."""
-    from .integrators import rk_step
-
     rec = methods.get("eSSPRK(10,4)")
     u = np.array([2.0, 0.0])
     for _ in range(round(T / dt)):
@@ -377,14 +347,13 @@ def van_der_pol_errors(rec, splitting: str, dts, uref, T: float = _EX1_T):
 
 
 def run_ex1(cfg: Dict[str, str], outdir: str) -> List[str]:
-    names = split_method_names(cfg.get("methods", ",".join(methods.method_names())))
+    recs = _records(cfg.get("methods", ",".join(methods.method_names())))
     splittings = [s.strip() for s in cfg.get("splittings", "a,b").split(",")]
     dts = _floats(cfg.get("dts", "0.02,0.04,0.06,0.08,0.10"))
     uref = van_der_pol_reference()
 
     err_rows, slope_rows = [], []
-    for name in names:
-        rec = methods.get(name.strip())
+    for rec in recs:
         for split in splittings:
             errs = van_der_pol_errors(rec, split, dts, uref)
             for dt, err in errs:
@@ -393,27 +362,44 @@ def run_ex1(cfg: Dict[str, str], outdir: str) -> List[str]:
                 (rec.name, split, rec.order, analysis.convergence_slope(errs))
             )
 
-    p_err = os.path.join(outdir, "ex1_errors.csv")
-    p_slope = os.path.join(outdir, "ex1_slopes.csv")
-    write_csv(p_err, ("method", "splitting", "dt", "error"), err_rows,
-              _meta(cfg, experiment="ex1"))
-    write_csv(p_slope, ("method", "splitting", "order", "slope"), slope_rows,
-              _meta(cfg, experiment="ex1"))
-    return [p_err, p_slope]
+    return [write_csv(os.path.join(outdir, "ex1_errors.csv"),
+                      ("method", "splitting", "dt", "error"), err_rows,
+                      _meta(cfg, experiment="ex1")),
+            write_csv(os.path.join(outdir, "ex1_slopes.csv"),
+                      ("method", "splitting", "order", "slope"), slope_rows,
+                      _meta(cfg, experiment="ex1"))]
 
 
-_RUNNERS = {
-    "ex1": run_ex1,
-    "ex3": run_table6,
-    "table6": run_table6,
-    "table7": run_table7,
-    "table8-partial": run_table8,
-    "ex4": lambda cfg, outdir: run_sweep_experiment(cfg, outdir, "ex4"),
-    "fig1": lambda cfg, outdir: run_sweep_experiment(cfg, outdir, "fig1"),
+#: experiment -> (runner(cfg, outdir), the config keys it accepts; all
+#: values are strings).  ex3 is another name for table6.
+_EXPERIMENTS = {
+    "ex1": (run_ex1, {"methods", "splittings", "dts", "out"}),
+    "ex3": (lambda cfg, outdir: run_observed_tvd(cfg, outdir, "table6"),
+            {"methods", "a", "n", "steps", "threshold", "out"}),
+    "ex4": (lambda cfg, outdir: run_sweep_experiment(cfg, outdir, "ex4"),
+            {"methods", "a", "n", "steps", "lambdas", "out"}),
+    "table6": (lambda cfg, outdir: run_observed_tvd(cfg, outdir, "table6"),
+               {"methods", "a", "n", "steps", "threshold", "out"}),
+    "table7": (lambda cfg, outdir: run_observed_tvd(cfg, outdir, "table7"),
+               {"a", "n", "steps", "threshold", "out"}),
+    "table8-partial": (run_table8, {"n", "steps", "with_opt", "out"}),
+    "fig1": (lambda cfg, outdir: run_sweep_experiment(cfg, outdir, "fig1"),
+             {"a", "n", "steps", "lambdas", "out"}),
 }
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 # --- subcommand handlers ---------------------------------------------------
+
+
+def _write_method_json(path: str, rec, **extra):
+    """Write a method record's tableau, claimed coefficient and family."""
+    data = rec.tableau.to_json_dict()
+    data["claimed_C"] = rec.claimed_C
+    data["family"] = rec.family
+    data.update(extra)
+    atomic_write_text(path, json.dumps(data, indent=2) + "\n")
+    print(f"wrote {path}")
 
 
 def cmd_methods(args) -> int:
@@ -441,33 +427,19 @@ def cmd_methods(args) -> int:
         print("order-condition residuals:")
         for tag, val in rep.residuals.items():
             print(f"  {tag:<6} {val: .3e}")
-        ok = (
-            rr.radius >= rec.claimed_C - 1e-4
-            and rep.achieved_order >= rec.order
-            and (rec.family != methods.FAMILY_PLUS or rec.nondecreasing)
-        )
+        ok = methods.invariant_violation(rec, rr.radius, rep.achieved_order) is None
         print("status:        " + ("ok" if ok else "INVARIANT VIOLATED"))
         return 0 if ok else 1
     if args.action == "export":
         if not args.out:
             raise ConfigError("methods export requires --out")
-        rec = methods.get(args.name)
-        data = rec.tableau.to_json_dict()
-        data["claimed_C"] = rec.claimed_C
-        data["family"] = rec.family
-        atomic_write_text(args.out, json.dumps(data, indent=2) + "\n")
-        print(f"wrote {args.out}")
+        _write_method_json(args.out, methods.get(args.name))
         return 0
-    raise ConfigError(f"unknown methods action {args.action!r}")
 
 
 def cmd_radius(args) -> int:
-    names = (
-        split_method_names(args.methods) if args.methods else methods.method_names()
-    )
     rows = []
-    for name in names:
-        rec = methods.get(name.strip())
+    for rec in _records(args.methods or ",".join(methods.method_names())):
         r = ssp_radius(rec.tableau).radius
         rows.append((rec.name, r, r / rec.stages))
     if args.out:
@@ -495,13 +467,7 @@ def cmd_optimize(args) -> int:
     for name, ok, detail in report.checks:
         print(f"  {name}: {'ok' if ok else 'FAILED'} ({detail})")
     if args.out:
-        data = rec.tableau.to_json_dict()
-        data["claimed_C"] = rec.claimed_C
-        data["family"] = rec.family
-        data["seed"] = spec.seed
-        data["restarts"] = spec.restarts
-        atomic_write_text(args.out, json.dumps(data, indent=2) + "\n")
-        print(f"wrote {args.out}")
+        _write_method_json(args.out, rec, seed=spec.seed, restarts=spec.restarts)
     return 0 if report.ok else 1
 
 
@@ -514,14 +480,7 @@ def cmd_sweep(args) -> int:
         )
     _check_values({"n": str(args.n), "steps": str(args.steps), "a": str(args.a)})
     sys_, u0 = spatial.make_problem(_PROBLEMS[args.problem], a=args.a, n=args.n)
-    if args.stepper == "rk":
-        build = analysis.rk_builder(rec)
-    elif args.stepper == "ifrk-general":
-        build = analysis.ifrk_general_builder(rec)
-    else:
-        build = analysis.ifrk_builder(rec)
     lambdas = parse_lambda_grid(args.lambdas)
-    recs = analysis.lambda_sweep(build, sys_, u0, lambdas, args.steps)
     meta = {
         "version": VERSION,
         "method": rec.name,
@@ -531,12 +490,8 @@ def cmd_sweep(args) -> int:
         "steps": args.steps,
         "stepper": args.stepper,
     }
-    write_csv(
-        args.out,
-        ("lambda", "max_rise", "log10_rise"),
-        [(r.lam, r.max_rise, r.log10_rise) for r in recs],
-        meta,
-    )
+    _write_sweep(args.out, _BUILDERS[args.stepper](rec), sys_, u0, lambdas,
+                 args.steps, meta)
     print(f"wrote {args.out}")
     return 0
 
@@ -544,7 +499,7 @@ def cmd_sweep(args) -> int:
 def cmd_run(args) -> int:
     cfg = _merged_config(args, args.experiment)
     outdir = cfg.pop("out", args.out or ".")
-    paths = _RUNNERS[args.experiment](cfg, outdir)
+    paths = _EXPERIMENTS[args.experiment][0](cfg, outdir)
     for p in paths:
         print(f"wrote {p}")
     return 0
@@ -601,8 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=25)
     p.add_argument("--lambdas", default="0.05:2.0:40",
                    help="lo:hi:count or comma-separated list")
-    p.add_argument("--stepper", choices=("ifrk", "rk", "ifrk-general"),
-                   default="ifrk")
+    p.add_argument("--stepper", choices=tuple(_BUILDERS), default="ifrk")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
@@ -640,9 +594,6 @@ def main(argv=None) -> int:
     except NonFinite as exc:
         print(f"error: non-finite state: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, UnknownMethod, NotFound) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except SspError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .errors import UnknownMethod
 from .ssp_radius import ssp_radius
 from .tableau import (
@@ -73,15 +71,8 @@ def generate_second_order(s: int) -> MethodRecord:
     alpha[(s, 0)] = 1.0 / s
     alpha[(s, s - 1)] = (s - 1.0) / s
     beta[(s, s - 1)] = 1.0 / s
-    so = ShuOsherForm.from_entries(s, alpha, beta)
-    t = shu_osher_to_butcher(so, name=f"eSSPRK+({s},2)", order=2)
-    return MethodRecord(
-        tableau=t,
-        shu_osher=so,
-        claimed_C=float(s - 1),
-        family=FAMILY_PLUS,
-        citation="second-order family with non-decreasing abscissas",
-    )
+    return _record(f"eSSPRK+({s},2)", 2, alpha, beta, float(s - 1), FAMILY_PLUS,
+                   "second-order family with non-decreasing abscissas")
 
 
 def _build_registry():
@@ -328,21 +319,27 @@ def _registry():
     return _REGISTRY
 
 
+def invariant_violation(rec: MethodRecord, radius: float,
+                        achieved_order: int) -> Optional[str]:
+    """The first broken part of a record's invariant, or None if it holds:
+    SSP radius at least the claimed C (to 1e-4), the claimed order
+    achieved, and non-decreasing abscissas in the plus family."""
+    if radius < rec.claimed_C - 1e-4:
+        return f"computed SSP radius {radius} below claimed {rec.claimed_C}"
+    if achieved_order < rec.order:
+        return f"achieved order {achieved_order} below claimed {rec.order}"
+    if rec.family == FAMILY_PLUS and not rec.nondecreasing:
+        return "abscissas are not non-decreasing"
+    return None
+
+
 def _self_check(reg):
     """Verify every record's claimed coefficient, order and abscissa flag."""
     for name, rec in reg.items():
-        rr = ssp_radius(rec.tableau)
-        if rr.radius < rec.claimed_C - 1e-4:
-            raise AssertionError(
-                f"{name}: computed SSP radius {rr.radius} below claimed {rec.claimed_C}"
-            )
-        rep = order_residuals(rec.tableau)
-        if rep.achieved_order < rec.order:
-            raise AssertionError(
-                f"{name}: achieved order {rep.achieved_order} below claimed {rec.order}"
-            )
-        if rec.family == FAMILY_PLUS and not rec.nondecreasing:
-            raise AssertionError(f"{name}: abscissas are not non-decreasing")
+        broken = invariant_violation(rec, ssp_radius(rec.tableau).radius,
+                                     order_residuals(rec.tableau).achieved_order)
+        if broken:
+            raise AssertionError(f"{name}: {broken}")
 
 
 def get(name: str) -> MethodRecord:

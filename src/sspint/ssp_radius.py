@@ -62,6 +62,18 @@ def is_absolutely_monotonic(t: ButcherTableau, r: float, tol: float = NONNEG_TOL
     return bool(can.v.min() >= -tol and can.P.min() >= -tol)
 
 
+def _bisect(holds, lo: float, hi: float, width: float):
+    """Shrink a bracket with holds(lo) true and holds(hi) false to at most
+    the given width; returns the final (lo, hi)."""
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def ssp_radius(t: ButcherTableau, width: float = 1e-10) -> RadiusResult:
     """SSP coefficient by bisection on absolute monotonicity over [0, 2s]."""
     hi = 2.0 * t.stages
@@ -69,13 +81,7 @@ def ssp_radius(t: ButcherTableau, width: float = 1e-10) -> RadiusResult:
         return RadiusResult(0.0, canonical_form(t, 0.0), width)
     if is_absolutely_monotonic(t, hi):
         return RadiusResult(hi, canonical_form(t, hi), width)
-    lo = 0.0
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if is_absolutely_monotonic(t, mid):
-            lo = mid
-        else:
-            hi = mid
+    lo = _bisect(lambda r: is_absolutely_monotonic(t, r), 0.0, hi, width)[0]
     return RadiusResult(lo, canonical_form(t, lo), width)
 
 
@@ -89,52 +95,51 @@ def observed_l2_cfl(
     """Largest lambda <= lambda_max for which stepping u' = lambda*M*u
     with dt = 1 keeps the L2 norm non-growing over n_steps.
 
-    M is a dense array or an ``expm.Circulant``, applied only as M @ y,
-    once per stage.  The probe starts from a fixed-seed random unit vector
-    and accepts a step only if ||u|| <= (1 + 1e-10) ||u0|| at every step;
-    the answer is located by bisection to width 1e-3.
+    A step is u <- R(lambda M) u, by Horner's rule on the stability
+    polynomial; M is a dense array or an ``expm.Circulant``, applied only
+    as M @ w, s times per step.  The probe starts from a fixed-seed random
+    unit vector and accepts a step only if ||u|| <= (1 + 1e-10) ||u0|| at
+    every step; the answer is located by bisection to width 1e-3.
     """
     n = M.shape[0]
     rng = np.random.default_rng(seed)
     u0 = rng.standard_normal(n)
     u0 /= np.linalg.norm(u0)
-    s = t.stages
+    gamma = _polynomial_coefficients(t)
 
     def stable(lam: float) -> bool:
         if lam <= 0.0:
             return True
-        u = u0.copy()
+        u = u0
         for _ in range(n_steps):
-            zs = []  # lam * M @ y for every stage y
-            for i in range(s):
-                y = u.copy()
-                for j in range(i):
-                    if t.A[i, j] != 0.0:
-                        y = y + t.A[i, j] * zs[j]
-                zs.append(lam * (M @ y))
-            for j in range(s):
-                if t.b[j] != 0.0:
-                    u = u + t.b[j] * zs[j]
+            u = _horner(gamma, lambda w: lam * (M @ w), u)
             if not np.isfinite(u).all() or np.linalg.norm(u) > 1.0 + 1e-10:
                 return False
         return True
 
     if stable(lambda_max):
         return float(lambda_max)
-    lo, hi = 0.0, float(lambda_max)
-    while hi - lo > 1e-3:
-        mid = 0.5 * (lo + hi)
-        if stable(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _bisect(stable, 0.0, float(lambda_max), 1e-3)[0]
+
+
+def _polynomial_coefficients(t: ButcherTableau) -> np.ndarray:
+    """Coefficients gamma_0..gamma_s of the stability polynomial
+    R(z) = sum_k gamma_k z^k: gamma_0 = 1 and gamma_k = b^T A^(k-1) e."""
+    gamma, y = np.ones(t.stages + 1), np.ones(t.stages)
+    for k in range(1, t.stages + 1):
+        gamma[k] = t.b @ y
+        y = t.A @ y
+    return gamma
+
+
+def _horner(gamma, times_z, u):
+    """R(z) u by Horner's rule on R's coefficients, with times_z(w) = z w."""
+    w = gamma[-1] * u
+    for g in gamma[-2::-1]:
+        w = g * u + times_z(w)
+    return w
 
 
 def stability_polynomial(t: ButcherTableau, z: complex) -> complex:
-    """Evaluate R(z) = 1 + z b^T (I - zA)^(-1) e by forward substitution."""
-    s = t.stages
-    y = np.zeros(s, dtype=complex)
-    for i in range(s):
-        y[i] = 1.0 + z * (t.A[i, :i] @ y[:i])
-    return complex(1.0 + z * (t.b @ y))
+    """Evaluate R(z) = 1 + z b^T (I - zA)^(-1) e by Horner's rule."""
+    return complex(_horner(_polynomial_coefficients(t), lambda w: z * w, 1.0))

@@ -124,6 +124,13 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     (None, ["optimize", "--stages", "2", "--order", "3"]),
     (None, ["optimize", "--stages", "3", "--order", "2", "--restarts", "0"]),
     (None, ["optimize", "--stages", "4", "--order", "4"]),
+    (None, ["sweep", "--method", "eSSPRK+(3,3)", "--stepper", "rk", "--lambdas=-0.5,0.5"]),
+    (None, ["sweep", "--method", "eSSPRK+(3,3)", "--stepper", "ifrk", "--lambdas=-0.5,0.5"]),
+    (None, ["sweep", "--method", "eSSPRK+(3,3)", "--lambdas", "nan,0.5"]),
+    (None, ["sweep", "--method", "eSSPRK+(3,3)", "--lambdas", "0.1:inf:3"]),
+    (None, ["sweep", "--method", "eSSPRK+(3,3)", "--lambdas=-0.5:0.5:3"]),
+    (None, ["run", "ex4", "--lambdas=-0.5,nan"]),
+    ("lambdas=0:inf:4\n", ["run", "fig1"]),
 ])
 def test_cli_bad_values_exit_one_with_one_line(tmp_path, capsys, monkeypatch,
                                                config, argv):
@@ -163,30 +170,25 @@ def test_cli_sweep_deterministic_output(tmp_path):
     assert lines[0] == "lambda,max_rise,log10_rise"
 
 
-def test_cli_run_table7_small(tmp_path):
-    assert (
-        main(
-            [
-                "run",
-                "table7",
-                "--a",
-                "10",
-                "--n",
-                "200",
-                "--steps",
-                "3",
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        == 0
-    )
-    lines = (tmp_path / "table7.csv").read_text().splitlines()
+@pytest.mark.parametrize("experiment, table, method", [
+    ("table7", "table7", "eSSPRK(4,3)"),
+    ("ex3", "table6", "eSSPRK+(3,3)"),
+], ids=["table7", "ex3"])
+def test_cli_run_table7_small(tmp_path, experiment, table, method):
+    argv = ["run", experiment, "--a", "10", "--n", "200", "--steps", "3",
+            "--out", str(tmp_path)]
+    if experiment == "ex3":
+        argv += ["--methods", method]
+    assert main(argv) == 0
+    assert os.listdir(tmp_path) == [f"{table}.csv"]
+    lines = (tmp_path / f"{table}.csv").read_text().splitlines()
     assert lines[0] == "method,a,lambda_obs"
     name, a, lam = next(csv.reader(io.StringIO(lines[1])))
-    assert name == "eSSPRK(4,3)"
-    # coarse grid, few steps: still in the right neighborhood of 2/11
-    assert 0.1 <= float(lam) <= 0.3
+    assert (name, float(a)) == (method, 10.0)
+    assert f"# experiment={table}" in lines
+    if experiment == "table7":
+        # coarse grid, few steps: still in the right neighborhood of 2/11
+        assert 0.1 <= float(lam) <= 0.3
 
 
 def test_cli_optimize_writes_certificate(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -58,3 +60,14 @@ def test_classic_33_has_decreasing_abscissas():
 def test_shu_osher_forms_are_ssp_admissible():
     for rec in methods.list_methods():
         assert rec.shu_osher.is_ssp_admissible(), rec.name
+
+
+def test_invariant_violation_names_the_first_broken_part():
+    rec = methods.get("eSSPRK+(4,3)")
+    assert methods.invariant_violation(rec, 20.0 / 11.0, 3) is None
+    assert methods.invariant_violation(rec, 1.8, 2).startswith("computed SSP radius 1.8")
+    assert methods.invariant_violation(rec, 20.0 / 11.0, 2) == (
+        "achieved order 2 below claimed 3")
+    decreasing = dataclasses.replace(methods.get("eSSPRK(3,3)"), family=methods.FAMILY_PLUS)
+    assert methods.invariant_violation(decreasing, 1.0, 3) == (
+        "abscissas are not non-decreasing")

@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sspint import methods
+from sspint.expm import Circulant
 from sspint.integrators import rk_step
 from sspint.spatial import Grid1D, upwind_matrix
 from sspint.ssp_radius import (
+    _horner,
+    _polynomial_coefficients,
     canonical_form,
     is_absolutely_monotonic,
     observed_l2_cfl,
     ssp_radius,
     stability_polynomial,
 )
+from sspint.tableau import ButcherTableau
 
 
 def test_radius_of_classic_methods():
@@ -82,3 +88,56 @@ def test_observed_l2_cfl_small_upwind():
     t = methods.get("eSSPRK(3,3)").tableau
     lam = observed_l2_cfl(t, M, 0.3, n_steps=200)
     assert 0.08 <= lam <= 0.16
+
+
+def _stage_loop_step(t, M, lam, u):
+    """Reference: one step of u' = lam*M*u with dt = 1 through the Butcher
+    stages, one M @ y per stage."""
+    zs = []  # lam * M @ y for every stage y
+    for i in range(t.stages):
+        y = u.copy()
+        for j in range(i):
+            if t.A[i, j] != 0.0:
+                y = y + t.A[i, j] * zs[j]
+        zs.append(lam * (M @ y))
+    for j in range(t.stages):
+        if t.b[j] != 0.0:
+            u = u + t.b[j] * zs[j]
+    return u
+
+
+def _forward_substitution(t, z):
+    """Reference: R(z) = 1 + z b^T (I - zA)^(-1) e by forward substitution."""
+    y = np.zeros(t.stages, dtype=complex)
+    for i in range(t.stages):
+        y[i] = 1.0 + z * (t.A[i, :i] @ y[:i])
+    return complex(1.0 + z * (t.b @ y))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    s=st.integers(1, 5),
+    n=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    lam=st.floats(0.0, 1.0),
+    circulant=st.booleans(),
+)
+def test_horner_step_matches_stage_loop(s, n, seed, lam, circulant):
+    rng = np.random.default_rng(seed)
+    A = np.tril(rng.uniform(-1.0, 1.0, (s, s)), -1)
+    b = rng.uniform(0.01, 1.0, s)
+    t = ButcherTableau(A=A, b=b / b.sum(), c=A.sum(axis=1))
+    if circulant:
+        M = Circulant.from_column(rng.uniform(-1.0, 1.0, n))
+    else:
+        M = rng.uniform(-1.0, 1.0, (n, n))
+    u = rng.standard_normal(n)
+
+    gamma = _polynomial_coefficients(t)
+    step = _horner(gamma, lambda w: lam * (M @ w), u)
+    ref = _stage_loop_step(t, M, lam, u)
+    assert np.linalg.norm(step - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    z = complex(*rng.uniform(-2.0, 2.0, 2))
+    expect = _forward_substitution(t, z)
+    assert abs(stability_polynomial(t, z) - expect) <= 1e-13 * max(1.0, abs(expect))
