@@ -1,22 +1,33 @@
-"""Layer timings of sspint's observed-TVD search, L2-CFL probe and optimizer.
+"""Layer timings of sspint's observed-TVD search, L2-CFL probe, Burgers
+sweep and optimizer.
 
 Usage (from the repository root):
 
     python3 bench/layers.py [--quick] [--src DIR] [--label NAME] [--out FILE]
+    python3 bench/layers.py --against DIR [--rounds R] [--quick] [--out FILE]
 
 Each layer is timed with ``time.perf_counter``; the reported figure is
 the median of k repeats (k = 5, or 1 with ``--quick``, which finishes in
 under 30 s).  ``--src`` imports sspint from another checkout's ``src``
 directory, so one script times two commits on the same machine.  A layer
-that the imported package cannot run (a function it lacks) is recorded as
-``null``.  With ``--out`` the run is merged into that JSON file under
-``runs[label]``, beside the machine facts; without it the run is printed.
-A full run (not ``--quick``) also records the tier-1 suite of the
-checkout that holds ``--src`` (``python -m pytest -q
---continue-on-collection-errors`` there, with that ``src`` on
-``PYTHONPATH``): its wall time and summary line.
+that the imported package cannot run (a function it lacks, or a batch it
+does not compute row by row) is recorded as ``null``.  With ``--out`` the
+run is merged into that JSON file under ``runs[label]``, beside the
+machine facts; without it the run is printed.  A full run (not
+``--quick``) also records the tier-1 suite of the checkout that holds
+``--src`` (``python -m pytest -q --continue-on-collection-errors`` there,
+with that ``src`` on ``PYTHONPATH``): its wall time and summary line.
 
-Layers (n = 1000 linear-advection step, 10 steps, eSSPRK+(5,4), a = 10):
+``--against DIR`` times two checkouts in alternating rounds: each round
+runs a ``--quick`` child process for ``DIR`` (recorded as ``parent``) and
+one for ``--src`` (recorded under ``--label``), swapping which goes first
+every round, so machine drift falls on both sides alike.  Each layer then
+reports the median over R rounds (default 5) of the per-round figures,
+which are kept as ``samples_s``; without ``--quick`` the tier-1 suite of
+each checkout is recorded once after the rounds.
+
+Layers (n = 1000 linear-advection step, 10 steps, eSSPRK+(5,4), a = 10,
+unless stated):
 
 - ``prescan``: the 50-point pre-scan of ``observed_tvd_lambda`` up to
   the chunk holding the first 1e-10 crossing.  A package without
@@ -31,6 +42,14 @@ Layers (n = 1000 linear-advection step, 10 steps, eSSPRK+(5,4), a = 10):
 - ``l2cfl_dense`` / ``l2cfl_circulant``: ``observed_l2_cfl`` of
   eSSPRK(3,3) (wavespeed 11 at unit spacing, lambda <= 0.2, 500 steps,
   seed 0) on the dense matrix and on the circulant operator.
+- ``weno5_rhs`` / ``weno5_rhs_k10``: ``weno5_burgers_rhs`` at n = 400 on
+  one row and on a 10-row batch.
+- ``burgers_ifrk_step``: one integrating-factor step of eSSPRK+(5,4) on
+  the n = 400 advection-Burgers step (a = 10, lambda = 1).
+- ``lambda_sweep_burgers``: ex4's default sweep of eSSPRK+(5,4): 40
+  lambdas over [0.05, 2], 25 steps, on that problem.
+- ``van_der_pol_rk_step``: one ``rk_step`` of eSSPRK(10,4) on the van der
+  Pol right-hand side at dt = 1e-5, the step of ex1's reference solve.
 - ``optimize_<s>_<p>``: ``optimize`` of (3,2), (3,3), (4,3) and (5,3) with
   non-decreasing abscissas, 10 restarts, seed 0, with the certified C.
 """
@@ -53,6 +72,10 @@ STEPS = 10
 A = 10.0
 METHOD = "eSSPRK+(5,4)"
 OPTIMIZER_CASES = ((3, 2), (3, 3), (4, 3), (5, 3))
+#: the advection-Burgers sweep of ex4 at its default config.
+BURGERS_N = 400
+BURGERS_STEPS = 25
+BURGERS_LAMBDAS = (0.05, 2.0, 40)
 
 
 def _median_time(fn, repeats, inner=1):
@@ -114,6 +137,8 @@ def layers(quick):
         out["ifrk_step_spectral_k50"] = _median_time(
             lambda: ifrk_step(batch, spec, uh0), k, 20)
 
+    out.update(burgers_layers(k))
+
     t33 = methods.get("eSSPRK(3,3)").tableau
     grid = spatial.Grid1D(N)
     dense = spatial.upwind_matrix(grid, 11.0) * grid.dx
@@ -135,6 +160,69 @@ def layers(quick):
             lambda: found.append(optimize(spec).claimed_C), k)
         out[f"optimize_{s}_{p}"]["C"] = found[-1]
     return out
+
+
+def burgers_layers(k):
+    """The WENO5 right-hand side, one Burgers step, ex4's sweep of
+    eSSPRK+(5,4) and one step of the van der Pol reference solve."""
+    import numpy as np
+
+    from sspint import analysis, methods, spatial
+    from sspint.integrators import ifrk_step, make_plan, rk_step
+
+    sys_, u0 = spatial.make_problem(spatial.ADVECTION_BURGERS_STEP, a=A,
+                                    n=BURGERS_N)
+    grid = spatial.Grid1D(BURGERS_N)
+    rows = np.random.default_rng(0).standard_normal((10, BURGERS_N))
+    batch = spatial.weno5_burgers_rhs(grid, rows)
+    rec = methods.get(METHOD)
+    plan = make_plan(rec, sys_, sys_.dx)
+    vdp = methods.get("eSSPRK(10,4)")
+    out = {
+        "weno5_rhs": _median_time(lambda: spatial.weno5_burgers_rhs(grid, u0), k, 200),
+        "weno5_rhs_k10": None,
+        "burgers_ifrk_step": _median_time(lambda: ifrk_step(plan, sys_, u0), k, 50),
+        "lambda_sweep_burgers": _median_time(
+            lambda: analysis.lambda_sweep(analysis.ifrk_builder(rec), sys_, u0,
+                                          np.linspace(*BURGERS_LAMBDAS), BURGERS_STEPS),
+            k),
+        "van_der_pol_rk_step": _median_time(
+            lambda: rk_step(vdp, spatial.van_der_pol_full, np.array([2.0, 0.0]), 1e-5),
+            k, 2000),
+    }
+    if all(np.array_equal(spatial.weno5_burgers_rhs(grid, r), b)
+           for r, b in zip(rows, batch)):
+        out["weno5_rhs_k10"] = _median_time(
+            lambda: spatial.weno5_burgers_rhs(grid, rows), k, 50)
+    return out
+
+
+def alternating(src, against, rounds, label):
+    """Per-layer medians of quick child runs of two checkouts over rounds
+    that alternate which checkout runs first."""
+    sides = {"parent": against, label: src}
+    samples = {name: [] for name in sides}
+    for r in range(rounds):
+        order = list(sides) if r % 2 == 0 else list(sides)[::-1]
+        for name in order:
+            proc = subprocess.run(
+                [sys.executable, os.path.abspath(__file__), "--quick",
+                 "--src", sides[name], "--label", name],
+                capture_output=True, text=True, check=True)
+            samples[name].append(json.loads(proc.stdout)[name])
+    runs = {}
+    for name, got in samples.items():
+        merged = {}
+        for layer, first in got[0]["layers"].items():
+            if first is None:
+                merged[layer] = None
+                continue
+            times = [g["layers"][layer]["median_s"] for g in got]
+            merged[layer] = dict(first, median_s=statistics.median(times),
+                                 repeats=rounds, samples_s=times)
+        runs[name] = {"src_lines": got[0]["src_lines"], "rounds": rounds,
+                      "layers": merged}
+    return runs
 
 
 def tier1(src):
@@ -170,27 +258,38 @@ def main(argv=None):
     parser.add_argument("--src", default=os.path.join(
         os.path.dirname(os.path.abspath(__file__)), "..", "src"))
     parser.add_argument("--label", default="change")
+    parser.add_argument("--against", help="another checkout's src, timed in "
+                        "alternating rounds with --src")
+    parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--out")
     args = parser.parse_args(argv)
     src = os.path.abspath(args.src)
-    sys.path.insert(0, src)
-    files = glob.glob(os.path.join(src, "sspint", "*.py"))
-    run = {
-        "src_lines": sum(_line_count(f) for f in files),
-        "quick": args.quick,
-        "layers": layers(args.quick),
-    }
-    if not args.quick:
-        run["tier1"] = tier1(src)
+    if args.against:
+        against = os.path.abspath(args.against)
+        runs = alternating(src, against, args.rounds, args.label)
+        if not args.quick:
+            runs["parent"]["tier1"] = tier1(against)
+            runs[args.label]["tier1"] = tier1(src)
+    else:
+        sys.path.insert(0, src)
+        files = glob.glob(os.path.join(src, "sspint", "*.py"))
+        run = {
+            "src_lines": sum(_line_count(f) for f in files),
+            "quick": args.quick,
+            "layers": layers(args.quick),
+        }
+        if not args.quick:
+            run["tier1"] = tier1(src)
+        runs = {args.label: run}
     if not args.out:
-        print(json.dumps({"machine": machine(), args.label: run}, indent=2))
+        print(json.dumps({"machine": machine(), **runs}, indent=2))
         return 0
     data = {}
     if os.path.exists(args.out):
         with open(args.out) as fh:
             data = json.load(fh)
     data["machine"] = machine()
-    data.setdefault("runs", {})[args.label] = run
+    data.setdefault("runs", {}).update(runs)
     with open(args.out, "w") as fh:
         json.dump(data, fh, indent=2)
         fh.write("\n")

@@ -3,9 +3,11 @@ convergence-slope estimation.
 
 A "stepper builder" is a callable ``build(sys, dt)`` returning a one-step
 map ``step(u, obs, k)``; this keeps the measurement layer independent of
-whether the step is plain Runge-Kutta or integrating-factor.  An
-integrating-factor builder also steps a ``spectral`` system with a column
-of step sizes, which ``max_tv_rises`` uses to run lambdas in batches.
+whether the step is plain Runge-Kutta or integrating-factor.  A builder
+with ``batches`` set also steps a (k, n) batch of physical rows with a
+column of step sizes when ``sys.L`` is a ``Circulant``; one with
+``spectral`` set steps the ``spectral`` form of a system the same way.
+``max_tv_rises`` uses either to run lambdas in batches.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import NonFinite
+from .expm import Circulant
 from .integrators import (
     SemiDiscretization,
-    StageObserver,
     ifrk_step,
     integrate,
     make_general_plan,
@@ -44,8 +46,8 @@ PRESCAN_POINTS = 50
 LOG_FLOOR = 1e-300
 
 #: largest k * n a batched scan steps at once (k lambdas, n grid points);
-#: a larger pre-scan runs in chunks of at most this many elements.
-BATCH_ELEMENTS = 16384
+#: a larger pre-scan or sweep runs in chunks of at most this many elements.
+BATCH_ELEMENTS = 4096
 
 StepperBuilder = Callable[[SemiDiscretization, float], Callable]
 
@@ -59,7 +61,7 @@ def _plan_builder(plan_for) -> StepperBuilder:
 
         return step
 
-    build.batches = True
+    build.batches = build.spectral = True
     return build
 
 
@@ -90,12 +92,15 @@ def rk_builder(method: MethodRecord) -> StepperBuilder:
 
         return step
 
+    build.batches = True
     return build
 
 
 def total_variation(u: np.ndarray):
-    """Periodic TV semi-norm sum_i |u_{i+1} - u_i|, one per row of a batch."""
-    u = np.asarray(u, dtype=float)
+    """Periodic TV semi-norm sum_i |u_{i+1} - u_i|, one per row of a batch.
+    Rows are summed in C order, so each row's sum is bitwise that of the
+    row alone (NumPy sums a strided axis in another order)."""
+    u = np.ascontiguousarray(u, dtype=float)
     return np.abs(u - np.roll(u, 1, axis=-1)).sum(axis=-1)
 
 
@@ -162,33 +167,47 @@ def max_tv_rise(
         return float("inf")
 
 
-def _batch_system(build: StepperBuilder, sys: SemiDiscretization):
-    """The spectral form of sys if build can step it in batches, else None."""
-    return spectral(sys) if getattr(build, "batches", False) else None
+def _batch_system(build: StepperBuilder, sys: SemiDiscretization,
+                  physical: bool) -> Optional[SemiDiscretization]:
+    """The system a batch of lambdas steps: sys itself (physical rows) or
+    its spectral form, or None if build cannot step that form in batches."""
+    if physical:
+        batches = getattr(build, "batches", False) and isinstance(sys.L, Circulant)
+        return sys if batches else None
+    return spectral(sys) if getattr(build, "spectral", False) else None
+
+
+def _chunk(build: StepperBuilder, sys: SemiDiscretization, physical: bool) -> int:
+    """Lambdas per batch: as many as fit in BATCH_ELEMENTS, or 1."""
+    return max(1, BATCH_ELEMENTS // sys.n) if _batch_system(build, sys, physical) else 1
 
 
 def max_tv_rises(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
-                 lams: Sequence[float], n_steps: int) -> np.ndarray:
-    """``max_tv_rise`` at every lambda.  With a batch system the lambdas
-    step together on real-FFT coefficients, each stage observed by one
-    batched ``irfft``; a non-finite batch is re-run one lambda at a time."""
+                 lams: Sequence[float], n_steps: int,
+                 physical: bool = False) -> np.ndarray:
+    """``max_tv_rise`` at every lambda, the lambdas stepped together as
+    one batch when build can: on physical rows if ``physical``, else on
+    real-FFT coefficients, each stage observed by one batched ``irfft``.
+    Without a batch form each lambda runs alone.  A non-finite batch is
+    re-run one lambda at a time."""
     lams = np.asarray(lams, dtype=float)
-    spec = _batch_system(build, sys)
-    if spec is None:
+    batch = _batch_system(build, sys, physical)
+    if batch is None:
         return np.array([max_tv_rise(build, sys, u0, lam, n_steps) for lam in lams])
     values = []
 
-    def obs(k, i, uh):
-        values.append(total_variation(np.fft.irfft(uh, sys.n)))
+    def obs(k, i, u):
+        values.append(total_variation(u if physical else np.fft.irfft(u, sys.n)))
 
-    step = build(spec, lams[:, None] * sys.dx)  # as in max_tv_rise
+    step = build(batch, lams[:, None] * sys.dx)  # as in max_tv_rise
     try:
-        uh0 = np.broadcast_to(np.fft.rfft(u0), (len(lams), sys.n // 2 + 1))
-        integrate(step, uh0, n_steps, obs)
+        # one C-order row per lambda, so every stage is in C order too
+        u = np.tile(u0 if physical else np.fft.rfft(u0), (len(lams), 1))
+        integrate(step, u, n_steps, obs)
     except NonFinite:
         if len(lams) == 1:
             return np.where(lams == 0.0, 0.0, np.inf)
-        return np.concatenate([max_tv_rises(build, sys, u0, [lam], n_steps)
+        return np.concatenate([max_tv_rises(build, sys, u0, [lam], n_steps, physical)
                                for lam in lams])
     rises = np.array([TvTrace(tuple(v)).max_rise for v in np.transpose(values)])
     return np.where(lams == 0.0, 0.0, rises)
@@ -202,7 +221,7 @@ def prescan_bracket(build: StepperBuilder, sys: SemiDiscretization,
     on the pre-scan grid over (0, lambda_hi], or None; batches run in
     chunks of at most BATCH_ELEMENTS, up to the one holding the crossing."""
     grid = np.linspace(lambda_hi / PRESCAN_POINTS, lambda_hi, PRESCAN_POINTS)
-    chunk = max(1, BATCH_ELEMENTS // sys.n) if _batch_system(build, sys) else 1
+    chunk = _chunk(build, sys, physical=False)
     for start in range(0, PRESCAN_POINTS, chunk):
         rises = max_tv_rises(build, sys, u0, grid[start:start + chunk], n_steps)
         above = np.flatnonzero(rises > threshold)
@@ -246,13 +265,17 @@ def lambda_sweep(
     lambdas: Sequence[float],
     n_steps: int,
 ) -> List[SweepRecord]:
-    """One (lambda, max_rise, log10 rise) record per requested lambda."""
+    """One (lambda, max_rise, log10 rise) record per requested lambda; the
+    lambdas step as batches of physical rows, in chunks of at most
+    BATCH_ELEMENTS, whenever the builder can batch the system."""
+    lams = np.asarray(lambdas, dtype=float)
+    chunk = _chunk(build, sys, physical=True)
     out = []
-    for lam in lambdas:
-        r = max_tv_rise(build, sys, u0, float(lam), n_steps)
-        out.append(
-            SweepRecord(float(lam), r, float(np.log10(max(r, LOG_FLOOR))))
-        )
+    for start in range(0, len(lams), chunk):
+        part = lams[start:start + chunk]
+        rises = max_tv_rises(build, sys, u0, part, n_steps, physical=True)
+        out += [SweepRecord(float(lam), float(r), float(np.log10(max(r, LOG_FLOOR))))
+                for lam, r in zip(part, rises)]
     return out
 
 

@@ -201,6 +201,8 @@ def parse_lambda_grid(text: str) -> List[float]:
             raise ConfigError(f"bad lambda grid {text!r}")
         if count < 1 or hi < lo:
             raise ConfigError(f"bad lambda grid {text!r}")
+        if not np.isfinite([lo, hi]).all():  # before linspace, which warns
+            raise ConfigError(f"lambdas must be finite and nonnegative, got {text!r}")
         grid = list(np.linspace(lo, hi, count))
     else:
         grid = _floats(text)
@@ -276,10 +278,10 @@ def run_table8(cfg: Dict[str, str], outdir: str) -> List[str]:
         rows.append(("l2_cfl", rec.name, observed_l2_cfl(rec.tableau, M, 0.4, steps)))
 
     # long-step stability probe of the integrating-factor methods
+    sys_, u0 = spatial.make_problem(spatial.LINEAR_ADVECTION_STEP, a=10.0, n=n)
+
     def job(name):
-        rec = methods.get(name)
-        sys_, u0 = spatial.make_problem(spatial.LINEAR_ADVECTION_STEP, a=10.0, n=n)
-        build = analysis.ifrk_builder(rec)
+        build = analysis.ifrk_builder(methods.get(name))
         try:
             u = integrate(build(sys_, 27.0 * sys_.dx), u0, 10)
             return ("ifrk_norm_at_lambda27", name, float(np.linalg.norm(u)))

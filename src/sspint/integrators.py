@@ -7,8 +7,10 @@ The integrating-factor step evaluates
 where stage abscissas come from the Butcher form and the output row acts
 at abscissa 1.  Terms sharing the same exponential gap are grouped before
 the (expensive) exponential is applied.  The same loop runs on physical
-values or, for a ``spectral`` system, on real-FFT coefficients, where a
-plan with a column of step sizes advances one row per step size.
+values or, for a ``spectral`` system, on real-FFT coefficients.  With a
+``Circulant`` L, a plan with a column of step sizes advances a batch, one
+row per step size, in either form; ``rk_step`` takes such a column too.
+Both steppers evaluate the explicit term once per stage that uses it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,9 @@ its last stage.  Observers must not mutate the vector they receive."""
 class SemiDiscretization:
     """A method-of-lines system u_t = L u + N(u), L a Circulant or an
     ndarray; ``N_linear`` is the explicit term as a Circulant when it is
-    linear, and N is then its matvec."""
+    linear, and N is then its matvec.  With a Circulant L, N must act on
+    each row of a (k, n) batch alone, as every built-in problem's does;
+    lambda sweeps step such batches."""
 
     n: int
     L: object
@@ -60,15 +64,29 @@ def spectral(sys: SemiDiscretization) -> Optional[SemiDiscretization]:
 
 @dataclass(frozen=True)
 class StepPlan:
-    """An integrating-factor method bound to an operator and step size:
-    its Shu-Osher arrays, the abscissa ``ceff`` of every Shu-Osher stage
-    (stage i, 1-based, sits at Butcher abscissa c_{i+1}; the output row
-    acts at 1) and the cache of every exponential they need."""
+    """An integrating-factor method bound to an operator and step size.
 
-    alpha: np.ndarray
-    beta: np.ndarray
-    ceff: np.ndarray
+    ``rows[i-1]`` holds Shu-Osher row i as (gap, terms) pairs: its
+    nonzero (j, alpha_ij, beta_ij) grouped by the quantized abscissa gap
+    ceff_i - ceff_j, in order of first appearance, where stage i (1-based)
+    sits at Butcher abscissa c_{i+1} and the output row acts at 1.
+    ``explicit[j]`` says whether any row uses N of stage j, and the cache
+    holds every exponential the gaps need."""
+
+    rows: tuple
+    explicit: tuple
     cache: ExpCache
+
+
+def _step_plan(so: ShuOsherForm, c, cache: ExpCache) -> StepPlan:
+    ceff = np.append(c, 1.0)
+    rows = []
+    for i, terms in enumerate(so.terms, 1):
+        groups = {}
+        for j, a, b in terms:
+            groups.setdefault(quantize_gap(ceff[i] - ceff[j]), []).append((j, a, b))
+        rows.append(tuple((g, tuple(t)) for g, t in groups.items()))
+    return StepPlan(tuple(rows), so.explicit, cache)
 
 
 def shu_osher_form(method: MethodRecord | ShuOsherForm) -> ShuOsherForm:
@@ -87,9 +105,8 @@ def make_plan(method: MethodRecord, sys: SemiDiscretization, dt: float) -> StepP
             f"{method.name} has decreasing abscissas; integrating-factor "
             "plans require non-decreasing abscissas"
         )
-    so = shu_osher_form(method)
     c = method.tableau.c
-    return StepPlan(so.alpha, so.beta, np.append(c, 1.0), build_cache(sys.L, dt, c))
+    return _step_plan(shu_osher_form(method), c, build_cache(sys.L, dt, c))
 
 
 def make_general_plan(so: ShuOsherForm, c, sys, dt: float) -> StepPlan:
@@ -98,7 +115,7 @@ def make_general_plan(so: ShuOsherForm, c, sys, dt: float) -> StepPlan:
     exponentials of negative gaps are cached too."""
     c = np.asarray(c, dtype=float)
     cache = ExpCache(sys.L, dt, required_gaps(c), allow_negative=True)
-    return StepPlan(so.alpha, so.beta, np.append(c, 1.0), cache)
+    return _step_plan(so, c, cache)
 
 
 def _state(u) -> np.ndarray:
@@ -115,31 +132,32 @@ def rk_step(
     method: MethodRecord | ShuOsherForm,
     F: Callable[[np.ndarray], np.ndarray],
     u: np.ndarray,
-    dt: float,
+    dt: float | np.ndarray,
     obs: Optional[StageObserver] = None,
     step_index: int = 0,
 ) -> np.ndarray:
-    """One explicit Runge-Kutta step in Shu-Osher form."""
-    if dt < 0:
+    """One explicit Runge-Kutta step in Shu-Osher form.
+
+    F is evaluated once per stage, when the stage is formed, and only for
+    stages whose beta column has a nonzero entry.  dt is a step size, or a
+    column of step sizes for a (k, n) batch u, one row per step size."""
+    if np.any(dt < 0):
         raise ValueError("dt must be nonnegative")
     so = shu_osher_form(method)
-    alpha, beta = so.alpha, so.beta
-    s = alpha.shape[0] - 1
-    stages = [np.asarray(u, dtype=float)]
-    for i in range(1, s + 1):
-        acc = np.zeros_like(stages[0])
-        for j in range(i):
-            a, b = alpha[i, j], beta[i, j]
-            if a == 0.0 and b == 0.0:
-                continue
+    u = np.asarray(u, dtype=float)
+    stages, slopes = [u], [F(u) if so.explicit[0] else None]
+    for i, terms in enumerate(so.terms, 1):
+        acc = np.zeros_like(u)
+        for j, a, b in terms:
             term = a * stages[j] if a != 0.0 else 0.0
             if b != 0.0:
-                term = term + dt * b * F(stages[j])
+                term = term + dt * b * slopes[j]
             acc = acc + term
         _check_finite(acc, f"stage {i}")
         stages.append(acc)
         if obs is not None:
             obs(step_index, i, acc)
+        slopes.append(F(acc) if so.explicit[i] else None)
     return stages[-1]
 
 
@@ -150,31 +168,26 @@ def ifrk_step(
     obs: Optional[StageObserver] = None,
     step_index: int = 0,
 ) -> np.ndarray:
-    """One integrating-factor Runge-Kutta step using the plan's cache."""
-    alpha, beta, ceff, dt = plan.alpha, plan.beta, plan.ceff, plan.cache.dt
-    s = alpha.shape[0] - 1
-    stages = [_state(u)]
-    for i in range(1, s + 1):
-        grouped = {}
-        for j in range(i):
-            a, b = alpha[i, j], beta[i, j]
-            if a == 0.0 and b == 0.0:
-                continue
-            g = quantize_gap(ceff[i] - ceff[j])
-            term = a * stages[j]
-            if b != 0.0:
-                term = term + dt * b * sys.N(stages[j])
-            if g in grouped:
-                grouped[g] = grouped[g] + term
-            else:
-                grouped[g] = term
-        acc = np.zeros_like(stages[0])
-        for g, w in grouped.items():
+    """One integrating-factor Runge-Kutta step using the plan's cache; N
+    is evaluated once per stage whose explicit term the plan uses."""
+    dt = plan.cache.dt
+    u = _state(u)
+    stages, slopes = [u], [sys.N(u) if plan.explicit[0] else None]
+    for i, groups in enumerate(plan.rows, 1):
+        acc = np.zeros_like(u)
+        for g, terms in groups:
+            w = None
+            for j, a, b in terms:
+                term = a * stages[j]
+                if b != 0.0:
+                    term = term + dt * b * slopes[j]
+                w = term if w is None else w + term
             acc = acc + plan.cache.apply(g, w)
         _check_finite(acc, f"stage {i}")
         stages.append(acc)
         if obs is not None:
             obs(step_index, i, acc)
+        slopes.append(sys.N(acc) if plan.explicit[i] else None)
     return stages[-1]
 
 

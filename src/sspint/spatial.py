@@ -60,55 +60,80 @@ def upwind_matrix(grid: Grid1D, a: float) -> np.ndarray:
     return circulant_matrix(_upwind_column(grid, a))
 
 
-def _weno5_reconstruct(fm2, fm1, f0, fp1, fp2):
-    """Left-biased fifth-order WENO reconstruction of the interface value
-    f_{i+1/2} from cell values f_{i-2}..f_{i+2}."""
-    q0 = (2 * fm2 - 7 * fm1 + 11 * f0) / 6.0
-    q1 = (-fm1 + 5 * f0 + 2 * fp1) / 6.0
-    q2 = (2 * f0 + 5 * fp1 - fp2) / 6.0
-    b0 = 13.0 / 12.0 * (fm2 - 2 * fm1 + f0) ** 2 + 0.25 * (fm2 - 4 * fm1 + 3 * f0) ** 2
-    b1 = 13.0 / 12.0 * (fm1 - 2 * f0 + fp1) ** 2 + 0.25 * (fm1 - fp1) ** 2
-    b2 = 13.0 / 12.0 * (f0 - 2 * fp1 + fp2) ** 2 + 0.25 * (3 * f0 - 4 * fp1 + fp2) ** 2
+def _weno5_reconstruct(f):
+    """Left-biased fifth-order WENO reconstruction of the interface values
+    f_{i+1/2} from cell values f_{i-2}..f_{i+2}, for each of the len - 4
+    stencils along the last axis of f.
+
+    Each value takes the floating-point steps of the classical formulas.
+    The smoothness indicators share one second difference, and the
+    weights are formed in place, so few temporaries are alive at once: on
+    a batch, many live temporaries made the C heap shrink and re-grow, a
+    page fault per 4 KB, on every call."""
+    m = f.shape[-1] - 4
+    fm2, fm1, f0, fp1, fp2 = (f[..., k:k + m] for k in range(5))
+    f2 = 2 * f
+    q0 = (f2[..., :m] - 7 * fm1 + 11 * f0) / 6.0
+    q1 = (-fm1 + 5 * f0 + f2[..., 3:m + 3]) / 6.0
+    q2 = (f2[..., 2:m + 2] + 5 * fp1 - fp2) / 6.0
+    # b_r = 13/12 d_r^2 + 1/4 e_r^2 with d_r = (fm2 - 2 fm1 + f0,
+    # fm1 - 2 f0 + fp1, f0 - 2 fp1 + fp2), one second difference at three
+    # centres, and e_r = (fm2 - 4 fm1 + 3 f0, fm1 - fp1, 3 f0 - 4 fp1 + fp2)
+    d = f[..., :-2] - f2[..., 1:-1]
+    del f2
+    d += f[..., 2:]
+    d = _scaled_square(d, 13.0 / 12.0)
+    b = [fm2 - 4 * fm1 + 3 * f0, fm1 - fp1, 3 * f0 - 4 * fp1 + fp2]
+    for r in range(3):
+        _scaled_square(b[r], 0.25)
+        b[r] += d[..., r:r + m]
+    del d
     # on diverging (blowing-up) data the smoothness indicators overflow;
     # the resulting non-finite values are caught by the caller's check
     with np.errstate(over="ignore", invalid="ignore"):
-        w0 = 0.1 / (WENO_EPS + b0) ** 2
-        w1 = 0.6 / (WENO_EPS + b1) ** 2
-        w2 = 0.3 / (WENO_EPS + b2) ** 2
-        wsum = w0 + w1 + w2
-        return (w0 * q0 + w1 * q1 + w2 * q2) / wsum
+        # w_r = (0.1, 0.6, 0.3)_r / (eps + b_r)^2, in place of b_r
+        for w, c in zip(b, (0.1, 0.6, 0.3)):
+            w += WENO_EPS
+            np.divide(c, np.square(w, out=w), out=w)
+        # (w0 q0 + w1 q1 + w2 q2) / (w0 + w1 + w2)
+        w0, w1, w2 = b
+        q0 *= w0
+        q0 += np.multiply(q1, w1, out=q1)
+        q0 += np.multiply(q2, w2, out=q2)
+        w0 += w1
+        w0 += w2
+        q0 /= w0
+    return q0
 
 
-def _weno5_flux_positive(f):
-    """Interface values f_{i+1/2} for a positive-wind flux."""
-    return _weno5_reconstruct(
-        np.roll(f, 2), np.roll(f, 1), f, np.roll(f, -1), np.roll(f, -2)
-    )
-
-
-def _weno5_flux_negative(f):
-    """Interface values f_{i+1/2} for a negative-wind flux (mirrored stencil)."""
-    return _weno5_reconstruct(
-        np.roll(f, -3), np.roll(f, -2), np.roll(f, -1), f, np.roll(f, 1)
-    )
+def _scaled_square(x, c):
+    """c * x^2, in place of x."""
+    np.square(x, out=x)
+    x *= c
+    return x
 
 
 def weno5_burgers_rhs(grid: Grid1D, u: np.ndarray) -> np.ndarray:
-    """Fifth-order WENO finite-difference approximation of -(u^2/2)_x.
+    """Fifth-order WENO finite-difference approximation of -(u^2/2)_x
+    along the last axis, so a (k, n) batch gives one result per row.
 
     Global Lax-Friedrichs splitting f+- = (f +- alpha u)/2 with
-    alpha = max|u|; each split flux is reconstructed with the classical
-    five-point weighted stencils.
+    alpha = max|u| of each row; each split flux is reconstructed with the
+    classical five-point weighted stencils.
     """
     u = np.asarray(u, dtype=float)
     if not np.isfinite(u).all():
         raise NonFinite("weno5 input contains NaN or Inf")
     f = 0.5 * u * u
-    alpha = np.abs(u).max()
-    fhat = _weno5_flux_positive(0.5 * (f + alpha * u)) + _weno5_flux_negative(
-        0.5 * (f - alpha * u)
-    )
-    return -(fhat - np.roll(fhat, 1)) / grid.dx
+    alpha = np.abs(u).max(axis=-1, keepdims=True)
+    # the negative-wind flux reversed takes the left-biased stencil too;
+    # padded periodically by 3 cells before and 2 after, both give the
+    # n + 1 interfaces -1/2 .. n-1/2 (the negative one in reverse order)
+    split = np.stack([0.5 * (f + alpha * u), (0.5 * (f - alpha * u))[..., ::-1]])
+    plus, minus = _weno5_reconstruct(
+        np.concatenate([split[..., -3:], split, split[..., :2]], axis=-1))
+    fhat = plus + minus[..., ::-1]
+    return -(fhat[..., 1:] - fhat[..., :-1]) / grid.dx
 
 
 # --- built-in problems -----------------------------------------------------

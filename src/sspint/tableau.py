@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -137,6 +138,23 @@ class ShuOsherForm:
     @property
     def stages(self) -> int:
         return self.alpha.shape[0] - 1
+
+    @cached_property
+    def terms(self) -> tuple:
+        """Row i = 1..s as the (j, alpha[i,j], beta[i,j]) of its nonzero
+        entries, in order of j."""
+        return tuple(
+            tuple((j, float(a), float(b))
+                  for j, (a, b) in enumerate(zip(self.alpha[i, :i], self.beta[i, :i]))
+                  if a != 0.0 or b != 0.0)
+            for i in range(1, self.stages + 1)
+        )
+
+    @cached_property
+    def explicit(self) -> tuple:
+        """Per stage j = 0..s, whether a later row uses F(u^(j)): a
+        nonzero column j of beta."""
+        return tuple(bool(x) for x in self.beta.any(axis=0))
 
     def is_ssp_admissible(self, tol: float = 1e-12) -> bool:
         """True when all coefficients are nonnegative and beta vanishes

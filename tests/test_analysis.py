@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sspint import analysis, methods
@@ -8,6 +8,7 @@ from sspint.analysis import (
     TvTrace,
     convergence_slope,
     ifrk_builder,
+    ifrk_general_builder,
     lambda_sweep,
     max_tv_rise,
     max_tv_rises,
@@ -18,7 +19,12 @@ from sspint.analysis import (
     tv_trace,
 )
 from sspint.errors import NonFinite
-from sspint.spatial import ADVECTION_BURGERS_STEP, LINEAR_ADVECTION_STEP, make_problem
+from sspint.spatial import (
+    ADVECTION_BURGERS_SMOOTH,
+    ADVECTION_BURGERS_STEP,
+    LINEAR_ADVECTION_STEP,
+    make_problem,
+)
 
 
 def test_total_variation_examples():
@@ -26,6 +32,13 @@ def test_total_variation_examples():
     assert total_variation(step) == pytest.approx(2.0, abs=0)
     assert total_variation(np.full(7, 3.3)) == 0.0
     assert total_variation(np.array([0.0, 1.0, 0.5])) == pytest.approx(2.0)
+
+
+def test_total_variation_of_a_batch_in_any_layout_equals_its_rows():
+    _, u = make_problem(ADVECTION_BURGERS_SMOOTH, a=1.0, n=50)
+    for batch in (np.tile(u, (3, 1)), np.asfortranarray(np.tile(u, (3, 1))),
+                  np.broadcast_to(u, (3, 50))):
+        assert list(total_variation(batch)) == [total_variation(u)] * 3
 
 
 def test_tv_trace_max_rise_clamped():
@@ -185,3 +198,54 @@ def test_wrapped_explicit_term_keeps_the_spectral_path():
     got = observed_tvd_lambda(ifrk_builder(rec), sys_, u0, 3.0, 4).lambda_obs
     assert got == want
     assert calls == []
+
+
+_SWEEP_BUILDERS = {"ifrk": ifrk_builder, "rk": rk_builder,
+                   "ifrk-general": ifrk_general_builder}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    stepper=st.sampled_from(sorted(_SWEEP_BUILDERS)),
+    name=st.sampled_from(["eSSPRK+(3,3)", "eSSPRK+(5,4)", "eSSPRK+(2,2)"]),
+    problem=st.sampled_from([ADVECTION_BURGERS_STEP, ADVECTION_BURGERS_SMOOTH,
+                             LINEAR_ADVECTION_STEP]),
+    n=st.integers(8, 128),
+    a=st.floats(0.0, 20.0),
+    lams=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=6),
+    blowup_at=st.integers(0, 6),
+    rows_per_chunk=st.integers(1, 4),
+)
+# an initial batch laid out in Fortran order summed its stage-0 TVs in
+# another order than the 1-D run: a rise differing by 2e-15
+@example(stepper="ifrk", name="eSSPRK+(3,3)", problem=ADVECTION_BURGERS_SMOOTH,
+         n=50, a=1.0, lams=[0.5, 1.0], blowup_at=2, rows_per_chunk=2)
+def test_lambda_sweep_matches_per_lambda_bitwise(stepper, name, problem, n, a,
+                                                 lams, blowup_at, rows_per_chunk):
+    # batches of physical rows against one 1-D run per lambda: bitwise
+    # equal, in chunks of any size.  lambda = 1e300 overflows under most
+    # steppers and problems, so its chunk is re-run one lambda at a time
+    sys_, u0 = make_problem(problem, a=a, n=n)
+    build = _SWEEP_BUILDERS[stepper](methods.get(name))
+    lams.insert(min(blowup_at, len(lams)), 1e300)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "BATCH_ELEMENTS", rows_per_chunk * n)
+        recs = lambda_sweep(build, sys_, u0, lams, 3)
+    want = [max_tv_rise(build, sys_, u0, lam, 3) for lam in lams]
+    assert [r.lam for r in recs] == lams
+    assert [r.max_rise for r in recs] == want
+    assert [r.log10_rise for r in recs] == [
+        float(np.log10(max(w, analysis.LOG_FLOOR))) for w in want]
+
+
+def test_lambda_sweep_blowups_read_inf():
+    # eSSPRK(10,4) as plain RK blows up on advection-Burgers past
+    # lambda ~ 0.56 (ex4); a chunk holding a blow-up is re-run per lambda
+    sys_, u0 = make_problem(ADVECTION_BURGERS_STEP, a=10.0, n=64)
+    build = rk_builder(methods.get("eSSPRK(10,4)"))
+    lams = [0.3, 1.3, 0.5, 2.0]
+    recs = lambda_sweep(build, sys_, u0, lams, 3)
+    want = [max_tv_rise(build, sys_, u0, lam, 3) for lam in lams]
+    assert [r.max_rise for r in recs] == want
+    assert want[1] == want[3] == np.inf
+    assert np.isfinite(want[0]) and np.isfinite(want[2])

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,8 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     (None, ["sweep", "--method", "eSSPRK+(3,3)", "--lambdas=-0.5:0.5:3"]),
     (None, ["run", "ex4", "--lambdas=-0.5,nan"]),
     ("lambdas=0:inf:4\n", ["run", "fig1"]),
+    (None, ["sweep", "--method", "eSSPRK+(3,3)", "--lambdas=-inf:1:3"]),
+    (None, ["run", "fig1", "--lambdas", "0.1:inf:3"]),
 ])
 def test_cli_bad_values_exit_one_with_one_line(tmp_path, capsys, monkeypatch,
                                                config, argv):
@@ -142,7 +145,9 @@ def test_cli_bad_values_exit_one_with_one_line(tmp_path, capsys, monkeypatch,
         path = tmp_path / "bad.cfg"
         path.write_text(config)
         argv = argv + ["--config", str(path)]
-    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    with warnings.catch_warnings():  # a warning would print a second line
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert not (tmp_path / "out").exists()

@@ -16,7 +16,7 @@ from sspint.integrators import (
     make_plan,
     rk_step,
 )
-from sspint.spatial import LINEAR_ADVECTION_STEP, make_problem
+from sspint.spatial import ADVECTION_BURGERS_STEP, LINEAR_ADVECTION_STEP, make_problem
 
 
 def test_rk_step_scalar_hand_value():
@@ -140,3 +140,78 @@ def test_shu_osher_form_resolved_once_per_build(monkeypatch):
     plus = dataclasses.replace(methods.get("eSSPRK+(3,3)"), shu_osher=None)
     integrate(ifrk_builder(plus)(sys_, dt), u0, 10)
     assert len(calls) == 1
+
+
+def _rk_step_per_entry(so, F, u, dt):
+    """The Shu-Osher stage loop calling F once per nonzero beta entry."""
+    s = so.alpha.shape[0] - 1
+    stages = [np.asarray(u, dtype=float)]
+    for i in range(1, s + 1):
+        acc = np.zeros_like(stages[0])
+        for j in range(i):
+            a, b = so.alpha[i, j], so.beta[i, j]
+            if a == 0.0 and b == 0.0:
+                continue
+            term = a * stages[j] if a != 0.0 else 0.0
+            if b != 0.0:
+                term = term + dt * b * F(stages[j])
+            acc = acc + term
+        stages.append(acc)
+    return stages[-1]
+
+
+def _counting(fn, calls):
+    def wrapped(u):
+        calls.append(1)
+        return fn(u)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("name, calls", [
+    ("eSSPRK+(5,4)", 5), ("eSSPRK+(6,4)", 6), ("eSSPRK+(3,3)", 3),
+])
+def test_ifrk_step_evaluates_N_once_per_used_stage(name, calls):
+    rec = methods.get(name)
+    sys_, u0 = make_problem(ADVECTION_BURGERS_STEP, a=10.0, n=64)
+    seen = []
+    counted = dataclasses.replace(sys_, N=_counting(sys_.N, seen))
+    dt = 0.8 * sys_.dx
+    got = ifrk_step(make_plan(rec, counted, dt), counted, u0)
+    assert len(seen) == calls
+    assert np.array_equal(got, ifrk_step(make_plan(rec, sys_, dt), sys_, u0))
+
+
+@pytest.mark.parametrize("name, calls", [
+    ("eSSPRK(10,4)", 10), ("eSSPRK+(5,4)", 5), ("eSSPRK(3,3)", 3),
+])
+def test_rk_step_evaluates_F_once_per_used_stage(name, calls):
+    # bitwise equal to the loop evaluating F at every nonzero beta entry
+    rec = methods.get(name)
+    sys_, u0 = make_problem(ADVECTION_BURGERS_STEP, a=10.0, n=64)
+
+    def F(u):
+        return sys_.L @ u + sys_.N(u)
+
+    seen = []
+    dt = 0.4 * sys_.dx
+    got = rk_step(rec, _counting(F, seen), u0, dt)
+    assert len(seen) == calls
+    assert np.array_equal(got, _rk_step_per_entry(rec.shu_osher, F, u0, dt))
+
+
+@pytest.mark.parametrize("name", ["eSSPRK(10,4)", "eSSPRK+(5,4)"])
+def test_rk_step_column_dt_matches_per_row_steps(name):
+    rec = methods.get(name)
+    sys_, u0 = make_problem(ADVECTION_BURGERS_STEP, a=10.0, n=64)
+
+    def F(u):
+        return sys_.L @ u + sys_.N(u)
+
+    dts = np.array([0.0, 0.1, 0.3, 0.5])[:, None] * sys_.dx
+    rows = np.stack([u0, np.roll(u0, 5), u0, -u0])
+    batch = rk_step(rec, F, rows, dts)
+    for row, dt, got in zip(rows, dts[:, 0], batch):
+        assert np.array_equal(rk_step(rec, F, row, dt), got)
+    with pytest.raises(ValueError):
+        rk_step(rec, F, rows, -dts)

@@ -113,3 +113,52 @@ def test_van_der_pol_problem():
     sys_, u0 = make_problem(VAN_DER_POL, splitting="b")
     assert np.array_equal(u0, [2.0, 0.0])
     assert sys_.L.shape == (2, 2)
+
+
+@pytest.mark.parametrize("n", [8, 13, 64, 400])
+def test_weno5_batch_rows_equal_single_calls(n):
+    # each row of a (k, n) batch has its own alpha = max|u| and wraps
+    # around its own ends; the result must be bitwise that of a 1-D call
+    rng = np.random.default_rng(n)
+    g = Grid1D(n)
+    u = rng.standard_normal((5, n)) * np.array([[1e-3], [1.0], [10.0], [1.0], [0.0]])
+    u[1, : n // 2] = 0.0
+    batch = weno5_burgers_rhs(g, u)
+    assert batch.shape == u.shape
+    for row, got in zip(u, batch):
+        assert np.array_equal(weno5_burgers_rhs(g, row), got)
+
+
+def _weno5_textbook(grid, u):
+    """The WENO5 right-hand side of one row as the classical formulas
+    read, each stencil point a rolled copy of the flux."""
+    def reconstruct(fm2, fm1, f0, fp1, fp2):
+        q0 = (2 * fm2 - 7 * fm1 + 11 * f0) / 6.0
+        q1 = (-fm1 + 5 * f0 + 2 * fp1) / 6.0
+        q2 = (2 * f0 + 5 * fp1 - fp2) / 6.0
+        b0 = 13.0 / 12.0 * (fm2 - 2 * fm1 + f0) ** 2 + 0.25 * (fm2 - 4 * fm1 + 3 * f0) ** 2
+        b1 = 13.0 / 12.0 * (fm1 - 2 * f0 + fp1) ** 2 + 0.25 * (fm1 - fp1) ** 2
+        b2 = 13.0 / 12.0 * (f0 - 2 * fp1 + fp2) ** 2 + 0.25 * (3 * f0 - 4 * fp1 + fp2) ** 2
+        w0 = 0.1 / (1e-6 + b0) ** 2
+        w1 = 0.6 / (1e-6 + b1) ** 2
+        w2 = 0.3 / (1e-6 + b2) ** 2
+        return (w0 * q0 + w1 * q1 + w2 * q2) / (w0 + w1 + w2)
+
+    f = 0.5 * u * u
+    alpha = np.abs(u).max()
+    fp, fm = 0.5 * (f + alpha * u), 0.5 * (f - alpha * u)
+    fhat = (reconstruct(*(np.roll(fp, k) for k in (2, 1, 0, -1, -2)))
+            + reconstruct(*(np.roll(fm, k) for k in (-3, -2, -1, 0, 1))))
+    return -(fhat - np.roll(fhat, 1)) / grid.dx
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 400])
+def test_weno5_equals_the_textbook_formulas_bitwise(n):
+    rng = np.random.default_rng(n)
+    g = Grid1D(n)
+    for scale in (1e-3, 1.0, 50.0):
+        u = rng.standard_normal(n) * scale
+        u[: n // 3] = 0.0  # flat zero flux: the signs of zeros must match too
+        want, got = _weno5_textbook(g, u), weno5_burgers_rhs(g, u)
+        assert np.array_equal(want, got)
+        assert np.array_equal(np.signbit(want), np.signbit(got))
