@@ -4,7 +4,7 @@ sweep and optimizer.
 Usage (from the repository root):
 
     python3 bench/layers.py [--quick] [--src DIR] [--label NAME] [--out FILE]
-    python3 bench/layers.py --against DIR [--rounds R] [--quick] [--out FILE]
+    python3 bench/layers.py --against DIR [--quick] [--out FILE]
 
 Each layer is timed with ``time.perf_counter``; the reported figure is
 the median of k repeats (k = 5, or 1 with ``--quick``, which finishes in
@@ -22,7 +22,7 @@ with that ``src`` on ``PYTHONPATH``): its wall time and summary line.
 runs a ``--quick`` child process for ``DIR`` (recorded as ``parent``) and
 one for ``--src`` (recorded under ``--label``), swapping which goes first
 every round, so machine drift falls on both sides alike.  Each layer then
-reports the median over R rounds (default 5) of the per-round figures,
+reports the median over ``ROUNDS`` = 5 rounds of the per-round figures,
 which are kept as ``samples_s``; without ``--quick`` the tier-1 suite of
 each checkout is recorded once after the rounds.
 
@@ -76,6 +76,8 @@ OPTIMIZER_CASES = ((3, 2), (3, 3), (4, 3), (5, 3))
 BURGERS_N = 400
 BURGERS_STEPS = 25
 BURGERS_LAMBDAS = (0.05, 2.0, 40)
+#: alternating rounds of ``--against``.
+ROUNDS = 5
 
 
 def _median_time(fn, repeats, inner=1):
@@ -197,12 +199,12 @@ def burgers_layers(k):
     return out
 
 
-def alternating(src, against, rounds, label):
+def alternating(src, against, label):
     """Per-layer medians of quick child runs of two checkouts over rounds
     that alternate which checkout runs first."""
     sides = {"parent": against, label: src}
     samples = {name: [] for name in sides}
-    for r in range(rounds):
+    for r in range(ROUNDS):
         order = list(sides) if r % 2 == 0 else list(sides)[::-1]
         for name in order:
             proc = subprocess.run(
@@ -219,8 +221,8 @@ def alternating(src, against, rounds, label):
                 continue
             times = [g["layers"][layer]["median_s"] for g in got]
             merged[layer] = dict(first, median_s=statistics.median(times),
-                                 repeats=rounds, samples_s=times)
-        runs[name] = {"src_lines": got[0]["src_lines"], "rounds": rounds,
+                                 repeats=ROUNDS, samples_s=times)
+        runs[name] = {"src_lines": got[0]["src_lines"], "rounds": ROUNDS,
                       "layers": merged}
     return runs
 
@@ -260,13 +262,12 @@ def main(argv=None):
     parser.add_argument("--label", default="change")
     parser.add_argument("--against", help="another checkout's src, timed in "
                         "alternating rounds with --src")
-    parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--out")
     args = parser.parse_args(argv)
     src = os.path.abspath(args.src)
     if args.against:
         against = os.path.abspath(args.against)
-        runs = alternating(src, against, args.rounds, args.label)
+        runs = alternating(src, against, args.label)
         if not args.quick:
             runs["parent"]["tier1"] = tier1(against)
             runs[args.label]["tier1"] = tier1(src)
