@@ -1,5 +1,5 @@
 """Layer timings of sspint's observed-TVD search, L2-CFL probe, Burgers
-sweep and optimizer.
+sweep, integrating-factor plans, SSP radius and optimizer.
 
 Usage (from the repository root):
 
@@ -50,6 +50,14 @@ unless stated):
   lambdas over [0.05, 2], 25 steps, on that problem.
 - ``van_der_pol_rk_step``: one ``rk_step`` of eSSPRK(10,4) on the van der
   Pol right-hand side at dt = 1e-5, the step of ex1's reference solve.
+- ``make_plan_batch``: ``make_plan`` of eSSPRK+(6,4) for the first
+  10-row batch of ex4's sweep on that problem (lambda = 0.05 to 0.5), its
+  cache included.
+- ``make_plan_general_dense``: ``make_general_plan`` of eSSPRK(5,4) on
+  ex1's dense 2x2 van der Pol operator (splitting a) at dt = 0.02, its
+  Pade-13 exponentials included.
+- ``expm``: ``expm`` of that operator times 0.02.
+- ``ssp_radius``: ``ssp_radius`` of eSSPRK+(6,4).
 - ``optimize_<s>_<p>``: ``optimize`` of (3,2), (3,3), (4,3) and (5,3) with
   non-decreasing abscissas, 10 restarts, seed 0, with the certified C.
 """
@@ -166,11 +174,15 @@ def layers(quick):
 
 def burgers_layers(k):
     """The WENO5 right-hand side, one Burgers step, ex4's sweep of
-    eSSPRK+(5,4) and one step of the van der Pol reference solve."""
+    eSSPRK+(5,4), one step of the van der Pol reference solve, the plans
+    of ex4 and ex1, their exponentials and one SSP radius."""
     import numpy as np
 
     from sspint import analysis, methods, spatial
-    from sspint.integrators import ifrk_step, make_plan, rk_step
+    from sspint.expm import expm
+    from sspint.integrators import (ifrk_step, make_general_plan, make_plan, rk_step,
+                                    shu_osher_form)
+    from sspint.ssp_radius import ssp_radius
 
     sys_, u0 = spatial.make_problem(spatial.ADVECTION_BURGERS_STEP, a=A,
                                     n=BURGERS_N)
@@ -180,6 +192,11 @@ def burgers_layers(k):
     rec = methods.get(METHOD)
     plan = make_plan(rec, sys_, sys_.dx)
     vdp = methods.get("eSSPRK(10,4)")
+    plus64 = methods.get("eSSPRK+(6,4)")
+    lams = np.linspace(*BURGERS_LAMBDAS)[:10, None]
+    classic54 = methods.get("eSSPRK(5,4)")
+    so54 = shu_osher_form(classic54)
+    vdp_sys, _ = spatial.make_problem(spatial.VAN_DER_POL, splitting="a")
     out = {
         "weno5_rhs": _median_time(lambda: spatial.weno5_burgers_rhs(grid, u0), k, 200),
         "weno5_rhs_k10": None,
@@ -191,6 +208,12 @@ def burgers_layers(k):
         "van_der_pol_rk_step": _median_time(
             lambda: rk_step(vdp, spatial.van_der_pol_full, np.array([2.0, 0.0]), 1e-5),
             k, 2000),
+        "make_plan_batch": _median_time(
+            lambda: make_plan(plus64, sys_, lams * sys_.dx), k, 20),
+        "make_plan_general_dense": _median_time(
+            lambda: make_general_plan(so54, classic54.tableau.c, vdp_sys, 0.02), k, 200),
+        "expm": _median_time(lambda: expm(0.02 * vdp_sys.L), k, 2000),
+        "ssp_radius": _median_time(lambda: ssp_radius(plus64.tableau), k, 20),
     }
     if all(np.array_equal(spatial.weno5_burgers_rhs(grid, r), b)
            for r, b in zip(rows, batch)):

@@ -177,40 +177,46 @@ def _batch_system(build: StepperBuilder, sys: SemiDiscretization,
     return spectral(sys) if getattr(build, "spectral", False) else None
 
 
-def _chunk(build: StepperBuilder, sys: SemiDiscretization, physical: bool) -> int:
-    """Lambdas per batch: as many as fit in BATCH_ELEMENTS, or 1."""
-    return max(1, BATCH_ELEMENTS // sys.n) if _batch_system(build, sys, physical) else 1
+def _rise_chunks(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
+                 lams: np.ndarray, n_steps: int, physical: bool):
+    """(start, rises) for consecutive chunks of lams, lazily: as many
+    lambdas as fit in BATCH_ELEMENTS stepped as one batch when build can
+    (see ``max_tv_rises``), else one lambda per chunk."""
+    batch = _batch_system(build, sys, physical)
+    size = max(1, BATCH_ELEMENTS // sys.n) if batch else 1
+    for start in range(0, len(lams), size):
+        part = lams[start:start + size]
+        if batch is None:
+            yield start, np.array([max_tv_rise(build, sys, u0, part[0], n_steps)])
+            continue
+        values = []
+
+        def obs(k, i, u):
+            values.append(total_variation(u if physical else np.fft.irfft(u, sys.n)))
+
+        step = build(batch, part[:, None] * sys.dx)  # as in max_tv_rise
+        try:
+            # one C-order row per lambda, so every stage is in C order too
+            u = np.tile(u0 if physical else np.fft.rfft(u0), (len(part), 1))
+            integrate(step, u, n_steps, obs)
+            rises = [TvTrace(tuple(v)).max_rise for v in np.transpose(values)]
+        except NonFinite:
+            rises = np.inf if len(part) == 1 else np.concatenate(
+                [max_tv_rises(build, sys, u0, [lam], n_steps, physical) for lam in part])
+        yield start, np.where(part == 0.0, 0.0, rises)
 
 
 def max_tv_rises(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
                  lams: Sequence[float], n_steps: int,
                  physical: bool = False) -> np.ndarray:
-    """``max_tv_rise`` at every lambda, the lambdas stepped together as
-    one batch when build can: on physical rows if ``physical``, else on
-    real-FFT coefficients, each stage observed by one batched ``irfft``.
-    Without a batch form each lambda runs alone.  A non-finite batch is
-    re-run one lambda at a time."""
+    """``max_tv_rise`` at every lambda, the lambdas stepped together in
+    batches of at most BATCH_ELEMENTS elements when build can: on physical
+    rows if ``physical``, else on real-FFT coefficients, each stage
+    observed by one batched ``irfft``.  Without a batch form each lambda
+    runs alone.  A non-finite batch is re-run one lambda at a time."""
     lams = np.asarray(lams, dtype=float)
-    batch = _batch_system(build, sys, physical)
-    if batch is None:
-        return np.array([max_tv_rise(build, sys, u0, lam, n_steps) for lam in lams])
-    values = []
-
-    def obs(k, i, u):
-        values.append(total_variation(u if physical else np.fft.irfft(u, sys.n)))
-
-    step = build(batch, lams[:, None] * sys.dx)  # as in max_tv_rise
-    try:
-        # one C-order row per lambda, so every stage is in C order too
-        u = np.tile(u0 if physical else np.fft.rfft(u0), (len(lams), 1))
-        integrate(step, u, n_steps, obs)
-    except NonFinite:
-        if len(lams) == 1:
-            return np.where(lams == 0.0, 0.0, np.inf)
-        return np.concatenate([max_tv_rises(build, sys, u0, [lam], n_steps, physical)
-                               for lam in lams])
-    rises = np.array([TvTrace(tuple(v)).max_rise for v in np.transpose(values)])
-    return np.where(lams == 0.0, 0.0, rises)
+    chunks = _rise_chunks(build, sys, u0, lams, n_steps, physical)
+    return np.concatenate([np.empty(0)] + [rises for _, rises in chunks])
 
 
 def prescan_bracket(build: StepperBuilder, sys: SemiDiscretization,
@@ -221,9 +227,7 @@ def prescan_bracket(build: StepperBuilder, sys: SemiDiscretization,
     on the pre-scan grid over (0, lambda_hi], or None; batches run in
     chunks of at most BATCH_ELEMENTS, up to the one holding the crossing."""
     grid = np.linspace(lambda_hi / PRESCAN_POINTS, lambda_hi, PRESCAN_POINTS)
-    chunk = _chunk(build, sys, physical=False)
-    for start in range(0, PRESCAN_POINTS, chunk):
-        rises = max_tv_rises(build, sys, u0, grid[start:start + chunk], n_steps)
+    for start, rises in _rise_chunks(build, sys, u0, grid, n_steps, physical=False):
         above = np.flatnonzero(rises > threshold)
         if above.size:
             i = start + above[0]
@@ -269,14 +273,9 @@ def lambda_sweep(
     lambdas step as batches of physical rows, in chunks of at most
     BATCH_ELEMENTS, whenever the builder can batch the system."""
     lams = np.asarray(lambdas, dtype=float)
-    chunk = _chunk(build, sys, physical=True)
-    out = []
-    for start in range(0, len(lams), chunk):
-        part = lams[start:start + chunk]
-        rises = max_tv_rises(build, sys, u0, part, n_steps, physical=True)
-        out += [SweepRecord(float(lam), float(r), float(np.log10(max(r, LOG_FLOOR))))
-                for lam, r in zip(part, rises)]
-    return out
+    rises = max_tv_rises(build, sys, u0, lams, n_steps, physical=True)
+    return [SweepRecord(float(lam), float(r), float(np.log10(max(r, LOG_FLOOR))))
+            for lam, r in zip(lams, rises)]
 
 
 def sweep_transition(records: Sequence[SweepRecord], threshold: float) -> Optional[float]:

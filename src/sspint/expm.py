@@ -6,22 +6,21 @@ approximant.  ``Circulant`` holds a periodic convolution operator (the 1D
 upwind operators) by its DFT symbol: it applies by FFT and its exponentials
 stay circulant.  ``Spectral`` is the same operator acting on real-FFT
 coefficients, where it is a multiplication.  ``ExpCache`` precomputes one
-exponential per distinct abscissa gap of an integrating-factor method so a
+exponential per abscissa gap an integrating-factor plan applies, so a
 constant-step run pays for each exponential exactly once; a column of step
 sizes gives one exponential per row, for a batch of step sizes at once.
+The plan (``sspint.integrators``) decides the gaps and their sign.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NegativeGap, NonFinite, SspError
+from .errors import NonFinite, SspError
 
 #: gaps are quantized at this resolution so abscissas printed as repeated
 #: decimals collapse onto a single cache entry.
 GAP_QUANTUM = 1e-14
-
-_NEG_GAP_TOL = 1e-13
 
 # Pade-13 coefficients for expm.
 _PADE13 = (
@@ -82,7 +81,8 @@ def quantize_gap(g: float) -> float:
 
 
 def required_gaps(c):
-    """All distinct quantized gaps (c_i - c_j, i > j) plus (1 - c_j)."""
+    """All distinct quantized gaps (c_i - c_j, i > j) plus (1 - c_j): every
+    gap a plan for abscissas c may apply."""
     c = np.asarray(c, dtype=float)
     gaps = set()
     for i in range(len(c)):
@@ -142,10 +142,9 @@ class Spectral(Circulant):
 class ExpCache:
     """Exponentials e^(g * dt * L) keyed by quantized abscissa gap g, for
     L a ``Circulant`` or a dense array; dt may be a column of step sizes
-    when L is a ``Circulant``.  Negative gaps are refused unless
-    ``allow_negative`` is set (the decreasing-abscissa counterexample)."""
+    when L is a ``Circulant``."""
 
-    def __init__(self, L, dt: float, gaps, allow_negative: bool = False):
+    def __init__(self, L, dt: float, gaps):
         self.circulant = isinstance(L, Circulant)
         if not self.circulant:
             L = np.asarray(L, dtype=float)
@@ -153,20 +152,11 @@ class ExpCache:
             raise NonFinite("operator contains NaN or Inf")
         self.L = L
         self.dt = np.asarray(dt, dtype=float)
-        if not allow_negative:
-            neg = [g for g in gaps if g < -_NEG_GAP_TOL]
-            if neg:
-                raise NegativeGap(
-                    f"negative abscissa gaps {neg}; the integrating-factor "
-                    "construction requires non-decreasing abscissas"
-                )
-            gaps = [max(g, 0.0) for g in gaps]
         self.gaps = sorted({quantize_gap(g) for g in gaps})
         self._entries = {
             g: L.exp(g * self.dt) if self.circulant else expm(g * self.dt * L)
             for g in self.gaps
         }
-        self.construction_count = len(self.gaps)
 
     def _entry(self, g: float):
         try:
@@ -185,11 +175,7 @@ class ExpCache:
         return self._entry(g) @ u
 
 
-def build_cache(L, dt: float, c) -> ExpCache:
-    """Cache every exponential an integrating-factor step will need for
-    abscissas c (plus the output row at abscissa 1); decreasing abscissas
-    give negative gaps, which the cache refuses."""
-    c = np.asarray(c, dtype=float)
-    if len(c) and abs(c[0]) > 1e-13:
-        raise ValueError("first abscissa must be 0")
-    return ExpCache(L, dt, required_gaps(c))
+def build_cache(L, dt: float, gaps) -> ExpCache:
+    """The cache of a ``make_plan`` plan: one exponential per gap its rows
+    apply."""
+    return ExpCache(L, dt, gaps)

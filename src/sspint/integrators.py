@@ -21,10 +21,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NegativeGap, NonFinite
-from .expm import Circulant, ExpCache, build_cache, quantize_gap, required_gaps
-from .methods import FAMILY_PLUS, MethodRecord
+from .expm import Circulant, ExpCache, build_cache, quantize_gap
+from .methods import MethodRecord
 from .ssp_radius import ssp_radius
 from .tableau import (
+    ABSCISSA_TOL,
     ShuOsherForm,
     abscissas_nondecreasing,
     butcher_to_canonical_shu_osher,
@@ -48,8 +49,6 @@ class SemiDiscretization:
     L: object
     N: Callable[[np.ndarray], np.ndarray]
     dx: float
-    fe_dt_nonlinear: float = float("nan")
-    fe_dt_linear: float = float("nan")
     N_linear: Optional[Circulant] = None
 
 
@@ -71,22 +70,26 @@ class StepPlan:
     ceff_i - ceff_j, in order of first appearance, where stage i (1-based)
     sits at Butcher abscissa c_{i+1} and the output row acts at 1.
     ``explicit[j]`` says whether any row uses N of stage j, and the cache
-    holds every exponential the gaps need."""
+    holds the exponentials of exactly the gaps the rows use."""
 
     rows: tuple
     explicit: tuple
     cache: ExpCache
 
 
-def _step_plan(so: ShuOsherForm, c, cache: ExpCache) -> StepPlan:
+def _step_plan(so: ShuOsherForm, c, cache, tol: float = 0.0) -> StepPlan:
+    """The one place gaps are decided: a gap no lower than -tol counts as
+    0, and ``cache(gaps)`` gets exactly the gaps the rows use."""
     ceff = np.append(c, 1.0)
     rows = []
     for i, terms in enumerate(so.terms, 1):
         groups = {}
         for j, a, b in terms:
-            groups.setdefault(quantize_gap(ceff[i] - ceff[j]), []).append((j, a, b))
+            g = ceff[i] - ceff[j]
+            g = quantize_gap(0.0 if -tol <= g < 0 else g)
+            groups.setdefault(g, []).append((j, a, b))
         rows.append(tuple((g, tuple(t)) for g, t in groups.items()))
-    return StepPlan(tuple(rows), so.explicit, cache)
+    return StepPlan(tuple(rows), so.explicit, cache({g for row in rows for g, _ in row}))
 
 
 def shu_osher_form(method: MethodRecord | ShuOsherForm) -> ShuOsherForm:
@@ -99,23 +102,23 @@ def shu_osher_form(method: MethodRecord | ShuOsherForm) -> ShuOsherForm:
 
 
 def make_plan(method: MethodRecord, sys: SemiDiscretization, dt: float) -> StepPlan:
-    """Build an IFRK plan; rejects methods with decreasing abscissas."""
-    if method.family != FAMILY_PLUS and not abscissas_nondecreasing(method.tableau):
+    """An IFRK plan for a method of any family whose abscissas are
+    non-decreasing by the rule ``verify_certificate`` certifies."""
+    if not abscissas_nondecreasing(method.tableau):
         raise NegativeGap(
             f"{method.name} has decreasing abscissas; integrating-factor "
             "plans require non-decreasing abscissas"
         )
-    c = method.tableau.c
-    return _step_plan(shu_osher_form(method), c, build_cache(sys.L, dt, c))
+    return _step_plan(shu_osher_form(method), method.tableau.c,
+                      lambda gaps: build_cache(sys.L, dt, gaps), ABSCISSA_TOL)
 
 
 def make_general_plan(so: ShuOsherForm, c, sys, dt: float) -> StepPlan:
     """An IFRK plan for arbitrary abscissa ordering: the counterexample
     path showing why decreasing abscissas break the SSP property, so
-    exponentials of negative gaps are cached too."""
-    c = np.asarray(c, dtype=float)
-    cache = ExpCache(sys.L, dt, required_gaps(c), allow_negative=True)
-    return _step_plan(so, c, cache)
+    negative gaps keep their sign.  Its cache is built directly, so the
+    ``build_cache`` calls count the plans of ``make_plan`` alone."""
+    return _step_plan(so, c, lambda gaps: ExpCache(sys.L, dt, gaps))
 
 
 def _state(u) -> np.ndarray:

@@ -197,9 +197,6 @@ def make_problem(kind: str, a: float = 0.0, n: int = 1000, splitting: str = "a")
 
     else:
         raise ValueError(f"unknown problem kind {kind!r}")
-    fe_linear = grid.dx / a if a > 0 else float("inf")
-    sys = SemiDiscretization(
-        n=n, L=upwind_operator(grid, a), N=N, dx=grid.dx,
-        fe_dt_nonlinear=grid.dx, fe_dt_linear=fe_linear, N_linear=N_linear,
-    )
+    sys = SemiDiscretization(n=n, L=upwind_operator(grid, a), N=N, dx=grid.dx,
+                             N_linear=N_linear)
     return sys, u0

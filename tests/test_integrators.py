@@ -7,16 +7,22 @@ import pytest
 from sspint import methods
 from sspint.analysis import ifrk_builder, max_tv_rise, rk_builder, total_variation
 from sspint.errors import NegativeGap, NonFinite
-from sspint.expm import expm
+from sspint.expm import expm, required_gaps
 from sspint.integrators import (
     SemiDiscretization,
     ifrk_step,
     ifrk_step_general,
     integrate,
+    make_general_plan,
     make_plan,
     rk_step,
+    shu_osher_form,
 )
+from sspint.methods import FAMILY_PLUS, MethodRecord
+from sspint.optimizer import OptimizationSpec, optimize, verify_certificate
 from sspint.spatial import ADVECTION_BURGERS_STEP, LINEAR_ADVECTION_STEP, make_problem
+from sspint.ssp_radius import ssp_radius
+from sspint.tableau import ButcherTableau
 
 
 def test_rk_step_scalar_hand_value():
@@ -37,6 +43,72 @@ def test_make_plan_rejects_decreasing_abscissas():
     sys_, _ = make_problem(LINEAR_ADVECTION_STEP, a=1.0, n=64)
     with pytest.raises(NegativeGap):
         make_plan(methods.get("eSSPRK(3,3)"), sys_, 0.001)
+
+
+def _drop_record(drop):
+    """A plus-family record whose third abscissa lies drop below its second."""
+    A = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.25, 0.25 - drop, 0.0]])
+    t = ButcherTableau.from_arrays(A, np.full(3, 1 / 3), order=1, name=f"drop {drop:g}")
+    return MethodRecord(t, None, ssp_radius(t).radius, FAMILY_PLUS, "synthetic")
+
+
+@pytest.mark.parametrize("drop", [3e-14, 5e-11])
+def test_plan_steps_a_certified_abscissa_drop_as_gap_zero(drop):
+    # a drop within the certificate's tolerance is applied as gap 0: a
+    # drop of 3e-14 was once keyed by the plan but clamped out of the
+    # cache, and one of 5e-11 was refused by the cache
+    rec = _drop_record(drop)
+    assert verify_certificate(rec).ok
+    sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=1.0, n=64)
+    dt = 0.5 * sys_.dx
+    plan = make_plan(rec, sys_, dt)
+    assert plan.cache.gaps[0] == 0.0
+    exact = ifrk_step_general(shu_osher_form(rec), rec.tableau.c, sys_, u0, dt)
+    assert np.allclose(ifrk_step(plan, sys_, u0), exact, rtol=0, atol=1e-9)
+
+
+def test_plan_rejects_an_abscissa_drop_beyond_tolerance():
+    # the certificate and make_plan refuse the same record, whatever its
+    # family; the general plan keeps the negative gap
+    rec = _drop_record(1e-9)
+    assert not verify_certificate(rec).ok
+    sys_, _ = make_problem(LINEAR_ADVECTION_STEP, a=1.0, n=64)
+    with pytest.raises(NegativeGap):
+        make_plan(rec, sys_, 0.01)
+    plan = make_general_plan(shu_osher_form(rec), rec.tableau.c, sys_, 0.01)
+    assert plan.cache.gaps[0] < 0.0
+
+
+@pytest.mark.parametrize("stages, order, seed",
+                         [(3, 2, 0), (4, 3, 0), (5, 3, 3), (3, 2, 1), (4, 3, 1)])
+def test_certified_optimizer_records_step(stages, order, seed):
+    # these searches end with abscissas that drop by 2e-14 to 1.7e-13
+    rec = optimize(OptimizationSpec(stages, order, require_nondecreasing=True,
+                                    restarts=5, seed=seed))
+    assert verify_certificate(rec).ok
+    sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=1.0, n=64)
+    u = integrate(ifrk_builder(rec)(sys_, 0.5 * sys_.dx), u0, 2)
+    assert np.isfinite(u).all()
+
+
+def test_plan_caches_only_the_gaps_its_rows_use():
+    sys_ = SemiDiscretization(n=4, L=np.zeros((4, 4)), N=lambda u: u, dx=1.0)
+    counts = {}
+    for name in methods.method_names():
+        rec = methods.get(name)
+        if rec.nondecreasing:
+            plan = make_plan(rec, sys_, 0.1)
+        else:
+            plan = make_general_plan(shu_osher_form(rec), rec.tableau.c, sys_, 0.1)
+        used = {g for row in plan.rows for g, _ in row}
+        assert plan.cache.gaps == sorted(used), name
+        assert used <= set(required_gaps(rec.tableau.c)), name
+        counts[name] = len(used)
+    assert counts["eSSPRK+(6,4)"] == 11
+    assert counts["eSSPRK+(5,4)"] == 10
+    assert counts["eSSPRK+(9,2)"] == 3
+    assert counts["eSSPRK(5,4)"] == 10  # general plan: decreasing abscissas
+    assert sum(counts.values()) == 83
 
 
 def test_ifrk_telescoping_linear_only():
