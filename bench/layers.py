@@ -50,6 +50,8 @@ unless stated):
   lambdas over [0.05, 2], 25 steps, on that problem.
 - ``van_der_pol_rk_step``: one ``rk_step`` of eSSPRK(10,4) on the van der
   Pol right-hand side at dt = 1e-5, the step of ex1's reference solve.
+- ``van_der_pol_reference``: that whole solve, ``cli.van_der_pol_reference``
+  (50 000 steps to T = 0.5).
 - ``make_plan_batch``: ``make_plan`` of eSSPRK+(6,4) for the first
   10-row batch of ex4's sweep on that problem (lambda = 0.05 to 0.5), its
   cache included.
@@ -174,11 +176,11 @@ def layers(quick):
 
 def burgers_layers(k):
     """The WENO5 right-hand side, one Burgers step, ex4's sweep of
-    eSSPRK+(5,4), one step of the van der Pol reference solve, the plans
-    of ex4 and ex1, their exponentials and one SSP radius."""
+    eSSPRK+(5,4), one step of the van der Pol reference solve and the whole
+    solve, the plans of ex4 and ex1, their exponentials and one SSP radius."""
     import numpy as np
 
-    from sspint import analysis, methods, spatial
+    from sspint import analysis, cli, methods, spatial
     from sspint.expm import expm
     from sspint.integrators import (ifrk_step, make_general_plan, make_plan, rk_step,
                                     shu_osher_form)
@@ -208,6 +210,7 @@ def burgers_layers(k):
         "van_der_pol_rk_step": _median_time(
             lambda: rk_step(vdp, spatial.van_der_pol_full, np.array([2.0, 0.0]), 1e-5),
             k, 2000),
+        "van_der_pol_reference": _median_time(cli.van_der_pol_reference, k),
         "make_plan_batch": _median_time(
             lambda: make_plan(plus64, sys_, lams * sys_.dx), k, 20),
         "make_plan_general_dense": _median_time(

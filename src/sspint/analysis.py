@@ -1,5 +1,5 @@
-"""Total-variation monitoring, observed-TVD bisection, lambda sweeps, and
-convergence-slope estimation.
+"""Total-variation monitoring, observed-TVD bisection, lambda sweeps,
+convergence-slope estimation, and the van der Pol convergence test.
 
 A "stepper builder" is a callable ``build(sys, dt)`` returning a one-step
 map ``step(u, obs, k)``; this keeps the measurement layer independent of
@@ -12,11 +12,13 @@ column of step sizes when ``sys.L`` is a ``Circulant``; one with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import methods, spatial
 from .errors import NonFinite
 from .expm import Circulant
 from .integrators import (
@@ -31,6 +33,7 @@ from .integrators import (
 )
 from .methods import MethodRecord
 from .ssp_radius import _bisect
+from .tableau import ShuOsherForm
 
 #: TV-rise detection threshold: well above accumulated roundoff
 #: (~1e-13 for n=1000 over 10 steps) and well below genuine oscillations.
@@ -44,6 +47,9 @@ PRESCAN_POINTS = 50
 
 #: floor applied before taking log10 of a rise for plot output.
 LOG_FLOOR = 1e-300
+
+#: end time of the van der Pol convergence runs (ex1).
+VAN_DER_POL_T = 0.5
 
 #: largest k * n a batched scan steps at once (k lambdas, n grid points);
 #: a larger pre-scan or sweep runs in chunks of at most this many elements.
@@ -296,3 +302,62 @@ def convergence_slope(errors: Sequence[Tuple[float, float]]) -> float:
         raise ValueError("dt and error values must be positive")
     slope, _ = np.polyfit(np.log(dts), np.log(errs), 1)
     return float(slope)
+
+
+def _rk2_steps(so: ShuOsherForm, rhs: Callable[[float, float], Tuple[float, float]],
+               u0, dt: float, n_steps: int) -> Tuple[float, float]:
+    """n_steps of ``rk_step(so, F, u, dt)``, F(u) = rhs(u[0], u[1]), on two
+    Python floats: rk_step's operations in rk_step's order, so its bits and
+    its ``NonFinite``, without NumPy's per-call cost on 2-vectors.  An
+    OverflowError of rhs (Python's float power, where NumPy's gives inf)
+    makes that slope NaN, so the first stage using it raises as there."""
+    rows = [None] + [[(j, a, dt * b if b != 0.0 else None) for j, a, b in terms]
+                     for terms in so.terms]
+    explicit = so.explicit
+    stages, slopes = [None] * len(rows), [None] * len(rows)
+    x, y = float(u0[0]), float(u0[1])
+    for _ in range(n_steps):
+        for i, terms in enumerate(rows):
+            if i:  # stage 0 is the state itself
+                x = y = 0.0
+                for j, a, db in terms:
+                    if a != 0.0:
+                        sx, sy = stages[j]
+                        tx, ty = a * sx, a * sy
+                    else:
+                        tx = ty = 0.0
+                    if db is not None:
+                        fx, fy = slopes[j]
+                        tx, ty = tx + db * fx, ty + db * fy
+                    x, y = x + tx, y + ty
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise NonFinite(f"stage {i} contains NaN or Inf")
+            stages[i] = x, y
+            if explicit[i]:
+                try:
+                    slopes[i] = rhs(x, y)
+                except OverflowError:
+                    slopes[i] = math.nan, math.nan
+    return x, y
+
+
+def van_der_pol_reference(dt: float = 1e-5, T: float = VAN_DER_POL_T) -> np.ndarray:
+    """High-resolution plain Runge-Kutta reference solution at time T:
+    eSSPRK(10,4) from (2, 0), stepped on two floats (``_rk2_steps``)."""
+    so = shu_osher_form(methods.get("eSSPRK(10,4)"))
+    return np.array(_rk2_steps(so, spatial.van_der_pol_rhs, (2.0, 0.0), dt,
+                               round(T / dt)))
+
+
+def van_der_pol_errors(rec, splitting: str, dts, uref, T: float = VAN_DER_POL_T):
+    """(dt, max-norm error) pairs; dt is adjusted so an integer number of
+    steps lands exactly on T."""
+    sys_, u0 = spatial.make_problem(spatial.VAN_DER_POL, splitting=splitting)
+    build = ifrk_general_builder(rec)
+    out = []
+    for dt in dts:
+        n = round(T / dt)
+        dta = T / n
+        u = integrate(build(sys_, dta), u0, n)
+        out.append((dta, float(np.abs(u - uref).max())))
+    return out

@@ -19,8 +19,9 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from . import analysis, methods, spatial
+from .analysis import van_der_pol_errors, van_der_pol_reference
 from .errors import ConfigError, NonFinite, SspError
-from .integrators import integrate, rk_step
+from .integrators import integrate
 from .optimizer import OptimizationSpec, optimize, verify_certificate
 from .ssp_radius import observed_l2_cfl, ssp_radius
 from .tableau import order_residuals
@@ -31,9 +32,6 @@ try:
     VERSION = _pkg_version("sspint")
 except Exception:  # pragma: no cover - not installed
     VERSION = "0.0.0"
-
-#: end time of the ex1 van der Pol runs.
-_EX1_T = 0.5
 
 _TABLE6_METHODS = (
     "eSSPRK+(2,2)",
@@ -150,10 +148,10 @@ def _check_values(cfg: Dict[str, str]):
             raise ConfigError(f"{key} must be finite, got {cfg[key]!r}")
     if any(a < 0 for a in _floats(cfg.get("a", ""))):
         raise ConfigError(f"wavespeeds must be nonnegative, got {cfg['a']!r}")
-    dts = _floats(cfg.get("dts", ""))
-    if "dts" in cfg and (not all(0 < dt <= _EX1_T for dt in dts)
-                         or len({round(_EX1_T / dt) for dt in dts}) < 3):
-        raise ConfigError(f"dts must be step sizes in (0, {_EX1_T}] giving at least "
+    dts, T = _floats(cfg.get("dts", "")), analysis.VAN_DER_POL_T
+    if "dts" in cfg and (not all(0 < dt <= T for dt in dts)
+                         or len({round(T / dt) for dt in dts}) < 3):
+        raise ConfigError(f"dts must be step sizes in (0, {T}] giving at least "
                           f"3 distinct step counts, got {cfg['dts']!r}")
     if not {x.strip() for x in cfg.get("splittings", "a").split(",")} <= {"a", "b"}:
         raise ConfigError(f"splittings must be a and/or b, got {cfg['splittings']!r}")
@@ -323,29 +321,6 @@ def run_sweep_experiment(cfg: Dict[str, str], outdir: str, experiment: str) -> L
         )
         for label, stepper, rec in jobs
     ]
-
-
-def van_der_pol_reference(dt: float = 1e-5, T: float = _EX1_T) -> np.ndarray:
-    """High-resolution plain Runge-Kutta reference solution at time T."""
-    rec = methods.get("eSSPRK(10,4)")
-    u = np.array([2.0, 0.0])
-    for _ in range(round(T / dt)):
-        u = rk_step(rec, spatial.van_der_pol_full, u, dt)
-    return u
-
-
-def van_der_pol_errors(rec, splitting: str, dts, uref, T: float = _EX1_T):
-    """(dt, max-norm error) pairs; dt is adjusted so an integer number of
-    steps lands exactly on T."""
-    sys_, u0 = spatial.make_problem(spatial.VAN_DER_POL, splitting=splitting)
-    build = analysis.ifrk_general_builder(rec)
-    out = []
-    for dt in dts:
-        n = round(T / dt)
-        dta = T / n
-        u = integrate(build(sys_, dta), u0, n)
-        out.append((dta, float(np.abs(u - uref).max())))
-    return out
 
 
 def run_ex1(cfg: Dict[str, str], outdir: str) -> List[str]:

@@ -166,9 +166,18 @@ def van_der_pol_splitting(which: str):
     return L, N
 
 
+def van_der_pol_rhs(x, y):
+    """Unsplit right-hand side (u1', u2') of the van der Pol system at
+    (x, y), on Python floats or NumPy scalars: their float64 arithmetic
+    is the same, so both give the same bits."""
+    # x ** 2 (libm pow), not x * x: they differ in the last bit for some x,
+    # and the ex1 reference is pinned to the bits of pow
+    return y, -x + (1.0 - x ** 2) * y
+
+
 def van_der_pol_full(u):
     """Unsplit right-hand side of the van der Pol system."""
-    return np.array([u[1], -u[0] + (1.0 - u[0] ** 2) * u[1]])
+    return np.array(van_der_pol_rhs(u[0], u[1]))
 
 
 def make_problem(kind: str, a: float = 0.0, n: int = 1000, splitting: str = "a"):

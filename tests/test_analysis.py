@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sspint import analysis, methods
+from sspint import analysis, cli, methods, spatial
 from sspint.analysis import (
     TvTrace,
     convergence_slope,
@@ -19,6 +21,7 @@ from sspint.analysis import (
     tv_trace,
 )
 from sspint.errors import NonFinite
+from sspint.integrators import rk_step, shu_osher_form
 from sspint.spatial import (
     ADVECTION_BURGERS_SMOOTH,
     ADVECTION_BURGERS_STEP,
@@ -249,3 +252,80 @@ def test_lambda_sweep_blowups_read_inf():
     assert [r.max_rise for r in recs] == want
     assert want[1] == want[3] == np.inf
     assert np.isfinite(want[0]) and np.isfinite(want[2])
+
+
+def _bits(u) -> bytes:
+    return np.asarray(u, dtype=float).tobytes()
+
+
+def _rk_step_run(so, u0, dt, n_steps):
+    """(steps completed, state, NonFinite message or None) of n_steps of
+    rk_step on the van der Pol 2-vector."""
+    u = np.array(u0, dtype=float)
+    with np.errstate(all="ignore"):  # a blow-up overflows NumPy scalars
+        for k in range(n_steps):
+            try:
+                u = rk_step(so, spatial.van_der_pol_full, u, dt)
+            except NonFinite as e:
+                return k, u, str(e)
+    return n_steps, u, None
+
+
+def _rk2_run(so, u0, dt, n_steps):
+    try:
+        return _bits(analysis._rk2_steps(so, spatial.van_der_pol_rhs, u0, dt, n_steps))
+    except NonFinite as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("name", methods.method_names())
+def test_two_float_steps_equal_rk_step_bitwise(name):
+    so = shu_osher_form(methods.get(name))
+    _, want, _ = _rk_step_run(so, (2.0, 0.0), 1e-2, 200)
+    assert _rk2_run(so, (2.0, 0.0), 1e-2, 200) == _bits(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=st.floats(-3.0, 3.0), y=st.floats(-3.0, 3.0),
+       dt=st.floats(0.0, 0.05, exclude_min=True),
+       name=st.sampled_from(methods.method_names()))
+def test_two_float_steps_match_rk_step_from_any_start(x, y, dt, name):
+    so = shu_osher_form(methods.get(name))
+    _, want, msg = _rk_step_run(so, (x, y), dt, 20)
+    assert _rk2_run(so, (x, y), dt, 20) == (msg or _bits(want))
+
+
+@pytest.mark.parametrize("name", methods.method_names())
+def test_two_float_steps_raise_on_rk_steps_stage(name):
+    # from (3, 3) every registry method blows up within a few steps at
+    # one of these dt; both paths must raise on the same step and stage
+    so = shu_osher_form(methods.get(name))
+    for dt in (0.5, 1.0, 2.0):
+        k, u, msg = _rk_step_run(so, (3.0, 3.0), dt, 50)
+        if msg is not None:
+            break
+    assert msg is not None
+    assert _rk2_run(so, (3.0, 3.0), dt, k) == _bits(u)
+    with pytest.raises(NonFinite, match=re.escape(msg)):
+        analysis._rk2_steps(so, spatial.van_der_pol_rhs, (3.0, 3.0), dt, k + 1)
+
+
+@pytest.mark.parametrize("u0", [(1e200, 0.0), (1e200, 1.0)])
+def test_two_float_steps_treat_an_overflowing_rhs_as_rk_step_does(u0):
+    # x ** 2 raises OverflowError on Python floats and gives inf on NumPy
+    # scalars; either way the first stage using that slope is non-finite
+    so = shu_osher_form(methods.get("eSSPRK(10,4)"))
+    with pytest.raises(OverflowError):
+        spatial.van_der_pol_rhs(*u0)
+    k, _, msg = _rk_step_run(so, u0, 1e-2, 1)
+    assert (k, msg) == (0, "stage 1 contains NaN or Inf")
+    assert _rk2_run(so, u0, 1e-2, 1) == msg
+
+
+def test_van_der_pol_reference_is_pinned():
+    # the ex1 reference, bitwise as rk_step computed it; sspint.cli
+    # re-exports it (run ex1 and perfbench look it up there)
+    u = analysis.van_der_pol_reference()
+    assert [float(v).hex() for v in u] == ["0x1.d674c41aa053cp+0", "-0x1.11ad0ec0f45fep-1"]
+    assert cli.van_der_pol_reference is analysis.van_der_pol_reference
+    assert cli.van_der_pol_errors is analysis.van_der_pol_errors
