@@ -7,9 +7,10 @@ Usage (from the repository root):
     python3 bench/layers.py --against DIR [--quick] [--out FILE]
 
 Each layer is timed with ``time.perf_counter``; the reported figure is
-the median of k repeats (k = 5, or 1 with ``--quick``, which finishes in
-under 30 s).  ``--src`` imports sspint from another checkout's ``src``
-directory, so one script times two commits on the same machine.  A layer
+the median of k repeats, and ``best_s`` their minimum (k = 5, or 3 with
+``--quick``, which finishes in under 40 s).  ``--src`` imports sspint
+from another checkout's ``src`` directory, so one script times two
+commits on the same machine.  A layer
 that the imported package cannot run (a function it lacks, or a batch it
 does not compute row by row) is recorded as ``null``.  With ``--out`` the
 run is merged into that JSON file under ``runs[label]``, beside the
@@ -18,13 +19,18 @@ machine facts; without it the run is printed.  A full run (not
 ``--src`` (``python -m pytest -q --continue-on-collection-errors`` there,
 with that ``src`` on ``PYTHONPATH``): its wall time and summary line.
 
-``--against DIR`` times two checkouts in alternating rounds: each round
-runs a ``--quick`` child process for ``DIR`` (recorded as ``parent``) and
-one for ``--src`` (recorded under ``--label``), swapping which goes first
-every round, so machine drift falls on both sides alike.  Each layer then
-reports the median over ``ROUNDS`` = 5 rounds of the per-round figures,
-which are kept as ``samples_s``; without ``--quick`` the tier-1 suite of
-each checkout is recorded once after the rounds.
+``--against DIR`` times two checkouts in rotating rounds: each round runs
+a ``--quick`` child process for ``DIR`` (recorded as ``parent``), one for
+``--src`` (recorded under ``--label``) and a second one for ``--src``,
+rotating which goes first every round, so machine drift falls on every
+side alike.  A round's figure is a child's best of its 3 repeats; each
+layer reports the median over ``ROUNDS`` = 6 rounds, with the per-round
+figures kept as ``samples_s``.  The ``--label`` run also records, per
+layer, ``vs_parent``: its median over the parent's (``ratio``) beside the
+second ``--src`` child's median over its own (``identical_code_ratio``),
+the spread of the harness on code that did not change.  Without
+``--quick`` the tier-1 suite of each checkout is recorded once after the
+rounds.
 
 Layers (n = 1000 linear-advection step, 10 steps, eSSPRK+(5,4), a = 10,
 unless stated):
@@ -34,8 +40,10 @@ unless stated):
   ``analysis.prescan_bracket`` runs it as its own ``observed_tvd_lambda``
   did: ``max_tv_rise`` one lambda at a time up to the crossing.
 - ``observed_tvd_lambda``: the full search (pre-scan plus bisection).
-- ``run_table6``: ``sspint run table6`` at its default config, in-process
-  through ``cli.main`` with stdout suppressed.
+- ``run_table6`` / ``run_table7``: ``sspint run table6`` and ``table7`` at
+  their default config, in-process through ``cli.main`` with stdout
+  suppressed.
+- ``tv_trace``: ``tv_trace`` at lambda = 1.5, the stage TVs of one run.
 - ``ifrk_step``: one integrating-factor step on physical values.
 - ``ifrk_step_spectral_k50``: one step of the 50-lambda pre-scan batch on
   real-FFT coefficients.
@@ -48,8 +56,12 @@ unless stated):
   the n = 400 advection-Burgers step (a = 10, lambda = 1).
 - ``lambda_sweep_burgers``: ex4's default sweep of eSSPRK+(5,4): 40
   lambdas over [0.05, 2], 25 steps, on that problem.
+- ``rk_step_burgers_k10``: one plain-RK step of eSSPRK(10,4), as
+  ``rk_builder`` steps it, of the first 10-row batch of ex4's sweep on
+  that problem (lambda = 0.05 to 0.5).
 - ``van_der_pol_rk_step``: one ``rk_step`` of eSSPRK(10,4) on the van der
-  Pol right-hand side at dt = 1e-5, the step of ex1's reference solve.
+  Pol right-hand side at dt = 1e-5 (the step of ex1's reference solve,
+  which no longer calls it), its plan included.
 - ``van_der_pol_reference``: that whole solve, ``cli.van_der_pol_reference``
   (50 000 steps to T = 0.5).
 - ``make_plan_batch``: ``make_plan`` of eSSPRK+(6,4) for the first
@@ -86,8 +98,9 @@ OPTIMIZER_CASES = ((3, 2), (3, 3), (4, 3), (5, 3))
 BURGERS_N = 400
 BURGERS_STEPS = 25
 BURGERS_LAMBDAS = (0.05, 2.0, 40)
-#: alternating rounds of ``--against``.
-ROUNDS = 5
+#: rotating rounds of ``--against``: a multiple of its 3 children, so
+#: each runs first, second and third equally often.
+ROUNDS = 6
 
 
 def _median_time(fn, repeats, inner=1):
@@ -97,8 +110,8 @@ def _median_time(fn, repeats, inner=1):
         for _ in range(inner):
             fn()
         samples.append((time.perf_counter() - start) / inner)
-    return {"median_s": statistics.median(samples), "repeats": repeats,
-            "samples_s": samples}
+    return {"median_s": statistics.median(samples), "best_s": min(samples),
+            "repeats": repeats, "samples_s": samples}
 
 
 def layers(quick):
@@ -109,7 +122,7 @@ def layers(quick):
     from sspint.optimizer import OptimizationSpec, optimize
     from sspint.ssp_radius import observed_l2_cfl
 
-    k = 1 if quick else 5
+    k = 3 if quick else 5
     rec = methods.get(METHOD)
     hi = 1.5 * rec.claimed_C + 0.75
     sys_, u0 = spatial.make_problem(spatial.LINEAR_ADVECTION_STEP, a=A, n=N)
@@ -125,18 +138,21 @@ def layers(quick):
                 return lam
         return None
 
-    def table6():
+    def run(experiment):
         with tempfile.TemporaryDirectory() as out, \
                 contextlib.redirect_stdout(io.StringIO()):
-            if cli.main(["run", "table6", "--out", out]) != 0:
-                raise RuntimeError("sspint run table6 failed")
+            if cli.main(["run", experiment, "--out", out]) != 0:
+                raise RuntimeError(f"sspint run {experiment} failed")
 
     plan = make_plan(rec, sys_, 1.5 * sys_.dx)
     out = {
         "prescan": _median_time(prescan, k),
         "observed_tvd_lambda": _median_time(
             lambda: analysis.observed_tvd_lambda(build, sys_, u0, hi, STEPS), k),
-        "run_table6": _median_time(table6, k),
+        "run_table6": _median_time(lambda: run("table6"), k),
+        "run_table7": _median_time(lambda: run("table7"), k),
+        "tv_trace": _median_time(
+            lambda: analysis.tv_trace(build, sys_, u0, 1.5, STEPS), k),
         "ifrk_step": _median_time(lambda: ifrk_step(plan, sys_, u0), k, 200),
         "ifrk_step_spectral_k50": None,
         "l2cfl_circulant": None,
@@ -176,8 +192,9 @@ def layers(quick):
 
 def burgers_layers(k):
     """The WENO5 right-hand side, one Burgers step, ex4's sweep of
-    eSSPRK+(5,4), one step of the van der Pol reference solve and the whole
-    solve, the plans of ex4 and ex1, their exponentials and one SSP radius."""
+    eSSPRK+(5,4), one plain-RK step of an ex4 batch, one step of the van der
+    Pol reference solve and the whole solve, the plans of ex4 and ex1, their
+    exponentials and one SSP radius."""
     import numpy as np
 
     from sspint import analysis, cli, methods, spatial
@@ -199,6 +216,8 @@ def burgers_layers(k):
     classic54 = methods.get("eSSPRK(5,4)")
     so54 = shu_osher_form(classic54)
     vdp_sys, _ = spatial.make_problem(spatial.VAN_DER_POL, splitting="a")
+    rk_batch = analysis.rk_builder(vdp)(sys_, lams * sys_.dx)
+    u0_batch = np.tile(u0, (len(lams), 1))
     out = {
         "weno5_rhs": _median_time(lambda: spatial.weno5_burgers_rhs(grid, u0), k, 200),
         "weno5_rhs_k10": None,
@@ -207,6 +226,7 @@ def burgers_layers(k):
             lambda: analysis.lambda_sweep(analysis.ifrk_builder(rec), sys_, u0,
                                           np.linspace(*BURGERS_LAMBDAS), BURGERS_STEPS),
             k),
+        "rk_step_burgers_k10": _median_time(lambda: rk_batch(u0_batch, None, 0), k, 20),
         "van_der_pol_rk_step": _median_time(
             lambda: rk_step(vdp, spatial.van_der_pol_full, np.array([2.0, 0.0]), 1e-5),
             k, 2000),
@@ -226,13 +246,13 @@ def burgers_layers(k):
 
 
 def alternating(src, against, label):
-    """Per-layer medians of quick child runs of two checkouts over rounds
-    that alternate which checkout runs first."""
-    sides = {"parent": against, label: src}
+    """Per-layer medians, over rounds that rotate which child runs first,
+    of each quick child's best time: the parent, --src, and --src again."""
+    sides = {"parent": against, label: src, "identical": src}
     samples = {name: [] for name in sides}
     for r in range(ROUNDS):
-        order = list(sides) if r % 2 == 0 else list(sides)[::-1]
-        for name in order:
+        names = list(sides)
+        for name in names[r % 3:] + names[:r % 3]:
             proc = subprocess.run(
                 [sys.executable, os.path.abspath(__file__), "--quick",
                  "--src", sides[name], "--label", name],
@@ -245,11 +265,17 @@ def alternating(src, against, label):
             if first is None:
                 merged[layer] = None
                 continue
-            times = [g["layers"][layer]["median_s"] for g in got]
+            times = [g["layers"][layer]["best_s"] for g in got]
             merged[layer] = dict(first, median_s=statistics.median(times),
-                                 repeats=ROUNDS, samples_s=times)
+                                 best_s=min(times), repeats=ROUNDS, samples_s=times)
         runs[name] = {"src_lines": got[0]["src_lines"], "rounds": ROUNDS,
                       "layers": merged}
+    again = runs.pop("identical")["layers"]
+    runs[label]["vs_parent"] = {
+        layer: {"ratio": m["median_s"] / runs["parent"]["layers"][layer]["median_s"],
+                "identical_code_ratio": again[layer]["median_s"] / m["median_s"]}
+        for layer, m in runs[label]["layers"].items()
+        if m is not None and runs["parent"]["layers"].get(layer) is not None}
     return runs
 
 

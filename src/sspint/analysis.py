@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,9 +28,10 @@ from .integrators import (
     integrate,
     make_general_plan,
     make_plan,
-    rk_step,
+    rk_plan,
     shu_osher_form,
     spectral,
+    step,
 )
 from .methods import MethodRecord
 from .ssp_radius import _bisect
@@ -58,16 +60,19 @@ BATCH_ELEMENTS = 4096
 StepperBuilder = Callable[[SemiDiscretization, float], Callable]
 
 
-def _plan_builder(plan_for) -> StepperBuilder:
+def _plan_builder(plan_for, rhs=None) -> StepperBuilder:
+    """A builder stepping ``plan_for(sys, dt)``, made once per (sys, dt):
+    an integrating-factor plan through ``ifrk_step``, which also steps the
+    spectral form, or, given the right-hand side ``rhs(sys)``, a plain-RK
+    plan on physical values."""
+
     def build(sys: SemiDiscretization, dt: float):
         plan = plan_for(sys, dt)
+        if rhs is None:
+            return partial(ifrk_step, plan, sys)
+        return partial(step, plan, rhs(sys))
 
-        def step(u, obs, k):
-            return ifrk_step(plan, sys, u, obs, k)
-
-        return step
-
-    build.batches = build.spectral = True
+    build.batches, build.spectral = True, rhs is None
     return build
 
 
@@ -88,18 +93,8 @@ def rk_builder(method: MethodRecord) -> StepperBuilder:
     """Stepper builder applying the method as a plain Runge-Kutta scheme
     to the combined right-hand side L u + N(u)."""
     so = shu_osher_form(method)
-
-    def build(sys: SemiDiscretization, dt: float):
-        def F(u):
-            return sys.L @ u + sys.N(u)
-
-        def step(u, obs, k):
-            return rk_step(so, F, u, dt, obs, k)
-
-        return step
-
-    build.batches = True
-    return build
+    return _plan_builder(lambda sys, dt: rk_plan(so, dt),
+                         lambda sys: lambda u: sys.L @ u + sys.N(u))
 
 
 def total_variation(u: np.ndarray):
@@ -138,39 +133,33 @@ class SweepRecord:
     log10_rise: float
 
 
-def tv_trace(
-    build: StepperBuilder,
-    sys: SemiDiscretization,
-    u0: np.ndarray,
-    lam: float,
-    n_steps: int,
-) -> TvTrace:
+def tv_trace(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
+             lam: float, n_steps: int) -> TvTrace:
     """Run n_steps at dt = lam * dx and record the TV of every stage."""
-    return _trace(build(sys, lam * sys.dx), u0, n_steps)
+    return TvTrace(tuple(_stage_tvs(build(sys, lam * sys.dx), u0, n_steps, sys.n)))
 
 
-def _trace(step, u0: np.ndarray, n_steps: int) -> TvTrace:
-    values: List[float] = []
-    integrate(step, u0, n_steps, lambda k, i, u: values.append(total_variation(u)))
-    return TvTrace(tuple(values))
+def _stage_tvs(stepper, u: np.ndarray, n_steps: int, n: int) -> np.ndarray:
+    """The TV of every stage of n_steps from u, in observation order, one
+    column per row of a (k, n) batch.  Complex u holds real-FFT
+    coefficients of n points; each stage is observed by one batched irfft."""
+    values = []
+
+    def obs(k, i, v):
+        values.append(total_variation(np.fft.irfft(v, n) if np.iscomplexobj(v) else v))
+
+    integrate(stepper, u, n_steps, obs)
+    return np.array(values)
 
 
-def max_tv_rise(
-    build: StepperBuilder,
-    sys: SemiDiscretization,
-    u0: np.ndarray,
-    lam: float,
-    n_steps: int,
-) -> float:
+def max_tv_rise(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
+                lam: float, n_steps: int) -> float:
     """Maximal TV increase over consecutive observed stages (including
-    step boundaries), clamped at 0; a non-finite run counts as +inf."""
+    step boundaries), clamped at 0; a non-finite run counts as +inf, and a
+    non-finite operator raises.  ``max_tv_rises`` of one lambda."""
     if lam == 0.0:
         return 0.0
-    step = build(sys, lam * sys.dx)  # a non-finite operator raises: not a rise
-    try:
-        return _trace(step, u0, n_steps).max_rise
-    except NonFinite:
-        return float("inf")
+    return float(max_tv_rises(build, sys, u0, [lam], n_steps, physical=True)[0])
 
 
 def _batch_system(build: StepperBuilder, sys: SemiDiscretization,
@@ -187,25 +176,20 @@ def _rise_chunks(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
                  lams: np.ndarray, n_steps: int, physical: bool):
     """(start, rises) for consecutive chunks of lams, lazily: as many
     lambdas as fit in BATCH_ELEMENTS stepped as one batch when build can
-    (see ``max_tv_rises``), else one lambda per chunk."""
+    (see ``max_tv_rises``), else one lambda per chunk on physical values."""
     batch = _batch_system(build, sys, physical)
     size = max(1, BATCH_ELEMENTS // sys.n) if batch else 1
     for start in range(0, len(lams), size):
         part = lams[start:start + size]
         if batch is None:
-            yield start, np.array([max_tv_rise(build, sys, u0, part[0], n_steps)])
-            continue
-        values = []
-
-        def obs(k, i, u):
-            values.append(total_variation(u if physical else np.fft.irfft(u, sys.n)))
-
-        step = build(batch, part[:, None] * sys.dx)  # as in max_tv_rise
-        try:
+            stepper, u = build(sys, part[0] * sys.dx), u0
+        else:
+            stepper = build(batch, part[:, None] * sys.dx)
             # one C-order row per lambda, so every stage is in C order too
             u = np.tile(u0 if physical else np.fft.rfft(u0), (len(part), 1))
-            integrate(step, u, n_steps, obs)
-            rises = [TvTrace(tuple(v)).max_rise for v in np.transpose(values)]
+        try:  # a non-finite operator raised above: not a rise
+            tvs = _stage_tvs(stepper, u, n_steps, sys.n).T.reshape(len(part), -1)
+            rises = [TvTrace(tuple(v)).max_rise for v in tvs]
         except NonFinite:
             rises = np.inf if len(part) == 1 else np.concatenate(
                 [max_tv_rises(build, sys, u0, [lam], n_steps, physical) for lam in part])
@@ -307,10 +291,12 @@ def convergence_slope(errors: Sequence[Tuple[float, float]]) -> float:
 def _rk2_steps(so: ShuOsherForm, rhs: Callable[[float, float], Tuple[float, float]],
                u0, dt: float, n_steps: int) -> Tuple[float, float]:
     """n_steps of ``rk_step(so, F, u, dt)``, F(u) = rhs(u[0], u[1]), on two
-    Python floats: rk_step's operations in rk_step's order, so its bits and
-    its ``NonFinite``, without NumPy's per-call cost on 2-vectors.  An
-    OverflowError of rhs (Python's float power, where NumPy's gives inf)
-    makes that slope NaN, so the first stage using it raises as there."""
+    Python floats: the plan loop's products and sums in its order (a zero
+    alpha gives 0.0 where the loop's 0 * u^(j) adds to the same bits), so
+    its bits and its ``NonFinite``, without NumPy's per-call cost on
+    2-vectors.  An OverflowError of rhs (Python's float power, where
+    NumPy's gives inf) makes that slope NaN, so the first stage using it
+    raises as there."""
     rows = [None] + [[(j, a, dt * b if b != 0.0 else None) for j, a, b in terms]
                      for terms in so.terms]
     explicit = so.explicit
@@ -343,10 +329,13 @@ def _rk2_steps(so: ShuOsherForm, rhs: Callable[[float, float], Tuple[float, floa
 
 def van_der_pol_reference(dt: float = 1e-5, T: float = VAN_DER_POL_T) -> np.ndarray:
     """High-resolution plain Runge-Kutta reference solution at time T:
-    eSSPRK(10,4) from (2, 0), stepped on two floats (``_rk2_steps``)."""
+    eSSPRK(10,4) from (2, 0), n = max(1, round(T / dt)) steps of T / n,
+    stepped on two floats (``_rk2_steps``)."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    n = max(1, round(T / dt))
     so = shu_osher_form(methods.get("eSSPRK(10,4)"))
-    return np.array(_rk2_steps(so, spatial.van_der_pol_rhs, (2.0, 0.0), dt,
-                               round(T / dt)))
+    return np.array(_rk2_steps(so, spatial.van_der_pol_rhs, (2.0, 0.0), T / n, n))
 
 
 def van_der_pol_errors(rec, splitting: str, dts, uref, T: float = VAN_DER_POL_T):

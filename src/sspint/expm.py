@@ -176,6 +176,6 @@ class ExpCache:
 
 
 def build_cache(L, dt: float, gaps) -> ExpCache:
-    """The cache of a ``make_plan`` plan: one exponential per gap its rows
-    apply."""
+    """The cache of an integrating-factor plan (``make_plan`` or
+    ``make_general_plan``): one exponential per gap its rows apply."""
     return ExpCache(L, dt, gaps)

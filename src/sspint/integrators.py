@@ -1,4 +1,5 @@
-"""Time steppers: plain Shu-Osher Runge-Kutta and integrating-factor RK.
+"""Time steppers: one Shu-Osher stage loop, for integrating-factor RK and
+for plain RK, which is the same step with every abscissa at 1.
 
 The integrating-factor step evaluates
 
@@ -10,12 +11,13 @@ the (expensive) exponential is applied.  The same loop runs on physical
 values or, for a ``spectral`` system, on real-FFT coefficients.  With a
 ``Circulant`` L, a plan with a column of step sizes advances a batch, one
 row per step size, in either form; ``rk_step`` takes such a column too.
-Both steppers evaluate the explicit term once per stage that uses it.
+The loop evaluates the explicit term once per stage that uses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -63,7 +65,8 @@ def spectral(sys: SemiDiscretization) -> Optional[SemiDiscretization]:
 
 @dataclass(frozen=True)
 class StepPlan:
-    """An integrating-factor method bound to an operator and step size.
+    """An integrating-factor method bound to an operator and step size
+    (a plain Runge-Kutta method bound to a step size, see ``rk_plan``).
 
     ``rows[i-1]`` holds Shu-Osher row i as (gap, terms) pairs: its
     nonzero (j, alpha_ij, beta_ij) grouped by the quantized abscissa gap
@@ -74,12 +77,15 @@ class StepPlan:
 
     rows: tuple
     explicit: tuple
-    cache: ExpCache
+    cache: ExpCache | _Identity
 
 
-def _step_plan(so: ShuOsherForm, c, cache, tol: float = 0.0) -> StepPlan:
+def _step_plan(so: ShuOsherForm, c, dt, cache, tol: float = 0.0) -> StepPlan:
     """The one place gaps are decided: a gap no lower than -tol counts as
-    0, and ``cache(gaps)`` gets exactly the gaps the rows use."""
+    0, and ``cache(dt, gaps)`` gets exactly the gaps the rows use.  dt is a
+    step size or a column of them, each nonnegative."""
+    if np.any(np.asarray(dt) < 0):
+        raise ValueError("dt must be nonnegative")
     ceff = np.append(c, 1.0)
     rows = []
     for i, terms in enumerate(so.terms, 1):
@@ -89,7 +95,8 @@ def _step_plan(so: ShuOsherForm, c, cache, tol: float = 0.0) -> StepPlan:
             g = quantize_gap(0.0 if -tol <= g < 0 else g)
             groups.setdefault(g, []).append((j, a, b))
         rows.append(tuple((g, tuple(t)) for g, t in groups.items()))
-    return StepPlan(tuple(rows), so.explicit, cache({g for row in rows for g, _ in row}))
+    return StepPlan(tuple(rows), so.explicit,
+                    cache(dt, {g for row in rows for g, _ in row}))
 
 
 def shu_osher_form(method: MethodRecord | ShuOsherForm) -> ShuOsherForm:
@@ -109,16 +116,33 @@ def make_plan(method: MethodRecord, sys: SemiDiscretization, dt: float) -> StepP
             f"{method.name} has decreasing abscissas; integrating-factor "
             "plans require non-decreasing abscissas"
         )
-    return _step_plan(shu_osher_form(method), method.tableau.c,
-                      lambda gaps: build_cache(sys.L, dt, gaps), ABSCISSA_TOL)
+    return _step_plan(shu_osher_form(method), method.tableau.c, dt,
+                      partial(build_cache, sys.L), ABSCISSA_TOL)
 
 
 def make_general_plan(so: ShuOsherForm, c, sys, dt: float) -> StepPlan:
     """An IFRK plan for arbitrary abscissa ordering: the counterexample
     path showing why decreasing abscissas break the SSP property, so
-    negative gaps keep their sign.  Its cache is built directly, so the
-    ``build_cache`` calls count the plans of ``make_plan`` alone."""
-    return _step_plan(so, c, lambda gaps: ExpCache(sys.L, dt, gaps))
+    negative gaps keep their sign."""
+    return _step_plan(so, c, dt, partial(build_cache, sys.L))
+
+
+class _Identity:
+    """The cache of a plan whose gaps are all 0: e^(0 dt L) = I, applied
+    as the vector itself, with no exponential and no FFT."""
+
+    def __init__(self, dt, gaps):
+        self.dt = dt
+
+    def apply(self, g: float, u: np.ndarray) -> np.ndarray:
+        return u
+
+
+def rk_plan(method: MethodRecord | ShuOsherForm, dt: float | np.ndarray) -> StepPlan:
+    """A plain Runge-Kutta method as a plan: every abscissa at 1, so each
+    row is one group at gap 0 and the cache is the identity."""
+    so = shu_osher_form(method)
+    return _step_plan(so, np.ones(so.stages), dt, _Identity)
 
 
 def _state(u) -> np.ndarray:
@@ -131,51 +155,15 @@ def _check_finite(u: np.ndarray, what: str):
         raise NonFinite(f"{what} contains NaN or Inf")
 
 
-def rk_step(
-    method: MethodRecord | ShuOsherForm,
-    F: Callable[[np.ndarray], np.ndarray],
-    u: np.ndarray,
-    dt: float | np.ndarray,
-    obs: Optional[StageObserver] = None,
-    step_index: int = 0,
-) -> np.ndarray:
-    """One explicit Runge-Kutta step in Shu-Osher form.
-
-    F is evaluated once per stage, when the stage is formed, and only for
-    stages whose beta column has a nonzero entry.  dt is a step size, or a
-    column of step sizes for a (k, n) batch u, one row per step size."""
-    if np.any(dt < 0):
-        raise ValueError("dt must be nonnegative")
-    so = shu_osher_form(method)
-    u = np.asarray(u, dtype=float)
-    stages, slopes = [u], [F(u) if so.explicit[0] else None]
-    for i, terms in enumerate(so.terms, 1):
-        acc = np.zeros_like(u)
-        for j, a, b in terms:
-            term = a * stages[j] if a != 0.0 else 0.0
-            if b != 0.0:
-                term = term + dt * b * slopes[j]
-            acc = acc + term
-        _check_finite(acc, f"stage {i}")
-        stages.append(acc)
-        if obs is not None:
-            obs(step_index, i, acc)
-        slopes.append(F(acc) if so.explicit[i] else None)
-    return stages[-1]
-
-
-def ifrk_step(
-    plan: StepPlan,
-    sys: SemiDiscretization,
-    u: np.ndarray,
-    obs: Optional[StageObserver] = None,
-    step_index: int = 0,
-) -> np.ndarray:
-    """One integrating-factor Runge-Kutta step using the plan's cache; N
-    is evaluated once per stage whose explicit term the plan uses."""
+def step(plan: StepPlan, N: Callable[[np.ndarray], np.ndarray], u: np.ndarray,
+         obs: Optional[StageObserver] = None, step_index: int = 0) -> np.ndarray:
+    """One step of a plan, the one Shu-Osher stage loop: each row applies
+    the exponential of every gap to the sum of that gap's terms
+    alpha u^(j) + dt beta N(u^(j)).  N is evaluated once per stage whose
+    explicit term the plan uses, when the stage is formed."""
     dt = plan.cache.dt
     u = _state(u)
-    stages, slopes = [u], [sys.N(u) if plan.explicit[0] else None]
+    stages, slopes = [u], [N(u) if plan.explicit[0] else None]
     for i, groups in enumerate(plan.rows, 1):
         acc = np.zeros_like(u)
         for g, terms in groups:
@@ -190,8 +178,23 @@ def ifrk_step(
         stages.append(acc)
         if obs is not None:
             obs(step_index, i, acc)
-        slopes.append(sys.N(acc) if plan.explicit[i] else None)
+        slopes.append(N(acc) if plan.explicit[i] else None)
     return stages[-1]
+
+
+def rk_step(method: MethodRecord | ShuOsherForm, F: Callable[[np.ndarray], np.ndarray],
+            u: np.ndarray, dt: float | np.ndarray, obs: Optional[StageObserver] = None,
+            step_index: int = 0) -> np.ndarray:
+    """One explicit Runge-Kutta step of u' = F(u): a step of ``rk_plan``.
+    dt is a step size, or a column of step sizes for a (k, n) batch u, one
+    row per step size."""
+    return step(rk_plan(method, dt), F, u, obs, step_index)
+
+
+def ifrk_step(plan: StepPlan, sys: SemiDiscretization, u: np.ndarray,
+              obs: Optional[StageObserver] = None, step_index: int = 0) -> np.ndarray:
+    """One integrating-factor Runge-Kutta step of a plan for sys."""
+    return step(plan, sys.N, u, obs, step_index)
 
 
 def ifrk_step_general(

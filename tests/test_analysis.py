@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sspint import analysis, cli, methods, spatial
+from sspint import analysis, cli, integrators, methods, spatial
 from sspint.analysis import (
     TvTrace,
     convergence_slope,
@@ -114,6 +114,18 @@ def test_plain_rk_builder_smoke():
     assert max_tv_rise(build, sys_, u0, 0.5, 3) <= 1e-10
 
 
+def test_plain_rk_builder_plans_once_per_build(monkeypatch):
+    # stepping through rk_step would rebuild the plan on every step
+    plans = []
+    step_plan = integrators._step_plan
+    monkeypatch.setattr(integrators, "_step_plan",
+                        lambda *args: plans.append(args) or step_plan(*args))
+    sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=1.0, n=64)
+    stepper = rk_builder(methods.get("eSSPRK(3,3)"))(sys_, 0.5 * sys_.dx)
+    integrators.integrate(stepper, u0, 10)
+    assert len(plans) == 1
+
+
 def test_convergence_slope():
     dts = [0.1, 0.05, 0.025, 0.0125]
     assert convergence_slope([(d, d**2) for d in dts]) == pytest.approx(2.0)
@@ -167,19 +179,22 @@ def test_nonfinite_operator_is_an_error_not_a_rise(problem):
         max_tv_rises(build, sys_, u0, [0.1, 0.2], 3)
 
 
+def _one_lambda(build):
+    """build without its batch forms: one 1-D run per lambda, the
+    reference every batched rise is compared against."""
+    return lambda s, dt: build(s, dt)
+
+
 def test_chunked_prescan_matches_single_chunk_and_physical(monkeypatch):
     rec = methods.get("eSSPRK+(4,3)")
     sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=10.0, n=64)
     build = ifrk_builder(rec)
-
-    def physical(s, dt):  # a plain builder: no batches, one lambda at a time
-        return build(s, dt)
-
     found = {}
     for label, elements in (("chunks of 3", 3 * 64), ("one chunk", 10**9)):
         monkeypatch.setattr(analysis, "BATCH_ELEMENTS", elements)
         found[label] = observed_tvd_lambda(build, sys_, u0, 2.5, 5).lambda_obs
-    found["physical"] = observed_tvd_lambda(physical, sys_, u0, 2.5, 5).lambda_obs
+    found["physical"] = observed_tvd_lambda(
+        _one_lambda(build), sys_, u0, 2.5, 5).lambda_obs
     assert len(set(found.values())) == 1, found
     assert 1.0 < found["physical"] < 2.5
 
@@ -234,7 +249,7 @@ def test_lambda_sweep_matches_per_lambda_bitwise(stepper, name, problem, n, a,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "BATCH_ELEMENTS", rows_per_chunk * n)
         recs = lambda_sweep(build, sys_, u0, lams, 3)
-    want = [max_tv_rise(build, sys_, u0, lam, 3) for lam in lams]
+    want = [max_tv_rise(_one_lambda(build), sys_, u0, lam, 3) for lam in lams]
     assert [r.lam for r in recs] == lams
     assert [r.max_rise for r in recs] == want
     assert [r.log10_rise for r in recs] == [
@@ -248,7 +263,7 @@ def test_lambda_sweep_blowups_read_inf():
     build = rk_builder(methods.get("eSSPRK(10,4)"))
     lams = [0.3, 1.3, 0.5, 2.0]
     recs = lambda_sweep(build, sys_, u0, lams, 3)
-    want = [max_tv_rise(build, sys_, u0, lam, 3) for lam in lams]
+    want = [max_tv_rise(_one_lambda(build), sys_, u0, lam, 3) for lam in lams]
     assert [r.max_rise for r in recs] == want
     assert want[1] == want[3] == np.inf
     assert np.isfinite(want[0]) and np.isfinite(want[2])
@@ -329,3 +344,15 @@ def test_van_der_pol_reference_is_pinned():
     assert [float(v).hex() for v in u] == ["0x1.d674c41aa053cp+0", "-0x1.11ad0ec0f45fep-1"]
     assert cli.van_der_pol_reference is analysis.van_der_pol_reference
     assert cli.van_der_pol_errors is analysis.van_der_pol_errors
+
+
+def test_van_der_pol_reference_lands_on_T():
+    # n = max(1, round(T / dt)) steps of T / n; a dt that does not divide T
+    # once ended at another time, and a negative one returned (2, 0)
+    so = shu_osher_form(methods.get("eSSPRK(10,4)"))
+    for dt, T, n in ((0.3, 0.5, 2), (2.0, 0.5, 1)):
+        want = analysis._rk2_steps(so, spatial.van_der_pol_rhs, (2.0, 0.0), T / n, n)
+        assert _bits(analysis.van_der_pol_reference(dt, T)) == _bits(want)
+    for dt in (-0.1, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            analysis.van_der_pol_reference(dt)

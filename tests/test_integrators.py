@@ -7,7 +7,7 @@ import pytest
 from sspint import methods
 from sspint.analysis import ifrk_builder, max_tv_rise, rk_builder, total_variation
 from sspint.errors import NegativeGap, NonFinite
-from sspint.expm import expm, required_gaps
+from sspint.expm import build_cache, expm, required_gaps
 from sspint.integrators import (
     SemiDiscretization,
     ifrk_step,
@@ -15,6 +15,7 @@ from sspint.integrators import (
     integrate,
     make_general_plan,
     make_plan,
+    rk_plan,
     rk_step,
     shu_osher_form,
 )
@@ -37,6 +38,39 @@ def test_rk_step_nonfinite_detection():
     rec = methods.get("eSSPRK(2,2)")
     with pytest.raises(NonFinite):
         rk_step(rec, lambda v: v * np.inf, np.array([1.0]), 0.1)
+
+
+def test_every_plan_rejects_a_negative_step():
+    # make_plan once stepped eSSPRK+(3,3) backward in time without an error
+    sys_, _ = make_problem(LINEAR_ADVECTION_STEP, a=1.0, n=64)
+    plus, classic = methods.get("eSSPRK+(3,3)"), methods.get("eSSPRK(3,3)")
+    so, c = shu_osher_form(classic), classic.tableau.c
+    for dt in (-0.01, np.array([[0.01], [-0.01]])):
+        for plan in (lambda: make_plan(plus, sys_, dt),
+                     lambda: make_general_plan(so, c, sys_, dt),
+                     lambda: rk_plan(classic, dt)):
+            with pytest.raises(ValueError, match="dt must be nonnegative"):
+                plan()
+
+
+def test_rk_plan_is_one_group_at_gap_zero_with_an_identity_cache():
+    plan = rk_plan(methods.get("eSSPRK(10,4)"), 0.1)
+    assert all(len(row) == 1 and row[0][0] == 0.0 for row in plan.rows)
+    u = np.arange(5.0)
+    assert plan.cache.apply(0.0, u) is u
+
+
+def test_every_ifrk_plan_builds_its_cache_through_build_cache(monkeypatch):
+    # the one constructor a tracer counts, for general plans too
+    integrators = importlib.import_module("sspint.integrators")
+    built = []
+    monkeypatch.setattr(integrators, "build_cache",
+                        lambda *args: built.append(args) or build_cache(*args))
+    sys_, _ = make_problem(LINEAR_ADVECTION_STEP, a=1.0, n=64)
+    classic = methods.get("eSSPRK(3,3)")
+    make_general_plan(shu_osher_form(classic), classic.tableau.c, sys_, 0.01)
+    make_plan(methods.get("eSSPRK+(3,3)"), sys_, 0.01)
+    assert len(built) == 2
 
 
 def test_make_plan_rejects_decreasing_abscissas():
@@ -255,11 +289,13 @@ def test_ifrk_step_evaluates_N_once_per_used_stage(name, calls):
 
 
 @pytest.mark.parametrize("name, calls", [
-    ("eSSPRK(10,4)", 10), ("eSSPRK+(5,4)", 5), ("eSSPRK(3,3)", 3),
+    # F runs once per stage whose beta column has a nonzero entry
+    (name, int(np.count_nonzero(shu_osher_form(methods.get(name)).beta.any(axis=0))))
+    for name in methods.method_names()
 ])
 def test_rk_step_evaluates_F_once_per_used_stage(name, calls):
     # bitwise equal to the loop evaluating F at every nonzero beta entry
-    rec = methods.get(name)
+    so = shu_osher_form(methods.get(name))
     sys_, u0 = make_problem(ADVECTION_BURGERS_STEP, a=10.0, n=64)
 
     def F(u):
@@ -267,9 +303,9 @@ def test_rk_step_evaluates_F_once_per_used_stage(name, calls):
 
     seen = []
     dt = 0.4 * sys_.dx
-    got = rk_step(rec, _counting(F, seen), u0, dt)
+    got = rk_step(so, _counting(F, seen), u0, dt)
     assert len(seen) == calls
-    assert np.array_equal(got, _rk_step_per_entry(rec.shu_osher, F, u0, dt))
+    assert np.array_equal(got, _rk_step_per_entry(so, F, u0, dt))
 
 
 @pytest.mark.parametrize("name", ["eSSPRK(10,4)", "eSSPRK+(5,4)"])
