@@ -8,11 +8,10 @@ Usage (from the repository root):
 
 Each layer is timed with ``time.perf_counter``; the reported figure is
 the median of k repeats, and ``best_s`` their minimum (k = 5, or 3 with
-``--quick``, which finishes in under 40 s).  ``--src`` imports sspint
-from another checkout's ``src`` directory, so one script times two
-commits on the same machine.  A layer
-that the imported package cannot run (a function it lacks, or a batch it
-does not compute row by row) is recorded as ``null``.  With ``--out`` the
+``--quick``).  ``--src`` imports sspint from another checkout's ``src``
+directory, so one script times two commits on the same machine; that
+package must have the batched pre-scan, the spectral system, the
+circulant L2 probe and the batched WENO5 right-hand side.  With ``--out`` the
 run is merged into that JSON file under ``runs[label]``, beside the
 machine facts; without it the run is printed.  A full run (not
 ``--quick``) also records the tier-1 suite of the checkout that holds
@@ -36,13 +35,12 @@ Layers (n = 1000 linear-advection step, 10 steps, eSSPRK+(5,4), a = 10,
 unless stated):
 
 - ``prescan``: the 50-point pre-scan of ``observed_tvd_lambda`` up to
-  the chunk holding the first 1e-10 crossing.  A package without
-  ``analysis.prescan_bracket`` runs it as its own ``observed_tvd_lambda``
-  did: ``max_tv_rise`` one lambda at a time up to the crossing.
+  the chunk holding the first 1e-10 crossing.
 - ``observed_tvd_lambda``: the full search (pre-scan plus bisection).
-- ``run_table6`` / ``run_table7``: ``sspint run table6`` and ``table7`` at
-  their default config, in-process through ``cli.main`` with stdout
-  suppressed.
+- ``run_ex1``, ``run_ex4``, ``run_fig1``, ``run_table6``, ``run_table7``
+  and ``run_table8``: ``sspint run`` of ex1, ex4, fig1, table6, table7 and
+  table8-partial at their default config, in-process through ``cli.main``
+  with stdout suppressed.
 - ``tv_trace``: ``tv_trace`` at lambda = 1.5, the stage TVs of one run.
 - ``ifrk_step``: one integrating-factor step on physical values.
 - ``ifrk_step_spectral_k50``: one step of the 50-lambda pre-scan batch on
@@ -128,16 +126,6 @@ def layers(quick):
     sys_, u0 = spatial.make_problem(spatial.LINEAR_ADVECTION_STEP, a=A, n=N)
     build = analysis.ifrk_builder(rec)
 
-    def prescan():
-        if hasattr(analysis, "prescan_bracket"):
-            return analysis.prescan_bracket(build, sys_, u0, hi, STEPS)
-        grid = np.linspace(hi / analysis.PRESCAN_POINTS, hi,
-                           analysis.PRESCAN_POINTS)
-        for lam in grid:
-            if analysis.max_tv_rise(build, sys_, u0, lam, STEPS) > 1e-10:
-                return lam
-        return None
-
     def run(experiment):
         with tempfile.TemporaryDirectory() as out, \
                 contextlib.redirect_stdout(io.StringIO()):
@@ -145,41 +133,37 @@ def layers(quick):
                 raise RuntimeError(f"sspint run {experiment} failed")
 
     plan = make_plan(rec, sys_, 1.5 * sys_.dx)
+    spec = integrators.spectral(sys_)
+    lams = np.linspace(hi / 50, hi, 50)
+    batch = make_plan(rec, spec, lams[:, None] * sys_.dx)
+    uh0 = np.broadcast_to(np.fft.rfft(u0), (50, N // 2 + 1))
     out = {
-        "prescan": _median_time(prescan, k),
+        "prescan": _median_time(
+            lambda: analysis.prescan_bracket(build, sys_, u0, hi, STEPS), k),
         "observed_tvd_lambda": _median_time(
             lambda: analysis.observed_tvd_lambda(build, sys_, u0, hi, STEPS), k),
+        "run_ex1": _median_time(lambda: run("ex1"), k),
+        "run_ex4": _median_time(lambda: run("ex4"), k),
+        "run_fig1": _median_time(lambda: run("fig1"), k),
         "run_table6": _median_time(lambda: run("table6"), k),
         "run_table7": _median_time(lambda: run("table7"), k),
+        "run_table8": _median_time(lambda: run("table8-partial"), k),
         "tv_trace": _median_time(
             lambda: analysis.tv_trace(build, sys_, u0, 1.5, STEPS), k),
         "ifrk_step": _median_time(lambda: ifrk_step(plan, sys_, u0), k, 200),
-        "ifrk_step_spectral_k50": None,
-        "l2cfl_circulant": None,
+        "ifrk_step_spectral_k50": _median_time(
+            lambda: ifrk_step(batch, spec, uh0), k, 20),
     }
-    if hasattr(integrators, "spectral"):
-        spec = integrators.spectral(sys_)
-        lams = np.linspace(hi / 50, hi, 50)
-        batch = make_plan(rec, spec, lams[:, None] * sys_.dx)
-        uh0 = np.broadcast_to(np.fft.rfft(u0), (50, N // 2 + 1))
-        out["ifrk_step_spectral_k50"] = _median_time(
-            lambda: ifrk_step(batch, spec, uh0), k, 20)
-
     out.update(burgers_layers(k))
 
     t33 = methods.get("eSSPRK(3,3)").tableau
     grid = spatial.Grid1D(N)
     dense = spatial.upwind_matrix(grid, 11.0) * grid.dx
+    circ = spatial.upwind_operator(grid, 11.0 * grid.dx)
     out["l2cfl_dense"] = _median_time(
         lambda: observed_l2_cfl(t33, dense, 0.2, 500, seed=0), k)
-    circ = spatial.upwind_operator(grid, 11.0 * grid.dx)
-    try:
-        observed_l2_cfl(t33, circ, 0.2, 1, seed=0)
-    except TypeError:  # the package applies M only as a dense array
-        pass
-    else:
-        out["l2cfl_circulant"] = _median_time(
-            lambda: observed_l2_cfl(t33, circ, 0.2, 500, seed=0), k)
+    out["l2cfl_circulant"] = _median_time(
+        lambda: observed_l2_cfl(t33, circ, 0.2, 500, seed=0), k)
 
     for s, p in OPTIMIZER_CASES:
         spec = OptimizationSpec(s, p, require_nondecreasing=True, restarts=10, seed=0)
@@ -207,7 +191,6 @@ def burgers_layers(k):
                                     n=BURGERS_N)
     grid = spatial.Grid1D(BURGERS_N)
     rows = np.random.default_rng(0).standard_normal((10, BURGERS_N))
-    batch = spatial.weno5_burgers_rhs(grid, rows)
     rec = methods.get(METHOD)
     plan = make_plan(rec, sys_, sys_.dx)
     vdp = methods.get("eSSPRK(10,4)")
@@ -220,7 +203,8 @@ def burgers_layers(k):
     u0_batch = np.tile(u0, (len(lams), 1))
     out = {
         "weno5_rhs": _median_time(lambda: spatial.weno5_burgers_rhs(grid, u0), k, 200),
-        "weno5_rhs_k10": None,
+        "weno5_rhs_k10": _median_time(
+            lambda: spatial.weno5_burgers_rhs(grid, rows), k, 50),
         "burgers_ifrk_step": _median_time(lambda: ifrk_step(plan, sys_, u0), k, 50),
         "lambda_sweep_burgers": _median_time(
             lambda: analysis.lambda_sweep(analysis.ifrk_builder(rec), sys_, u0,
@@ -238,10 +222,6 @@ def burgers_layers(k):
         "expm": _median_time(lambda: expm(0.02 * vdp_sys.L), k, 2000),
         "ssp_radius": _median_time(lambda: ssp_radius(plus64.tableau), k, 20),
     }
-    if all(np.array_equal(spatial.weno5_burgers_rhs(grid, r), b)
-           for r, b in zip(rows, batch)):
-        out["weno5_rhs_k10"] = _median_time(
-            lambda: spatial.weno5_burgers_rhs(grid, rows), k, 50)
     return out
 
 
@@ -262,9 +242,6 @@ def alternating(src, against, label):
     for name, got in samples.items():
         merged = {}
         for layer, first in got[0]["layers"].items():
-            if first is None:
-                merged[layer] = None
-                continue
             times = [g["layers"][layer]["best_s"] for g in got]
             merged[layer] = dict(first, median_s=statistics.median(times),
                                  best_s=min(times), repeats=ROUNDS, samples_s=times)
@@ -274,8 +251,7 @@ def alternating(src, against, label):
     runs[label]["vs_parent"] = {
         layer: {"ratio": m["median_s"] / runs["parent"]["layers"][layer]["median_s"],
                 "identical_code_ratio": again[layer]["median_s"] / m["median_s"]}
-        for layer, m in runs[label]["layers"].items()
-        if m is not None and runs["parent"]["layers"].get(layer) is not None}
+        for layer, m in runs[label]["layers"].items()}
     return runs
 
 

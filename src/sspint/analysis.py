@@ -331,21 +331,27 @@ def van_der_pol_reference(dt: float = 1e-5, T: float = VAN_DER_POL_T) -> np.ndar
     """High-resolution plain Runge-Kutta reference solution at time T:
     eSSPRK(10,4) from (2, 0), n = max(1, round(T / dt)) steps of T / n,
     stepped on two floats (``_rk2_steps``)."""
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    n = max(1, round(T / dt))
+    n = _steps_to(T, dt)
     so = shu_osher_form(methods.get("eSSPRK(10,4)"))
     return np.array(_rk2_steps(so, spatial.van_der_pol_rhs, (2.0, 0.0), T / n, n))
 
 
+def _steps_to(T: float, dt: float) -> int:
+    """n = max(1, round(T / dt)), the step count of a step size dt that
+    is positive and finite."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    return max(1, round(T / dt))
+
+
 def van_der_pol_errors(rec, splitting: str, dts, uref, T: float = VAN_DER_POL_T):
-    """(dt, max-norm error) pairs; dt is adjusted so an integer number of
-    steps lands exactly on T."""
+    """(dt, max-norm error) pairs; each dt is adjusted to T / n, with the
+    reference's step count n = max(1, round(T / dt))."""
     sys_, u0 = spatial.make_problem(spatial.VAN_DER_POL, splitting=splitting)
     build = ifrk_general_builder(rec)
     out = []
     for dt in dts:
-        n = round(T / dt)
+        n = _steps_to(T, dt)
         dta = T / n
         u = integrate(build(sys_, dta), u0, n)
         out.append((dta, float(np.abs(u - uref).max())))

@@ -130,6 +130,8 @@ def _merged_config(args, experiment: str) -> Dict[str, str]:
             f"(allowed: {', '.join(sorted(allowed))})"
         )
     _check_values(cfg)
+    if experiment in ("ex4", "fig1") and len(_floats(cfg.get("a", "10"))) != 1:
+        raise ConfigError(f"{experiment} takes one wavespeed, got {cfg['a']!r}")
     return cfg
 
 
@@ -155,6 +157,8 @@ def _check_values(cfg: Dict[str, str]):
                           f"3 distinct step counts, got {cfg['dts']!r}")
     if not {x.strip() for x in cfg.get("splittings", "a").split(",")} <= {"a", "b"}:
         raise ConfigError(f"splittings must be a and/or b, got {cfg['splittings']!r}")
+    if cfg.get("with_opt", "no").lower() not in ("true", "false", "1", "0", "yes", "no"):
+        raise ConfigError(f"with_opt must be true/false/1/0/yes/no, got {cfg['with_opt']!r}")
 
 
 def split_method_names(text: str) -> List[str]:

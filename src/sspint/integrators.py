@@ -25,13 +25,7 @@ import numpy as np
 from .errors import NegativeGap, NonFinite
 from .expm import Circulant, ExpCache, build_cache, quantize_gap
 from .methods import MethodRecord
-from .ssp_radius import ssp_radius
-from .tableau import (
-    ABSCISSA_TOL,
-    ShuOsherForm,
-    abscissas_nondecreasing,
-    butcher_to_canonical_shu_osher,
-)
+from .tableau import ABSCISSA_TOL, ShuOsherForm, abscissas_nondecreasing
 
 StageObserver = Callable[[int, int, np.ndarray], None]
 """Callback (step index, stage index, stage vector); stage 0 of step 0 is
@@ -100,12 +94,9 @@ def _step_plan(so: ShuOsherForm, c, dt, cache, tol: float = 0.0) -> StepPlan:
 
 
 def shu_osher_form(method: MethodRecord | ShuOsherForm) -> ShuOsherForm:
-    """The stored Shu-Osher form, or the canonical one at the SSP radius
-    for records without one (every optimizer output)."""
-    if not isinstance(method, MethodRecord):
-        return method
-    t = method.tableau
-    return method.shu_osher or butcher_to_canonical_shu_osher(t, ssp_radius(t).radius)
+    """The form a method steps: a record's ``shu_osher_form``, derived at
+    most once per record, or the given form."""
+    return method.shu_osher_form if isinstance(method, MethodRecord) else method
 
 
 def make_plan(method: MethodRecord, sys: SemiDiscretization, dt: float) -> StepPlan:

@@ -10,6 +10,7 @@ Runge-Kutta stepping and for the decreasing-abscissa counterexample.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import UnknownMethod
@@ -18,6 +19,7 @@ from .tableau import (
     ButcherTableau,
     ShuOsherForm,
     abscissas_nondecreasing,
+    butcher_to_canonical_shu_osher,
     order_residuals,
     shu_osher_to_butcher,
 )
@@ -49,6 +51,13 @@ class MethodRecord:
     @property
     def nondecreasing(self) -> bool:
         return abscissas_nondecreasing(self.tableau)
+
+    @cached_property
+    def shu_osher_form(self) -> ShuOsherForm:
+        """The stored Shu-Osher form, or else (every optimizer output) the
+        canonical one at the SSP radius, derived once per record."""
+        t = self.tableau
+        return self.shu_osher or butcher_to_canonical_shu_osher(t, ssp_radius(t).radius)
 
 
 def _record(name, order, alpha, beta, claimed_C, family, citation):

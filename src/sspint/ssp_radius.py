@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -30,7 +31,6 @@ class CanonicalShuOsher:
 @dataclass(frozen=True)
 class RadiusResult:
     radius: float
-    feasible_form: CanonicalShuOsher
     bisection_width: float
 
 
@@ -44,15 +44,19 @@ def _stacked(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def canonical_form(t: ButcherTableau, r: float) -> CanonicalShuOsher:
-    """Compute v = (I + rS)^(-1) e and P = r (I + rS)^(-1) S."""
+    """v = (I + rS)^(-1) e and P = r (I + rS)^(-1) S from one inverse R of
+    M = I + rS, guarded as np.linalg.cond(M, 1) = ||M||_1 ||R||_1 is: a
+    failed or NaN inverse counts as singular unless M itself holds NaN."""
     S = _stacked(t.A, t.b)
     M = np.eye(S.shape[0]) + r * S
-    if np.linalg.cond(M, 1) > _COND_LIMIT:
+    try:
+        R = np.linalg.inv(M)
+    except np.linalg.LinAlgError:  # an exactly zero pivot in LAPACK's LU
+        R = np.full_like(M, np.nan)
+    cond = np.linalg.norm(M, 1) * np.linalg.norm(R, 1)
+    if cond > _COND_LIMIT or (np.isnan(cond) and not np.isnan(M).any()):
         raise SingularTransform(f"(I + rS) is numerically singular at r = {r}")
-    R = np.linalg.inv(M)
-    v = R @ np.ones(S.shape[0])
-    P = r * (R @ S)
-    return CanonicalShuOsher(r=r, v=v, P=P, S=S)
+    return CanonicalShuOsher(r=r, v=R @ np.ones(S.shape[0]), P=r * (R @ S), S=S)
 
 
 def is_absolutely_monotonic(t: ButcherTableau, r: float, tol: float = NONNEG_TOL) -> bool:
@@ -77,12 +81,8 @@ def _bisect(holds, lo: float, hi: float, width: float):
 def ssp_radius(t: ButcherTableau, width: float = 1e-10) -> RadiusResult:
     """SSP coefficient by bisection on absolute monotonicity over [0, 2s]."""
     hi = 2.0 * t.stages
-    if not is_absolutely_monotonic(t, 0.0):
-        return RadiusResult(0.0, canonical_form(t, 0.0), width)
-    if is_absolutely_monotonic(t, hi):
-        return RadiusResult(hi, canonical_form(t, hi), width)
-    lo = _bisect(lambda r: is_absolutely_monotonic(t, r), 0.0, hi, width)[0]
-    return RadiusResult(lo, canonical_form(t, lo), width)
+    holds = partial(is_absolutely_monotonic, t)
+    return RadiusResult(hi if holds(hi) else _bisect(holds, 0.0, hi, width)[0], width)
 
 
 def observed_l2_cfl(

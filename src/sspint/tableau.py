@@ -61,6 +61,8 @@ class ButcherTableau:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
+        if not all(np.isfinite(x).all() for x in (A, b, c)):
+            raise ValueError("A, b and c must be finite")
         s = len(b)
         if A.shape != (s, s):
             raise ValueError(f"A must be {s}x{s}, got {A.shape}")
@@ -255,34 +257,13 @@ def shu_osher_to_butcher(so: ShuOsherForm, name: str = "", order: int = 1) -> Bu
 
 
 def butcher_to_canonical_shu_osher(t: ButcherTableau, r: float) -> ShuOsherForm:
-    """Canonical Shu-Osher form at parameter r.
-
-    Uses the transform P = r (I + rS)^(-1) S, v = (I + rS)^(-1) e over the
-    stacked stage matrix S = [[A, 0], [b^T, 0]].  When r is at most the SSP
-    radius, the resulting (alpha, beta) pair is componentwise nonnegative.
-    """
+    """Canonical Shu-Osher form at parameter r: alpha is the strictly lower
+    part of P = r (I + rS)^(-1) S with v = (I + rS)^(-1) e added to column
+    0, beta that of P / r, or of S = [[A, 0], [b^T, 0]] at r = 0, where P
+    vanishes.  For r up to the SSP radius the pair is nonnegative."""
     from .ssp_radius import canonical_form  # local import to avoid a cycle
 
     can = canonical_form(t, r)
-    s = t.stages
-    alpha = np.zeros((s + 1, s + 1))
-    beta = np.zeros((s + 1, s + 1))
-    v, P = can.v, can.P
-    for i in range(1, s + 1):
-        alpha[i, 0] = v[i] + P[i, 0]
-        if r > 0:
-            beta[i, 0] = P[i, 0] / r
-        for j in range(1, i):
-            alpha[i, j] = P[i, j]
-            if r > 0:
-                beta[i, j] = P[i, j] / r
-    if r == 0:
-        # P vanishes at r = 0; use the trivial form alpha[i,0] = 1 with
-        # beta rows taken straight from the Butcher coefficients.
-        rows = np.vstack([t.A, t.b])
-        alpha[:] = 0.0
-        beta[:] = 0.0
-        for i in range(1, s + 1):
-            alpha[i, 0] = 1.0
-            beta[i, :i] = rows[i, :i]
-    return ShuOsherForm(alpha=alpha, beta=beta)
+    alpha = np.tril(can.P if r else np.zeros_like(can.P), -1)
+    alpha[1:, 0] += can.v[1:]
+    return ShuOsherForm(alpha=alpha, beta=np.tril(can.P / r if r else can.S, -1))

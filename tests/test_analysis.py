@@ -356,3 +356,16 @@ def test_van_der_pol_reference_lands_on_T():
     for dt in (-0.1, 0.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             analysis.van_der_pol_reference(dt)
+
+
+def test_van_der_pol_errors_share_the_reference_step_rule():
+    # a dt above 2T once took round(T / dt) = 0 steps (ZeroDivisionError),
+    # NaN failed to convert to a step count and a negative dt reached the plan
+    rec, uref = methods.get("eSSPRK+(3,3)"), np.array([2.0, 0.0])
+    [(dta, err)] = analysis.van_der_pol_errors(rec, "a", [2.0], uref)
+    sys_, u0 = make_problem(spatial.VAN_DER_POL, splitting="a")
+    u = integrators.integrate(ifrk_general_builder(rec)(sys_, 0.5), u0, 1)
+    assert dta == analysis.VAN_DER_POL_T and err == float(np.abs(u - uref).max())
+    for dt in (np.nan, -0.3, 0.0, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            analysis.van_der_pol_errors(rec, "a", [dt], uref)

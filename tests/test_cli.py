@@ -134,6 +134,11 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     ("lambdas=0:inf:4\n", ["run", "fig1"]),
     (None, ["sweep", "--method", "eSSPRK+(3,3)", "--lambdas=-inf:1:3"]),
     (None, ["run", "fig1", "--lambdas", "0.1:inf:3"]),
+    (None, ["run", "table8-partial", "--with-opt", "maybe"]),
+    ("with_opt=on\n", ["run", "table8-partial"]),
+    (None, ["run", "ex4", "--a", "5,10"]),
+    ("a=1,2\n", ["run", "fig1"]),
+    (None, ["run", "ex4", "--a", ""]),
 ])
 def test_cli_bad_values_exit_one_with_one_line(tmp_path, capsys, monkeypatch,
                                                config, argv):

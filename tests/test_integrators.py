@@ -218,34 +218,32 @@ def test_integrate_zero_steps_returns_initial_state():
 
 
 def test_shu_osher_form_resolved_once_per_build(monkeypatch):
-    # optimizer outputs carry no Shu-Osher form; it is derived from the
-    # SSP radius once per builder or plan, not once per step
+    # optimizer outputs carry no Shu-Osher form; each record derives it
+    # from the SSP radius once, however many builders, plans or steps use it
+    sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=1.0, n=64)
+    dt = 0.5 * sys_.dx
+    rec = dataclasses.replace(methods.get("eSSPRK(3,3)"), shu_osher=None)
+    plus = dataclasses.replace(methods.get("eSSPRK+(3,3)"), shu_osher=None)
     calls = []
-    radius_module = importlib.import_module("sspint.ssp_radius")
-    radius = radius_module.ssp_radius
+    radius = methods.ssp_radius
 
     def counting(t, *args, **kwargs):
         calls.append(t)
         return radius(t, *args, **kwargs)
 
-    monkeypatch.setattr(radius_module, "ssp_radius", counting)
-    monkeypatch.setattr(importlib.import_module("sspint.integrators"),
-                        "ssp_radius", counting, raising=False)
-    sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=1.0, n=64)
-    dt = 0.5 * sys_.dx
-
-    rec = dataclasses.replace(methods.get("eSSPRK(3,3)"), shu_osher=None)
+    monkeypatch.setattr(methods, "ssp_radius", counting)
     u = integrate(rk_builder(rec)(sys_, dt), u0, 10)
-    assert len(calls) == 1
+    assert np.array_equal(integrate(rk_builder(rec)(sys_, dt), u0, 10), u)
     v = u0
     for _ in range(10):
         v = rk_step(rec, lambda w: sys_.L @ w + sys_.N(w), v, dt)
     assert np.array_equal(u, v)
+    assert calls == [rec.tableau]
 
     calls.clear()
-    plus = dataclasses.replace(methods.get("eSSPRK+(3,3)"), shu_osher=None)
     integrate(ifrk_builder(plus)(sys_, dt), u0, 10)
-    assert len(calls) == 1
+    integrate(rk_builder(plus)(sys_, dt), u0, 10)
+    assert calls == [plus.tableau]
 
 
 def _rk_step_per_entry(so, F, u, dt):

@@ -1,9 +1,13 @@
+import dataclasses
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sspint import methods
+from sspint.errors import SingularTransform
 from sspint.expm import Circulant
 from sspint.integrators import rk_step
 from sspint.spatial import Grid1D, upwind_matrix
@@ -36,6 +40,90 @@ def test_canonical_form_nonnegative_at_radius():
     can = canonical_form(t, 1.0)
     assert can.v.min() >= -1e-12
     assert can.P.min() >= -1e-12
+
+
+#: every registry radius, pinned bitwise.
+REGISTRY_RADII = {
+    "eSSPRK(10,4)": 5.999999999985448,
+    "eSSPRK(2,2)": 1.0,
+    "eSSPRK(3,3)": 0.9999999999417923,
+    "eSSPRK(4,3)": 2.0,
+    "eSSPRK(5,4)": 1.5081800491316244,
+    "eSSPRK+(10,2)": 8.999999999941792,
+    "eSSPRK+(2,2)": 1.0,
+    "eSSPRK+(3,2)": 1.9999999999708962,
+    "eSSPRK+(3,3)": 0.75,
+    "eSSPRK+(4,2)": 3.0,
+    "eSSPRK+(4,3)": 1.8181818181765266,
+    "eSSPRK+(5,2)": 3.9999999999417923,
+    "eSSPRK+(5,4)": 1.3465864172758302,
+    "eSSPRK+(6,2)": 4.999999999970896,
+    "eSSPRK+(6,4)": 2.273802749288734,
+    "eSSPRK+(7,2)": 5.99999999996362,
+    "eSSPRK+(8,2)": 7.0,
+    "eSSPRK+(9,2)": 7.999999999949068,
+    "eSSPRK+(9,3)": 5.999999999978172,
+}
+
+
+def test_registry_radii_pinned():
+    got = {name: ssp_radius(methods.get(name).tableau).radius
+           for name in methods.method_names()}
+    assert got == REGISTRY_RADII
+
+
+def test_canonical_form_inverts_once(monkeypatch):
+    inverses = []
+    inv = np.linalg.inv
+
+    def counting(M):
+        inverses.append(M)
+        return inv(M)
+
+    def no_cond(*args):
+        raise AssertionError("np.linalg.cond inverts a second time")
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    monkeypatch.setattr(np.linalg, "cond", no_cond)
+    can = canonical_form(methods.get("eSSPRK+(5,4)").tableau, 1.0)
+    assert len(inverses) == 1
+    assert np.array_equal(can.v, inv(inverses[0]) @ np.ones(6))
+
+
+def test_canonical_form_singular_guard():
+    # ||M||_1 ||M^-1||_1 passes 1e14 between r = 1e2 and 1e3
+    t = methods.get("eSSPRK(10,4)").tableau
+    canonical_form(t, 1e2)
+    with pytest.raises(SingularTransform):
+        canonical_form(t, 1e3)
+
+
+def test_canonical_form_exactly_singular_pivot_is_singular_transform(monkeypatch):
+    # LAPACK's LU reports an exactly zero pivot for some unit lower
+    # triangular matrices with entries near 1e3; np.linalg.cond(M, 1)
+    # reads that as an infinite condition number
+    def zero_pivot(M):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", zero_pivot)
+    with pytest.raises(SingularTransform):
+        canonical_form(methods.get("eSSPRK(3,3)").tableau, 1.0)
+
+
+def test_ssp_radius_probes_build_no_other_form(monkeypatch):
+    # one form per bisection probe and no r = 0 probe or final form
+    forms, probes = [], []
+    radius_module = importlib.import_module("sspint.ssp_radius")
+    build, probe = radius_module.canonical_form, radius_module.is_absolutely_monotonic
+    monkeypatch.setattr(radius_module, "canonical_form",
+                        lambda t, r: forms.append(r) or build(t, r))
+    monkeypatch.setattr(radius_module, "is_absolutely_monotonic",
+                        lambda t, r: probes.append(r) or probe(t, r))
+    t = methods.get("eSSPRK+(4,3)").tableau
+    rr = ssp_radius(t)
+    assert forms == probes and 0.0 not in probes
+    assert probes[0] == 2.0 * t.stages and len(probes) == 1 + 37
+    assert [f.name for f in dataclasses.fields(rr)] == ["radius", "bisection_width"]
 
 
 def test_monotonicity_fails_past_radius():

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from sspint import methods
+from sspint.ssp_radius import canonical_form, ssp_radius
 from sspint.tableau import (
     ButcherTableau,
     ShuOsherForm,
@@ -45,6 +48,18 @@ def test_tableau_rejects_inconsistent_c():
     A = np.array([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
         ButcherTableau.from_arrays(A, [0.5, 0.5], c=[0.0, 0.5])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tableau_rejects_nonfinite_entries(bad):
+    cases = [([[0, 0], [bad, 0]], [0.5, 0.5], [0, bad]),
+             ([[0, 0], [1, 0]], [bad, 0.5], None),
+             ([[0, 0], [1, 0]], [0.5, 0.5], [0, bad])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for A, b, c in cases:
+            with pytest.raises(ValueError, match="finite"):
+                ButcherTableau.from_arrays(A, b, c=c)
 
 
 def test_tableau_c_defaults_to_row_sums():
@@ -105,6 +120,45 @@ def test_canonical_round_trip_at_radius():
         t2 = shu_osher_to_butcher(so)
         assert np.allclose(t.A, t2.A, atol=1e-10)
         assert np.allclose(t.b, t2.b, atol=1e-10)
+
+
+def _canonical_by_entries(t, r):
+    """Reference: the canonical (alpha, beta) written entry by entry; at
+    r = 0, alpha[i,0] = 1 and the beta rows are the Butcher rows."""
+    can = canonical_form(t, r)
+    s = t.stages
+    alpha = np.zeros((s + 1, s + 1))
+    beta = np.zeros((s + 1, s + 1))
+    if r == 0:
+        rows = np.vstack([t.A, t.b])
+        for i in range(1, s + 1):
+            alpha[i, 0] = 1.0
+            beta[i, :i] = rows[i, :i]
+        return alpha, beta
+    for i in range(1, s + 1):
+        alpha[i, 0] = can.v[i] + can.P[i, 0]
+        beta[i, 0] = can.P[i, 0] / r
+        for j in range(1, i):
+            alpha[i, j] = can.P[i, j]
+            beta[i, j] = can.P[i, j] / r
+    return alpha, beta
+
+
+#: negative entries off column 0, so C = 0, and at r = 0 the reference's
+#: alpha holds +0.0 where 0 * S is -0.0.
+NEGATIVE = ButcherTableau.from_arrays([[0, 0, 0], [0.5, 0, 0], [1.5, -0.5, 0]],
+                                      [0.5, 0.75, -0.25], name="negative")
+
+
+@pytest.mark.parametrize("name", methods.method_names() + ["negative"])
+def test_canonical_form_matches_entrywise_reference_bitwise(name):
+    t = NEGATIVE if name == "negative" else methods.get(name).tableau
+    C = ssp_radius(t).radius
+    for r in (0.0, C / 2, C, 2 * C):
+        so = butcher_to_canonical_shu_osher(t, r)
+        alpha, beta = _canonical_by_entries(t, r)
+        assert so.alpha.tobytes() == alpha.tobytes(), (name, r)
+        assert so.beta.tobytes() == beta.tobytes(), (name, r)
 
 
 def test_canonical_round_trip_r_zero():
