@@ -37,14 +37,18 @@ unless stated):
 - ``prescan``: the 50-point pre-scan of ``observed_tvd_lambda`` up to
   the chunk holding the first 1e-10 crossing.
 - ``observed_tvd_lambda``: the full search (pre-scan plus bisection).
+- ``rises_spectral_k4``: one 4-lambda batch of that pre-scan (its first
+  four grid points) on real-FFT coefficients, as ``prescan_bracket`` runs
+  it: ``max_tv_rises`` of those lambdas.
 - ``run_ex1``, ``run_ex4``, ``run_fig1``, ``run_table6``, ``run_table7``
   and ``run_table8``: ``sspint run`` of ex1, ex4, fig1, table6, table7 and
   table8-partial at their default config, in-process through ``cli.main``
   with stdout suppressed.
 - ``tv_trace``: ``tv_trace`` at lambda = 1.5, the stage TVs of one run.
 - ``ifrk_step``: one integrating-factor step on physical values.
-- ``ifrk_step_spectral_k50``: one step of the 50-lambda pre-scan batch on
-  real-FFT coefficients.
+- ``ifrk_step_spectral_k50``: one ``ifrk_step`` of the 50-lambda pre-scan
+  batch on real-FFT coefficients (the stage loop a spectral build runs
+  once, for its stage gains).
 - ``l2cfl_dense`` / ``l2cfl_circulant``: ``observed_l2_cfl`` of
   eSSPRK(3,3) (wavespeed 11 at unit spacing, lambda <= 0.2, 500 steps,
   seed 0) on the dense matrix and on the circulant operator.
@@ -142,6 +146,8 @@ def layers(quick):
             lambda: analysis.prescan_bracket(build, sys_, u0, hi, STEPS), k),
         "observed_tvd_lambda": _median_time(
             lambda: analysis.observed_tvd_lambda(build, sys_, u0, hi, STEPS), k),
+        "rises_spectral_k4": _median_time(
+            lambda: analysis.max_tv_rises(build, sys_, u0, lams[:4], STEPS), k, 20),
         "run_ex1": _median_time(lambda: run("ex1"), k),
         "run_ex4": _median_time(lambda: run("ex4"), k),
         "run_fig1": _median_time(lambda: run("fig1"), k),

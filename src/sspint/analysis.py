@@ -5,9 +5,9 @@ A "stepper builder" is a callable ``build(sys, dt)`` returning a one-step
 map ``step(u, obs, k)``; this keeps the measurement layer independent of
 whether the step is plain Runge-Kutta or integrating-factor.  A builder
 with ``batches`` set also steps a (k, n) batch of physical rows with a
-column of step sizes when ``sys.L`` is a ``Circulant``; one with
-``spectral`` set steps the ``spectral`` form of a system the same way.
-``max_tv_rises`` uses either to run lambdas in batches.
+column of step sizes when ``sys.L`` is a ``Circulant``; on the
+``spectral`` form of a system it returns the map from a batch to its stage
+``gains``.  ``max_tv_rises`` uses either to run lambdas in batches.
 """
 
 from __future__ import annotations
@@ -21,9 +21,11 @@ import numpy as np
 
 from . import methods, spatial
 from .errors import NonFinite
-from .expm import Circulant
+from .expm import Circulant, Spectral
 from .integrators import (
     SemiDiscretization,
+    _check_finite,
+    gains,
     ifrk_step,
     integrate,
     make_general_plan,
@@ -62,17 +64,19 @@ StepperBuilder = Callable[[SemiDiscretization, float], Callable]
 
 def _plan_builder(plan_for, rhs=None) -> StepperBuilder:
     """A builder stepping ``plan_for(sys, dt)``, made once per (sys, dt):
-    an integrating-factor plan through ``ifrk_step``, which also steps the
-    spectral form, or, given the right-hand side ``rhs(sys)``, a plain-RK
-    plan on physical values."""
+    an integrating-factor plan through ``ifrk_step`` or, given the
+    right-hand side ``rhs(sys)``, a plain-RK plan; on a spectral system,
+    where both are multiplications, either as its stage gains."""
 
     def build(sys: SemiDiscretization, dt: float):
         plan = plan_for(sys, dt)
+        if isinstance(sys.L, Spectral):
+            return partial(gains, plan, sys.N if rhs is None else rhs(sys))
         if rhs is None:
             return partial(ifrk_step, plan, sys)
         return partial(step, plan, rhs(sys))
 
-    build.batches, build.spectral = True, rhs is None
+    build.batches = True
     return build
 
 
@@ -142,14 +146,19 @@ def tv_trace(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
 def _stage_tvs(stepper, u: np.ndarray, n_steps: int, n: int) -> np.ndarray:
     """The TV of every stage of n_steps from u, in observation order, one
     column per row of a (k, n) batch.  Complex u holds real-FFT
-    coefficients of n points; each stage is observed by one batched irfft."""
-    values = []
-
-    def obs(k, i, v):
-        values.append(total_variation(np.fft.irfft(v, n) if np.iscomplexobj(v) else v))
-
-    integrate(stepper, u, n_steps, obs)
-    return np.array(values)
+    coefficients of n points and stepper maps it to its stage ``gains``: a
+    step is one multiply, observed by one batched irfft and one TV."""
+    if not np.iscomplexobj(u):
+        values = []
+        integrate(stepper, u, n_steps, lambda k, i, v: values.append(total_variation(v)))
+        return np.array(values)
+    G, values = stepper(u), [total_variation(np.fft.irfft(u, n))[None]]
+    for _ in range(n_steps):
+        V = G * u
+        _check_finite(V, "a stage")
+        values.append(total_variation(np.fft.irfft(V, n)))
+        u = V[-1]
+    return np.concatenate(values)
 
 
 def max_tv_rise(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
@@ -166,10 +175,9 @@ def _batch_system(build: StepperBuilder, sys: SemiDiscretization,
                   physical: bool) -> Optional[SemiDiscretization]:
     """The system a batch of lambdas steps: sys itself (physical rows) or
     its spectral form, or None if build cannot step that form in batches."""
-    if physical:
-        batches = getattr(build, "batches", False) and isinstance(sys.L, Circulant)
-        return sys if batches else None
-    return spectral(sys) if getattr(build, "spectral", False) else None
+    if not (getattr(build, "batches", False) and isinstance(sys.L, Circulant)):
+        return None
+    return sys if physical else spectral(sys)
 
 
 def _rise_chunks(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
@@ -187,7 +195,7 @@ def _rise_chunks(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
             stepper = build(batch, part[:, None] * sys.dx)
             # one C-order row per lambda, so every stage is in C order too
             u = np.tile(u0 if physical else np.fft.rfft(u0), (len(part), 1))
-        try:  # a non-finite operator raised above: not a rise
+        try:  # a non-finite operator raised above, in the plan: not a rise
             tvs = _stage_tvs(stepper, u, n_steps, sys.n).T.reshape(len(part), -1)
             rises = [TvTrace(tuple(v)).max_rise for v in tvs]
         except NonFinite:
@@ -201,9 +209,9 @@ def max_tv_rises(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
                  physical: bool = False) -> np.ndarray:
     """``max_tv_rise`` at every lambda, the lambdas stepped together in
     batches of at most BATCH_ELEMENTS elements when build can: on physical
-    rows if ``physical``, else on real-FFT coefficients, each stage
-    observed by one batched ``irfft``.  Without a batch form each lambda
-    runs alone.  A non-finite batch is re-run one lambda at a time."""
+    rows if ``physical``, else by stage gains on real-FFT coefficients, one
+    batched ``irfft`` per step.  Without a batch form each lambda runs
+    alone.  A non-finite batch is re-run one lambda at a time."""
     lams = np.asarray(lams, dtype=float)
     chunks = _rise_chunks(build, sys, u0, lams, n_steps, physical)
     return np.concatenate([np.empty(0)] + [rises for _, rises in chunks])

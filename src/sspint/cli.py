@@ -148,6 +148,9 @@ def _check_values(cfg: Dict[str, str]):
     for key in ("a", "threshold"):
         if not np.isfinite(_floats(cfg.get(key, ""))).all():
             raise ConfigError(f"{key} must be finite, got {cfg[key]!r}")
+    for key, items in (("a", _floats), ("methods", split_method_names)):
+        if key in cfg and not items(cfg[key]):
+            raise ConfigError(f"{key} must list at least one value, got {cfg[key]!r}")
     if any(a < 0 for a in _floats(cfg.get("a", ""))):
         raise ConfigError(f"wavespeeds must be nonnegative, got {cfg['a']!r}")
     dts, T = _floats(cfg.get("dts", "")), analysis.VAN_DER_POL_T

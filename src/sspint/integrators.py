@@ -11,7 +11,8 @@ the (expensive) exponential is applied.  The same loop runs on physical
 values or, for a ``spectral`` system, on real-FFT coefficients.  With a
 ``Circulant`` L, a plan with a column of step sizes advances a batch, one
 row per step size, in either form; ``rk_step`` takes such a column too.
-The loop evaluates the explicit term once per stage that uses it.
+The loop evaluates the explicit term once per stage that uses it; on a
+spectral system it runs once, for the stage ``gains`` of every step.
 """
 
 from __future__ import annotations
@@ -171,6 +172,15 @@ def step(plan: StepPlan, N: Callable[[np.ndarray], np.ndarray], u: np.ndarray,
             obs(step_index, i, acc)
         slopes.append(N(acc) if plan.explicit[i] else None)
     return stages[-1]
+
+
+def gains(plan: StepPlan, N: Callable, u: np.ndarray) -> np.ndarray:
+    """Stage i of a step of a plan for a ``spectral`` system, where L and N
+    multiply, as its gain G_i, stacked (s, *u.shape): the stages from u
+    are G * u, the next state G[-1] * u."""
+    rows = []
+    step(plan, N, np.ones_like(u), lambda k, i, v: rows.append(v))
+    return np.stack(rows)
 
 
 def rk_step(method: MethodRecord | ShuOsherForm, F: Callable[[np.ndarray], np.ndarray],

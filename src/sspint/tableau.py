@@ -132,6 +132,8 @@ class ShuOsherForm:
         beta = np.asarray(self.beta, dtype=float)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
+        if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
+            raise ValueError("alpha and beta must be finite")
         if alpha.shape != beta.shape or alpha.shape[0] != alpha.shape[1]:
             raise ValueError("alpha and beta must be square and of equal shape")
         m = alpha.shape[0]

@@ -141,23 +141,40 @@ _NONDECREASING = [r.name for r in methods.list_methods() if r.nondecreasing]
 
 @settings(max_examples=40, deadline=None)
 @given(
+    builder=st.sampled_from([ifrk_builder, rk_builder, ifrk_general_builder]),
     name=st.sampled_from(_NONDECREASING),
     n=st.integers(8, 64),
     a=st.floats(0.0, 20.0),
     fracs=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4),
 )
-def test_batched_spectral_rises_match_physical(name, n, a, fracs):
-    # the batched real-FFT path against one physical run per lambda; past
-    # the TVD limit stages grow, and roundoff grows with the TVs compared
+def test_batched_spectral_rises_match_physical(builder, name, n, a, fracs):
+    # the batched stage gains on real-FFT coefficients against one
+    # physical run per lambda; past the TVD limit stages grow, and roundoff
+    # grows with the TVs compared
     rec = methods.get(name)
     sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=a, n=n)
     lams = [f * (1.5 * rec.claimed_C + 0.75) for f in fracs]
-    build = ifrk_builder(rec)
+    build = builder(rec)
     fast = max_tv_rises(build, sys_, u0, lams, 3)
     for lam, got in zip(lams, fast):
         want = max_tv_rise(build, sys_, u0, lam, 3)
         tol = 1e-12 * max(1.0, total_variation(u0) + want)
         assert abs(got - want) <= tol, (lam, got, want)
+
+
+@pytest.mark.parametrize("builder", [ifrk_builder, rk_builder, ifrk_general_builder])
+def test_spectral_build_runs_the_stage_loop_once(monkeypatch, builder):
+    # the loop forms the stage gains once per build; every step after it
+    # is one multiplication
+    calls = []
+    loop = integrators.step
+    monkeypatch.setattr(integrators, "step",
+                        lambda *args: calls.append(1) or loop(*args))
+    rec = methods.get("eSSPRK+(5,4)")
+    sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=10.0, n=64)
+    rises = max_tv_rises(builder(rec), sys_, u0, [0.5, 1.0, 2.5], 10)
+    assert calls == [1]
+    assert np.isfinite(rises).all() and rises[2] > 1e-6
 
 
 def test_batch_with_one_nonfinite_lambda():

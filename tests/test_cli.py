@@ -139,6 +139,10 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     (None, ["run", "ex4", "--a", "5,10"]),
     ("a=1,2\n", ["run", "fig1"]),
     (None, ["run", "ex4", "--a", ""]),
+    (None, ["run", "table7", "--a", ","]),
+    (None, ["run", "table6", "--a", ","]),
+    (None, ["run", "ex3", "--a", ","]),
+    (None, ["run", "table6", "--methods", ""]),
 ])
 def test_cli_bad_values_exit_one_with_one_line(tmp_path, capsys, monkeypatch,
                                                config, argv):

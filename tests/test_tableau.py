@@ -62,6 +62,18 @@ def test_tableau_rejects_nonfinite_entries(bad):
                 ButcherTableau.from_arrays(A, b, c=c)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_shu_osher_form_rejects_nonfinite_entries(bad):
+    # a NaN alpha would pass the row-sum check and read as SSP-admissible
+    cases = [({(1, 0): bad, (2, 1): 1}, {(1, 0): 1, (2, 1): 0.5}),
+             ({(1, 0): 1, (2, 1): 1}, {(1, 0): 1, (2, 1): bad})]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha, beta in cases:
+            with pytest.raises(ValueError, match="finite"):
+                ShuOsherForm.from_entries(2, alpha, beta)
+
+
 def test_tableau_c_defaults_to_row_sums():
     A = [[0, 0], [1, 0]]
     t = ButcherTableau.from_arrays(A, ["1/2", "1/2"])
