@@ -137,7 +137,7 @@ def _merged_config(args, experiment: str) -> Dict[str, str]:
 
 def _check_values(cfg: Dict[str, str]):
     """Reject malformed or out-of-range problem values before any work."""
-    for key, kind, low in (("n", int, spatial.MIN_POINTS), ("steps", int, 0),
+    for key, kind, low in (("n", int, spatial.MIN_POINTS), ("steps", int, 1),
                            ("threshold", float, -np.inf)):
         try:
             value = kind(cfg.get(key, low))

@@ -92,11 +92,18 @@ def required_gaps(c):
     return sorted(gaps)
 
 
+def circulant_view(col) -> np.ndarray:
+    """The circulant matrix of col as a read-only view: row i of the
+    Hankel view H[i, j] = d[i + j] of d = col reversed, twice, is row
+    n - 1 - i of the circulant."""
+    d = np.tile(np.asarray(col, dtype=float)[::-1], 2)
+    n = len(col)
+    return np.lib.stride_tricks.as_strided(d, (n, n), 2 * d.strides, writeable=False)[::-1]
+
+
 def circulant_matrix(col) -> np.ndarray:
     """The dense circulant matrix whose column j is col rolled down by j."""
-    col = np.asarray(col, dtype=float)
-    n = len(col)
-    return col[(np.arange(n)[:, None] - np.arange(n)) % n]
+    return circulant_view(col).copy()
 
 
 class Circulant:

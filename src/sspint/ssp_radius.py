@@ -7,7 +7,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import SingularTransform
+from .errors import NonFinite, SingularTransform
+from .expm import Circulant, circulant_view
 from .tableau import ButcherTableau
 
 #: componentwise nonnegativity tolerance; absorbs the representation error
@@ -16,6 +17,9 @@ NONNEG_TOL = 1e-12
 
 #: condition-number estimate beyond which (I + rS) is treated as singular.
 _COND_LIMIT = 1e14
+
+#: elements per temporary of the circulant L2 probe (2 MB of float64).
+_BLOCK = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -95,12 +99,21 @@ def observed_l2_cfl(
     """Largest lambda <= lambda_max for which stepping u' = lambda*M*u
     with dt = 1 keeps the L2 norm non-growing over n_steps.
 
-    A step is u <- R(lambda M) u, by Horner's rule on the stability
-    polynomial; M is a dense array or an ``expm.Circulant``, applied only
-    as M @ w, s times per step.  The probe starts from a fixed-seed random
-    unit vector and accepts a step only if ||u|| <= (1 + 1e-10) ||u0|| at
-    every step; the answer is located by bisection to width 1e-3.
+    A step is u <- R(lambda M) u for the stability polynomial R.  The
+    probe starts from a fixed-seed random unit vector and accepts a step
+    only if ||u|| <= (1 + 1e-10) ||u0|| at every step; the answer is
+    located by bisection to width 1e-3.  A circulant M (an
+    ``expm.Circulant``, or a dense array equal to the circulant of its
+    first column) gets its norms exactly by Parseval; any other M is
+    stepped by Horner's rule, s products M @ w per step.
     """
+    if not 0.0 < lambda_max < np.inf:
+        raise ValueError(f"lambda_max must be positive and finite, got {lambda_max!r}")
+    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
+        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+    if not np.isfinite(M.symbol if isinstance(M, Circulant) else M).all():
+        raise NonFinite("operator contains NaN or Inf")
+    mu = _circulant_symbol(M)
     n = M.shape[0]
     rng = np.random.default_rng(seed)
     u0 = rng.standard_normal(n)
@@ -110,6 +123,10 @@ def observed_l2_cfl(
     def stable(lam: float) -> bool:
         if lam <= 0.0:
             return True
+        if mu is not None:
+            with np.errstate(over="ignore"):  # an overflow is an unstable step
+                norms = _parseval_norms(gamma, mu, lam, u0, n_steps)
+                return all((x <= 1.0 + 1e-10).all() for x in norms)
         u = u0
         for _ in range(n_steps):
             u = _horner(gamma, lambda w: lam * (M @ w), u)
@@ -120,6 +137,27 @@ def observed_l2_cfl(
     if stable(lambda_max):
         return float(lambda_max)
     return _bisect(stable, 0.0, float(lambda_max), 1e-3)[0]
+
+
+def _circulant_symbol(M):
+    """The DFT symbol of a circulant M: an ``expm.Circulant``, or a dense
+    array equal to the circulant of its first column, compared a block of
+    rows at a time; None for any other M."""
+    if isinstance(M, Circulant):
+        return M.symbol
+    C, rows = circulant_view(M[:, 0]), 1 + _BLOCK // M.shape[0]
+    same = all(np.array_equal(M[i:i + rows], C[i:i + rows]) for i in range(0, len(C), rows))
+    return np.fft.fft(C[:, 0]) if same else None
+
+
+def _parseval_norms(gamma, mu, lam, u, n_steps):
+    """||R(lam M)^m u|| for m = 1..n_steps and the circulant M of DFT
+    symbol mu, a block of steps at a time, by Parseval:
+    ||R(lam M)^m u||^2 = (1/n) sum_k |R(lam mu_k)|^(2m) |fft(u)_k|^2."""
+    a = np.abs(_horner(gamma, lambda w: lam * mu * w, 1.0)) ** 2
+    p = np.abs(np.fft.fft(u)) ** 2 / len(u)
+    for m in np.array_split(np.arange(1, n_steps + 1), 1 + n_steps * len(u) // _BLOCK):
+        yield np.sqrt(a ** m[:, None] @ p)
 
 
 def _polynomial_coefficients(t: ButcherTableau) -> np.ndarray:

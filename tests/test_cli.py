@@ -143,6 +143,9 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     (None, ["run", "table6", "--a", ","]),
     (None, ["run", "ex3", "--a", ","]),
     (None, ["run", "table6", "--methods", ""]),
+    (None, ["run", "table6", "--steps", "0"]),
+    (None, ["run", "table8-partial", "--steps", "0"]),
+    (None, ["sweep", "--method", "eSSPRK+(3,3)", "--steps", "0"]),
 ])
 def test_cli_bad_values_exit_one_with_one_line(tmp_path, capsys, monkeypatch,
                                                config, argv):

@@ -98,6 +98,22 @@ def test_upwind_matrix_is_the_dense_upwind_operator():
     assert np.allclose(upwind_operator(grid, 3.0).dense(), M, atol=1e-12)
 
 
+def _gathered_circulant(col):
+    """Reference: the circulant matrix by an n x n index gather."""
+    n = len(col)
+    return col[(np.arange(n)[:, None] - np.arange(n)) % n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 1000])
+def test_circulant_matrix_matches_the_index_gather(n):
+    col = np.random.default_rng(n).standard_normal(n)
+    M = circulant_matrix(col)
+    assert M.flags.c_contiguous and M.flags.writeable
+    assert np.array_equal(M, _gathered_circulant(col))
+    op = Circulant.from_column(col)
+    assert np.array_equal(op.dense(), _gathered_circulant(np.fft.ifft(op.symbol).real))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(8, 64),

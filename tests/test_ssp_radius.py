@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sspint import methods
-from sspint.errors import SingularTransform
-from sspint.expm import Circulant
+from sspint.errors import NonFinite, SingularTransform
+from sspint.expm import Circulant, circulant_matrix
 from sspint.integrators import rk_step
-from sspint.spatial import Grid1D, upwind_matrix
+from sspint.spatial import Grid1D, upwind_matrix, upwind_operator
 from sspint.ssp_radius import (
+    _circulant_symbol,
     _horner,
+    _parseval_norms,
     _polynomial_coefficients,
     canonical_form,
     is_absolutely_monotonic,
@@ -229,3 +232,134 @@ def test_horner_step_matches_stage_loop(s, n, seed, lam, circulant):
     z = complex(*rng.uniform(-2.0, 2.0, 2))
     expect = _forward_substitution(t, z)
     assert abs(stability_polynomial(t, z) - expect) <= 1e-13 * max(1.0, abs(expect))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    s=st.integers(1, 5),
+    n=st.integers(8, 64),
+    seed=st.integers(0, 2**32 - 1),
+    lam=st.floats(0.0, 2.0),
+    n_steps=st.integers(1, 40),
+)
+def test_parseval_norms_match_horner_and_stage_loop(s, n, seed, lam, n_steps):
+    rng = np.random.default_rng(seed)
+    A = np.tril(rng.uniform(-1.0, 1.0, (s, s)), -1)
+    b = rng.uniform(0.01, 1.0, s)
+    t = ButcherTableau(A=A, b=b / b.sum(), c=A.sum(axis=1))
+    col = rng.uniform(-1.0, 1.0, n)
+    col /= np.abs(col).sum()  # |mu_k| <= 1, so |lam mu_k| <= 2
+    M = Circulant.from_column(col)
+    u = rng.standard_normal(n)
+    gamma = _polynomial_coefficients(t)
+
+    parseval = np.concatenate(list(_parseval_norms(gamma, M.symbol, lam, u, n_steps)))
+    dense, horner, stages, v, w = circulant_matrix(col), [], [], u, u
+    for _ in range(n_steps):
+        v = _horner(gamma, lambda x: lam * (dense @ x), v)
+        w = _stage_loop_step(t, M, lam, w)
+        horner.append(np.linalg.norm(v))
+        stages.append(np.linalg.norm(w))
+    assert parseval.shape == (n_steps,)
+    assert np.all(np.abs(parseval - horner) <= 1e-12 * np.array(horner))
+    assert np.all(np.abs(parseval - stages) <= 1e-12 * np.array(horner))
+
+
+def _advection_operators(n):
+    """The probe's operator, wavespeed 11 at unit grid spacing, as a dense
+    array and as a ``Circulant``."""
+    grid = Grid1D(n)
+    return (upwind_matrix(grid, 11.0) * grid.dx,
+            upwind_operator(grid, 11.0 * grid.dx))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_observed_l2_cfl_exact_path_matches_horner(seed, monkeypatch):
+    # the value table8-partial writes, for every operator form and path
+    t = methods.get("eSSPRK(3,3)").tableau
+    dense, circulant = _advection_operators(1000)
+    assert observed_l2_cfl(t, dense, 0.2, seed=seed) == 0.11406250000000001
+    assert observed_l2_cfl(t, circulant, 0.2, seed=seed) == 0.11406250000000001
+    radius_module = importlib.import_module("sspint.ssp_radius")
+    monkeypatch.setattr(radius_module, "_circulant_symbol", lambda M: None)
+    assert observed_l2_cfl(t, circulant, 0.2, seed=seed) == 0.11406250000000001
+
+
+class _CountingArray(np.ndarray):
+    """A dense operator that counts its products M @ w."""
+
+    matmuls = 0
+
+    def __matmul__(self, other):
+        type(self).matmuls += 1
+        return super().__matmul__(other)
+
+
+def test_dense_circulant_probe_makes_no_matvec():
+    t = methods.get("eSSPRK(3,3)").tableau
+    dense, circulant = _advection_operators(64)
+    _CountingArray.matmuls = 0
+    value = observed_l2_cfl(t, dense.view(_CountingArray), 0.2, 50)
+    assert _CountingArray.matmuls == 0
+    assert value == observed_l2_cfl(t, circulant, 0.2, 50) == 0.11484375000000001
+
+
+def test_perturbed_dense_operator_is_stepped():
+    # not circulant, so Horner stepping gives the value it always gave;
+    # taken for the circulant of its first column it would read 0.11484375
+    t = methods.get("eSSPRK(3,3)").tableau
+    M = _advection_operators(64)[0].view(_CountingArray)
+    M[40, 7] += 5.0
+    _CountingArray.matmuls = 0
+    assert observed_l2_cfl(t, M, 0.2, 50) == 0.11406250000000001
+    assert _CountingArray.matmuls > 0
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (262, 500), (263, 0), (999, 998), (999, 999)])
+def test_circulant_check_sees_one_changed_entry(entry):
+    # n = 1000 is compared in blocks of 263 rows
+    M = _advection_operators(1000)[0]
+    assert np.array_equal(_circulant_symbol(M), np.fft.fft(M[:, 0]))
+    M[entry] = np.nextafter(M[entry], np.inf)
+    assert _circulant_symbol(M) is None
+
+
+def test_circulant_check_makes_no_square_temporary():
+    M = _advection_operators(1000)[0]
+    tracemalloc.start()
+    try:
+        _circulant_symbol(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < M.size  # one byte per entry: less than an n x n bool array
+
+
+@pytest.mark.parametrize("lambda_max, n_steps, match", [
+    (np.inf, 10, "lambda_max"),  # bisecting [0, inf] never ends
+    (np.nan, 10, "lambda_max"),
+    (-0.1, 10, "lambda_max"),
+    (0.0, 10, "lambda_max"),
+    (0.2, 0, "n_steps"),
+    (0.2, -3, "n_steps"),
+    (0.2, 2.5, "n_steps"),  # Parseval would take 3 steps, Horner none
+])
+def test_observed_l2_cfl_rejects_bad_inputs(lambda_max, n_steps, match):
+    t = methods.get("eSSPRK(3,3)").tableau
+    for M in _advection_operators(64):
+        with pytest.raises(ValueError, match=match):
+            observed_l2_cfl(t, M, lambda_max, n_steps)
+
+
+@pytest.mark.parametrize("form", ["dense", "dense circulant", "circulant"])
+def test_observed_l2_cfl_rejects_nonfinite_operator(form):
+    t = methods.get("eSSPRK(3,3)").tableau
+    dense, circulant = _advection_operators(64)
+    if form == "dense":
+        dense[3, 5] = np.nan
+    elif form == "dense circulant":
+        dense = circulant_matrix(np.where(dense[:, 0] != 0.0, dense[:, 0], np.inf))
+    else:
+        circulant.symbol[7] = np.nan
+    with pytest.raises(NonFinite):
+        observed_l2_cfl(t, circulant if form == "circulant" else dense, 0.2, 10)
