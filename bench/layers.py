@@ -216,7 +216,7 @@ def burgers_layers(k):
             lambda: analysis.lambda_sweep(analysis.ifrk_builder(rec), sys_, u0,
                                           np.linspace(*BURGERS_LAMBDAS), BURGERS_STEPS),
             k),
-        "rk_step_burgers_k10": _median_time(lambda: rk_batch(u0_batch, None, 0), k, 20),
+        "rk_step_burgers_k10": _median_time(lambda: rk_batch(u0_batch, None), k, 20),
         "van_der_pol_rk_step": _median_time(
             lambda: rk_step(vdp, spatial.van_der_pol_full, np.array([2.0, 0.0]), 1e-5),
             k, 2000),

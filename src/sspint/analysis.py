@@ -2,12 +2,12 @@
 convergence-slope estimation, and the van der Pol convergence test.
 
 A "stepper builder" is a callable ``build(sys, dt)`` returning a one-step
-map ``step(u, obs, k)``; this keeps the measurement layer independent of
+map ``stepper(u, obs)``; this keeps the measurement layer independent of
 whether the step is plain Runge-Kutta or integrating-factor.  A builder
-with ``batches`` set also steps a (k, n) batch of physical rows with a
-column of step sizes when ``sys.L`` is a ``Circulant``; on the
-``spectral`` form of a system it returns the map from a batch to its stage
-``gains``.  ``max_tv_rises`` uses either to run lambdas in batches.
+with ``batches`` set also steps a batch with a column of step sizes, one
+row per step size: physical rows when ``sys.L`` is a ``Circulant``, or
+their real-FFT coefficients on the ``spectral`` form of such a system.
+``max_tv_rises`` uses either to run lambdas in batches.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ import numpy as np
 
 from . import methods, spatial
 from .errors import NonFinite
-from .expm import Circulant, Spectral
+from .expm import Circulant
 from .integrators import (
     SemiDiscretization,
+    Stepper,
     _check_finite,
-    gains,
     ifrk_step,
     integrate,
     make_general_plan,
@@ -59,19 +59,16 @@ VAN_DER_POL_T = 0.5
 #: a larger pre-scan or sweep runs in chunks of at most this many elements.
 BATCH_ELEMENTS = 4096
 
-StepperBuilder = Callable[[SemiDiscretization, float], Callable]
+StepperBuilder = Callable[[SemiDiscretization, float], Stepper]
 
 
 def _plan_builder(plan_for, rhs=None) -> StepperBuilder:
     """A builder stepping ``plan_for(sys, dt)``, made once per (sys, dt):
     an integrating-factor plan through ``ifrk_step`` or, given the
-    right-hand side ``rhs(sys)``, a plain-RK plan; on a spectral system,
-    where both are multiplications, either as its stage gains."""
+    right-hand side ``rhs(sys)``, a plain-RK plan through ``step``."""
 
     def build(sys: SemiDiscretization, dt: float):
         plan = plan_for(sys, dt)
-        if isinstance(sys.L, Spectral):
-            return partial(gains, plan, sys.N if rhs is None else rhs(sys))
         if rhs is None:
             return partial(ifrk_step, plan, sys)
         return partial(step, plan, rhs(sys))
@@ -143,16 +140,20 @@ def tv_trace(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
     return TvTrace(tuple(_stage_tvs(build(sys, lam * sys.dx), u0, n_steps, sys.n)))
 
 
-def _stage_tvs(stepper, u: np.ndarray, n_steps: int, n: int) -> np.ndarray:
+def _stage_tvs(stepper: Stepper, u: np.ndarray, n_steps: int, n: int) -> np.ndarray:
     """The TV of every stage of n_steps from u, in observation order, one
     column per row of a (k, n) batch.  Complex u holds real-FFT
-    coefficients of n points and stepper maps it to its stage ``gains``: a
-    step is one multiply, observed by one batched irfft and one TV."""
+    coefficients of n points, where L and N multiply: one step from ones
+    gives the stage gains G, stacked (s, *u.shape), so the stages of a step
+    from u are G * u, one multiply observed by one batched irfft and one
+    TV."""
     if not np.iscomplexobj(u):
         values = []
-        integrate(stepper, u, n_steps, lambda k, i, v: values.append(total_variation(v)))
+        integrate(stepper, u, n_steps, lambda v: values.append(total_variation(v)))
         return np.array(values)
-    G, values = stepper(u), [total_variation(np.fft.irfft(u, n))[None]]
+    rows = []
+    stepper(np.ones_like(u), rows.append)
+    G, values = np.stack(rows), [total_variation(np.fft.irfft(u, n))[None]]
     for _ in range(n_steps):
         V = G * u
         _check_finite(V, "a stage")
@@ -171,21 +172,15 @@ def max_tv_rise(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
     return float(max_tv_rises(build, sys, u0, [lam], n_steps, physical=True)[0])
 
 
-def _batch_system(build: StepperBuilder, sys: SemiDiscretization,
-                  physical: bool) -> Optional[SemiDiscretization]:
-    """The system a batch of lambdas steps: sys itself (physical rows) or
-    its spectral form, or None if build cannot step that form in batches."""
-    if not (getattr(build, "batches", False) and isinstance(sys.L, Circulant)):
-        return None
-    return sys if physical else spectral(sys)
-
-
 def _rise_chunks(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
                  lams: np.ndarray, n_steps: int, physical: bool):
-    """(start, rises) for consecutive chunks of lams, lazily: as many
-    lambdas as fit in BATCH_ELEMENTS stepped as one batch when build can
-    (see ``max_tv_rises``), else one lambda per chunk on physical values."""
-    batch = _batch_system(build, sys, physical)
+    """(start, rises) for consecutive chunks of lams, lazily; the one place
+    that decides how lambdas run.  As many as fit in BATCH_ELEMENTS step as
+    one batch when build batches and L is a ``Circulant``: physical rows
+    if ``physical``, else on the ``spectral`` system (see
+    ``max_tv_rises``); otherwise one lambda per chunk on physical values."""
+    batches = getattr(build, "batches", False) and isinstance(sys.L, Circulant)
+    batch = (sys if physical else spectral(sys)) if batches else None
     size = max(1, BATCH_ELEMENTS // sys.n) if batch else 1
     for start in range(0, len(lams), size):
         part = lams[start:start + size]
@@ -223,7 +218,10 @@ def prescan_bracket(build: StepperBuilder, sys: SemiDiscretization,
                     ) -> Optional[Tuple[float, float]]:
     """(grid point before, first grid point whose rise exceeds threshold)
     on the pre-scan grid over (0, lambda_hi], or None; batches run in
-    chunks of at most BATCH_ELEMENTS, up to the one holding the crossing."""
+    chunks of at most BATCH_ELEMENTS, up to the one holding the crossing.
+    A rise is at least 0, so a negative or NaN threshold is a ValueError."""
+    if not threshold >= 0:
+        raise ValueError(f"threshold must be nonnegative, got {threshold!r}")
     grid = np.linspace(lambda_hi / PRESCAN_POINTS, lambda_hi, PRESCAN_POINTS)
     for start, rises in _rise_chunks(build, sys, u0, grid, n_steps, physical=False):
         above = np.flatnonzero(rises > threshold)

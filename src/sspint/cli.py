@@ -9,6 +9,7 @@ plus rename) so partial runs never leave truncated output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -60,18 +61,28 @@ _BUILDERS = {
 # --- small utilities -------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """An OSError in the block is a ConfigError naming path."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def atomic_write_text(path: str, text: str):
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with _writing(path):
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
 
 def _fmt(x) -> str:
@@ -138,7 +149,7 @@ def _merged_config(args, experiment: str) -> Dict[str, str]:
 def _check_values(cfg: Dict[str, str]):
     """Reject malformed or out-of-range problem values before any work."""
     for key, kind, low in (("n", int, spatial.MIN_POINTS), ("steps", int, 1),
-                           ("threshold", float, -np.inf)):
+                           ("threshold", float, 0.0)):
         try:
             value = kind(cfg.get(key, low))
         except ValueError:
@@ -148,7 +159,8 @@ def _check_values(cfg: Dict[str, str]):
     for key in ("a", "threshold"):
         if not np.isfinite(_floats(cfg.get(key, ""))).all():
             raise ConfigError(f"{key} must be finite, got {cfg[key]!r}")
-    for key, items in (("a", _floats), ("methods", split_method_names)):
+    for key, items in (("a", _floats), ("methods", _records),
+                       ("lambdas", parse_lambda_grid)):
         if key in cfg and not items(cfg[key]):
             raise ConfigError(f"{key} must list at least one value, got {cfg[key]!r}")
     if any(a < 0 for a in _floats(cfg.get("a", ""))):
@@ -462,7 +474,8 @@ def cmd_sweep(args) -> int:
             f"unknown problem {args.problem!r}; choose from "
             + ", ".join(sorted(_PROBLEMS))
         )
-    _check_values({"n": str(args.n), "steps": str(args.steps), "a": str(args.a)})
+    _check_values({"n": str(args.n), "steps": str(args.steps), "a": str(args.a),
+                   "lambdas": args.lambdas})
     sys_, u0 = spatial.make_problem(_PROBLEMS[args.problem], a=args.a, n=args.n)
     lambdas = parse_lambda_grid(args.lambdas)
     meta = {
@@ -483,6 +496,8 @@ def cmd_sweep(args) -> int:
 def cmd_run(args) -> int:
     cfg = _merged_config(args, args.experiment)
     outdir = cfg.pop("out", args.out or ".")
+    with _writing(outdir):  # before the run, not after it
+        os.makedirs(outdir, exist_ok=True)
     paths = _EXPERIMENTS[args.experiment][0](cfg, outdir)
     for p in paths:
         print(f"wrote {p}")

@@ -11,8 +11,7 @@ the (expensive) exponential is applied.  The same loop runs on physical
 values or, for a ``spectral`` system, on real-FFT coefficients.  With a
 ``Circulant`` L, a plan with a column of step sizes advances a batch, one
 row per step size, in either form; ``rk_step`` takes such a column too.
-The loop evaluates the explicit term once per stage that uses it; on a
-spectral system it runs once, for the stage ``gains`` of every step.
+The loop evaluates the explicit term once per stage that uses it.
 """
 
 from __future__ import annotations
@@ -28,10 +27,13 @@ from .expm import Circulant, ExpCache, build_cache, quantize_gap
 from .methods import MethodRecord
 from .tableau import ABSCISSA_TOL, ShuOsherForm, abscissas_nondecreasing
 
-StageObserver = Callable[[int, int, np.ndarray], None]
-"""Callback (step index, stage index, stage vector); stage 0 of step 0 is
-the initial state, and the final combination of each step is observed as
+StageObserver = Callable[[np.ndarray], None]
+"""Callback on each stage vector, in order; ``integrate`` observes the
+initial state first, and the final combination of each step is observed as
 its last stage.  Observers must not mutate the vector they receive."""
+
+Stepper = Callable[[np.ndarray, Optional[StageObserver]], np.ndarray]
+"""A one-step map ``stepper(u, obs)``: the next state, each stage observed."""
 
 
 @dataclass(frozen=True)
@@ -148,7 +150,7 @@ def _check_finite(u: np.ndarray, what: str):
 
 
 def step(plan: StepPlan, N: Callable[[np.ndarray], np.ndarray], u: np.ndarray,
-         obs: Optional[StageObserver] = None, step_index: int = 0) -> np.ndarray:
+         obs: Optional[StageObserver] = None) -> np.ndarray:
     """One step of a plan, the one Shu-Osher stage loop: each row applies
     the exponential of every gap to the sum of that gap's terms
     alpha u^(j) + dt beta N(u^(j)).  N is evaluated once per stage whose
@@ -169,62 +171,43 @@ def step(plan: StepPlan, N: Callable[[np.ndarray], np.ndarray], u: np.ndarray,
         _check_finite(acc, f"stage {i}")
         stages.append(acc)
         if obs is not None:
-            obs(step_index, i, acc)
+            obs(acc)
         slopes.append(N(acc) if plan.explicit[i] else None)
     return stages[-1]
 
 
-def gains(plan: StepPlan, N: Callable, u: np.ndarray) -> np.ndarray:
-    """Stage i of a step of a plan for a ``spectral`` system, where L and N
-    multiply, as its gain G_i, stacked (s, *u.shape): the stages from u
-    are G * u, the next state G[-1] * u."""
-    rows = []
-    step(plan, N, np.ones_like(u), lambda k, i, v: rows.append(v))
-    return np.stack(rows)
-
-
 def rk_step(method: MethodRecord | ShuOsherForm, F: Callable[[np.ndarray], np.ndarray],
-            u: np.ndarray, dt: float | np.ndarray, obs: Optional[StageObserver] = None,
-            step_index: int = 0) -> np.ndarray:
+            u: np.ndarray, dt: float | np.ndarray,
+            obs: Optional[StageObserver] = None) -> np.ndarray:
     """One explicit Runge-Kutta step of u' = F(u): a step of ``rk_plan``.
     dt is a step size, or a column of step sizes for a (k, n) batch u, one
     row per step size."""
-    return step(rk_plan(method, dt), F, u, obs, step_index)
+    return step(rk_plan(method, dt), F, u, obs)
 
 
 def ifrk_step(plan: StepPlan, sys: SemiDiscretization, u: np.ndarray,
-              obs: Optional[StageObserver] = None, step_index: int = 0) -> np.ndarray:
+              obs: Optional[StageObserver] = None) -> np.ndarray:
     """One integrating-factor Runge-Kutta step of a plan for sys."""
-    return step(plan, sys.N, u, obs, step_index)
+    return step(plan, sys.N, u, obs)
 
 
-def ifrk_step_general(
-    so: ShuOsherForm,
-    c: np.ndarray,
-    sys: SemiDiscretization,
-    u: np.ndarray,
-    dt: float,
-    obs: Optional[StageObserver] = None,
-    step_index: int = 0,
-) -> np.ndarray:
+def ifrk_step_general(so: ShuOsherForm, c: np.ndarray, sys: SemiDiscretization,
+                      u: np.ndarray, dt: float,
+                      obs: Optional[StageObserver] = None) -> np.ndarray:
     """Integrating-factor step for arbitrary abscissa ordering (one step
     of a ``make_general_plan`` plan)."""
-    return ifrk_step(make_general_plan(so, c, sys, dt), sys, u, obs, step_index)
+    return ifrk_step(make_general_plan(so, c, sys, dt), sys, u, obs)
 
 
-def integrate(
-    stepper: Callable[[np.ndarray, Optional[StageObserver], int], np.ndarray],
-    u0: np.ndarray,
-    n_steps: int,
-    obs: Optional[StageObserver] = None,
-) -> np.ndarray:
+def integrate(stepper: Stepper, u0: np.ndarray, n_steps: int,
+              obs: Optional[StageObserver] = None) -> np.ndarray:
     """Apply a one-step map n_steps times; the observer sees the initial
-    state as stage 0 of step 0 and then every stage of every step."""
+    state and then every stage of every step."""
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     u = _state(u0)
     if obs is not None:
-        obs(0, 0, u)
-    for k in range(n_steps):
-        u = stepper(u, obs, k)
+        obs(u)
+    for _ in range(n_steps):
+        u = stepper(u, obs)
     return u

@@ -45,6 +45,8 @@ class OptimizationSpec:
             raise ConfigError("no explicit four-stage fourth-order SSP method exists")
         if self.restarts < 1:
             raise ConfigError("restarts must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 def _unpack(theta: np.ndarray, s: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -60,7 +60,7 @@ def test_max_tv_rise_nonfinite_is_infinite():
     sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=1.0, n=64)
 
     def build(sys, dt):
-        def step(u, obs, k):
+        def step(u, obs):
             raise NonFinite("blow-up")
 
         return step
@@ -84,6 +84,18 @@ def test_observed_tvd_small_grid():
     obs = observed_tvd_lambda(ifrk_builder(rec), sys_, u0, 2.0, 5)
     assert obs.lambda_obs == pytest.approx(1.0, abs=0.05)
     assert obs.bisection_width == 1e-3
+
+
+@pytest.mark.parametrize("threshold", [np.nan, -1.0, -1e-300])
+def test_threshold_must_be_nonnegative(threshold):
+    # a rise is clamped at 0: a negative threshold is crossed at every
+    # lambda > 0, and NaN at none, which would claim TVD everywhere
+    sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=1.0, n=64)
+    build = ifrk_builder(methods.get("eSSPRK+(3,3)"))
+    with pytest.raises(ValueError, match="threshold"):
+        observed_tvd_lambda(build, sys_, u0, 2.0, 3, threshold=threshold)
+    with pytest.raises(ValueError, match="threshold"):
+        analysis.prescan_bracket(build, sys_, u0, 2.0, 3, threshold)
 
 
 def test_observed_tvd_returns_hi_when_never_crossing():
@@ -165,11 +177,13 @@ def test_batched_spectral_rises_match_physical(builder, name, n, a, fracs):
 @pytest.mark.parametrize("builder", [ifrk_builder, rk_builder, ifrk_general_builder])
 def test_spectral_build_runs_the_stage_loop_once(monkeypatch, builder):
     # the loop forms the stage gains once per build; every step after it
-    # is one multiplication
+    # is one multiplication.  Plain RK steps through the name analysis
+    # binds, the IF builders through ifrk_step and integrators' own
     calls = []
     loop = integrators.step
-    monkeypatch.setattr(integrators, "step",
-                        lambda *args: calls.append(1) or loop(*args))
+    for module in (integrators, analysis):
+        monkeypatch.setattr(module, "step",
+                            lambda *args: calls.append(1) or loop(*args))
     rec = methods.get("eSSPRK+(5,4)")
     sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=10.0, n=64)
     rises = max_tv_rises(builder(rec), sys_, u0, [0.5, 1.0, 2.5], 10)

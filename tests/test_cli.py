@@ -146,6 +146,19 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     (None, ["run", "table6", "--steps", "0"]),
     (None, ["run", "table8-partial", "--steps", "0"]),
     (None, ["sweep", "--method", "eSSPRK+(3,3)", "--steps", "0"]),
+    # FILE is a regular file, so no path below it can be written
+    (None, ["run", "table8-partial", "--out", "FILE/sub"]),
+    (None, ["run", "ex1", "--out", "FILE/sub"]),
+    (None, ["methods", "export", "eSSPRK+(3,3)", "--out", "FILE/m.json"]),
+    (None, ["radius", "--methods", "eSSPRK+(3,3)", "--out", "FILE/r.csv"]),
+    (None, ["sweep", "--method", "eSSPRK+(3,3)", "--n", "64", "--steps", "2",
+            "--lambdas", "0.1", "--out", "FILE/s.csv"]),
+    (None, ["optimize", "--stages", "3", "--order", "2", "--seed", "-1"]),
+    (None, ["run", "table6", "--methods", "eSSPRK+(3,3)", "--a", "1", "--n", "200",
+            "--threshold", "-1"]),
+    ("threshold=-1e-300\n", ["run", "table7"]),
+    (None, ["run", "ex4", "--lambdas", ""]),
+    (None, ["sweep", "--method", "eSSPRK+(3,3)", "--lambdas", ""]),
 ])
 def test_cli_bad_values_exit_one_with_one_line(tmp_path, capsys, monkeypatch,
                                                config, argv):
@@ -157,12 +170,27 @@ def test_cli_bad_values_exit_one_with_one_line(tmp_path, capsys, monkeypatch,
         path = tmp_path / "bad.cfg"
         path.write_text(config)
         argv = argv + ["--config", str(path)]
+    (tmp_path / "FILE").write_text("a file\n")
+    argv = [arg.replace("FILE", str(tmp_path / "FILE")) for arg in argv]
+    unwritable = [arg for arg in argv if str(tmp_path / "FILE") in arg]
+    if "--out" not in argv:
+        argv = argv + ["--out", str(tmp_path / "out")]
     with warnings.catch_warnings():  # a warning would print a second line
         warnings.simplefilter("error")
-        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert main(argv) == 1
+    assert (tmp_path / "FILE").read_text() == "a file\n"
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+    assert all(path in err[0] for path in unwritable), err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_unknown_method_leaves_no_output_dir(tmp_path, capsys):
+    # the output directory is made before the run, after every check
+    out = tmp_path / "out"
+    assert main(["run", "ex4", "--methods", "eSSPRK+(5,4),bogus", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_cli_sweep_deterministic_output(tmp_path):
