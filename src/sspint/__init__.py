@@ -37,12 +37,11 @@ from .methods import (
     list_methods,
     method_names,
 )
-from .expm import Circulant, ExpCache, build_cache, expm, quantize_gap, required_gaps
+from .expm import Circulant, ExpCache, build_cache, expm, quantize_gap
 from .integrators import (
     SemiDiscretization,
     StepPlan,
     ifrk_step,
-    ifrk_step_general,
     integrate,
     make_plan,
     rk_step,

@@ -36,7 +36,7 @@ from .integrators import (
     step,
 )
 from .methods import MethodRecord
-from .ssp_radius import _bisect
+from .ssp_radius import _bisect, _check_bracket
 from .tableau import ShuOsherForm
 
 #: TV-rise detection threshold: well above accumulated roundoff
@@ -247,8 +247,9 @@ def observed_tvd_lambda(
     crossing (``prescan_bracket``); bisection then refines it to the
     requested width, one lambda at a time.  If no grid point crosses,
     lambda_hi itself is returned; if the very first grid point already
-    exceeds the threshold the bracket starts at 0.
-    """
+    exceeds the threshold the bracket starts at 0.  A lambda_hi or width
+    that is not positive and finite is a ValueError, before any step."""
+    _check_bracket(0.0, lambda_hi, width)
     crossing = prescan_bracket(build, sys, u0, lambda_hi, n_steps, threshold)
     if crossing is None:
         return ObservedCoefficient(float(lambda_hi), threshold, width)

@@ -80,18 +80,6 @@ def quantize_gap(g: float) -> float:
     return round(g / GAP_QUANTUM) * GAP_QUANTUM
 
 
-def required_gaps(c):
-    """All distinct quantized gaps (c_i - c_j, i > j) plus (1 - c_j): every
-    gap a plan for abscissas c may apply."""
-    c = np.asarray(c, dtype=float)
-    gaps = set()
-    for i in range(len(c)):
-        for j in range(i):
-            gaps.add(quantize_gap(c[i] - c[j]))
-        gaps.add(quantize_gap(1.0 - c[i]))
-    return sorted(gaps)
-
-
 def circulant_view(col) -> np.ndarray:
     """The circulant matrix of col as a read-only view: row i of the
     Hankel view H[i, j] = d[i + j] of d = col reversed, twice, is row
@@ -184,5 +172,5 @@ class ExpCache:
 
 def build_cache(L, dt: float, gaps) -> ExpCache:
     """The cache of an integrating-factor plan (``make_plan`` or
-    ``make_general_plan``): one exponential per gap its rows apply."""
+    ``make_general_plan``): one exponential per nonzero gap its rows apply."""
     return ExpCache(L, dt, gaps)

@@ -7,17 +7,18 @@ The integrating-factor step evaluates
 
 where stage abscissas come from the Butcher form and the output row acts
 at abscissa 1.  Terms sharing the same exponential gap are grouped before
-the (expensive) exponential is applied.  The same loop runs on physical
-values or, for a ``spectral`` system, on real-FFT coefficients.  With a
-``Circulant`` L, a plan with a column of step sizes advances a batch, one
-row per step size, in either form; ``rk_step`` takes such a column too.
-The loop evaluates the explicit term once per stage that uses it.
+the (expensive) exponential is applied.  At gap 0 the exponential is the
+identity: that group's sum is added as it is, and no cache holds gap 0.
+The same loop runs on physical values or, for a ``spectral`` system, on
+real-FFT coefficients.  With a ``Circulant`` L, a plan with a column of
+step sizes advances a batch, one row per step size, in either form;
+``rk_step`` takes such a column too.  The loop evaluates the explicit
+term once per stage that uses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -69,19 +70,22 @@ class StepPlan:
     nonzero (j, alpha_ij, beta_ij) grouped by the quantized abscissa gap
     ceff_i - ceff_j, in order of first appearance, where stage i (1-based)
     sits at Butcher abscissa c_{i+1} and the output row acts at 1.
-    ``explicit[j]`` says whether any row uses N of stage j, and the cache
-    holds the exponentials of exactly the gaps the rows use."""
+    ``explicit[j]`` says whether any row uses N of stage j.  The cache
+    holds the exponentials of exactly the nonzero gaps the rows use, and
+    is None when every gap is 0."""
 
     rows: tuple
     explicit: tuple
-    cache: ExpCache | _Identity
+    dt: np.ndarray
+    cache: Optional[ExpCache]
 
 
-def _step_plan(so: ShuOsherForm, c, dt, cache, tol: float = 0.0) -> StepPlan:
+def _step_plan(so: ShuOsherForm, c, dt, L=None, tol: float = 0.0) -> StepPlan:
     """The one place gaps are decided: a gap no lower than -tol counts as
-    0, and ``cache(dt, gaps)`` gets exactly the gaps the rows use.  dt is a
-    step size or a column of them, each nonnegative."""
-    if np.any(np.asarray(dt) < 0):
+    0, and ``build_cache(L, dt, gaps)`` gets exactly the nonzero gaps the
+    rows use.  dt is a step size or a column of them, each nonnegative."""
+    dt = np.asarray(dt, dtype=float)
+    if np.any(dt < 0):
         raise ValueError("dt must be nonnegative")
     ceff = np.append(c, 1.0)
     rows = []
@@ -92,8 +96,8 @@ def _step_plan(so: ShuOsherForm, c, dt, cache, tol: float = 0.0) -> StepPlan:
             g = quantize_gap(0.0 if -tol <= g < 0 else g)
             groups.setdefault(g, []).append((j, a, b))
         rows.append(tuple((g, tuple(t)) for g, t in groups.items()))
-    return StepPlan(tuple(rows), so.explicit,
-                    cache(dt, {g for row in rows for g, _ in row}))
+    gaps = {g for row in rows for g, _ in row} - {0.0}
+    return StepPlan(tuple(rows), so.explicit, dt, build_cache(L, dt, gaps) if gaps else None)
 
 
 def shu_osher_form(method: MethodRecord | ShuOsherForm) -> ShuOsherForm:
@@ -110,33 +114,21 @@ def make_plan(method: MethodRecord, sys: SemiDiscretization, dt: float) -> StepP
             f"{method.name} has decreasing abscissas; integrating-factor "
             "plans require non-decreasing abscissas"
         )
-    return _step_plan(shu_osher_form(method), method.tableau.c, dt,
-                      partial(build_cache, sys.L), ABSCISSA_TOL)
+    return _step_plan(shu_osher_form(method), method.tableau.c, dt, sys.L, ABSCISSA_TOL)
 
 
 def make_general_plan(so: ShuOsherForm, c, sys, dt: float) -> StepPlan:
     """An IFRK plan for arbitrary abscissa ordering: the counterexample
     path showing why decreasing abscissas break the SSP property, so
     negative gaps keep their sign."""
-    return _step_plan(so, c, dt, partial(build_cache, sys.L))
-
-
-class _Identity:
-    """The cache of a plan whose gaps are all 0: e^(0 dt L) = I, applied
-    as the vector itself, with no exponential and no FFT."""
-
-    def __init__(self, dt, gaps):
-        self.dt = dt
-
-    def apply(self, g: float, u: np.ndarray) -> np.ndarray:
-        return u
+    return _step_plan(so, c, dt, sys.L)
 
 
 def rk_plan(method: MethodRecord | ShuOsherForm, dt: float | np.ndarray) -> StepPlan:
     """A plain Runge-Kutta method as a plan: every abscissa at 1, so each
-    row is one group at gap 0 and the cache is the identity."""
+    row is one group at gap 0 and the plan has no cache."""
     so = shu_osher_form(method)
-    return _step_plan(so, np.ones(so.stages), dt, _Identity)
+    return _step_plan(so, np.ones(so.stages), dt)
 
 
 def _state(u) -> np.ndarray:
@@ -152,10 +144,11 @@ def _check_finite(u: np.ndarray, what: str):
 def step(plan: StepPlan, N: Callable[[np.ndarray], np.ndarray], u: np.ndarray,
          obs: Optional[StageObserver] = None) -> np.ndarray:
     """One step of a plan, the one Shu-Osher stage loop: each row applies
-    the exponential of every gap to the sum of that gap's terms
-    alpha u^(j) + dt beta N(u^(j)).  N is evaluated once per stage whose
-    explicit term the plan uses, when the stage is formed."""
-    dt = plan.cache.dt
+    the exponential of every nonzero gap to the sum of that gap's terms
+    alpha u^(j) + dt beta N(u^(j)), and adds the sum at gap 0 as it is.
+    N is evaluated once per stage whose explicit term the plan uses, when
+    the stage is formed."""
+    dt = plan.dt
     u = _state(u)
     stages, slopes = [u], [N(u) if plan.explicit[0] else None]
     for i, groups in enumerate(plan.rows, 1):
@@ -167,7 +160,7 @@ def step(plan: StepPlan, N: Callable[[np.ndarray], np.ndarray], u: np.ndarray,
                 if b != 0.0:
                     term = term + dt * b * slopes[j]
                 w = term if w is None else w + term
-            acc = acc + plan.cache.apply(g, w)
+            acc = acc + (w if g == 0.0 else plan.cache.apply(g, w))
         _check_finite(acc, f"stage {i}")
         stages.append(acc)
         if obs is not None:
@@ -189,14 +182,6 @@ def ifrk_step(plan: StepPlan, sys: SemiDiscretization, u: np.ndarray,
               obs: Optional[StageObserver] = None) -> np.ndarray:
     """One integrating-factor Runge-Kutta step of a plan for sys."""
     return step(plan, sys.N, u, obs)
-
-
-def ifrk_step_general(so: ShuOsherForm, c: np.ndarray, sys: SemiDiscretization,
-                      u: np.ndarray, dt: float,
-                      obs: Optional[StageObserver] = None) -> np.ndarray:
-    """Integrating-factor step for arbitrary abscissa ordering (one step
-    of a ``make_general_plan`` plan)."""
-    return ifrk_step(make_general_plan(so, c, sys, dt), sys, u, obs)
 
 
 def integrate(stepper: Stepper, u0: np.ndarray, n_steps: int,

@@ -70,9 +70,16 @@ def is_absolutely_monotonic(t: ButcherTableau, r: float, tol: float = NONNEG_TOL
     return bool(can.v.min() >= -tol and can.P.min() >= -tol)
 
 
+def _check_bracket(lo: float, hi: float, width: float):
+    """A ValueError unless lo < hi are finite and width is positive and finite."""
+    if not (0.0 < width < np.inf and np.isfinite([lo, hi]).all() and lo < hi):
+        raise ValueError(f"bad bisection bracket ({lo!r}, {hi!r}) or width {width!r}")
+
+
 def _bisect(holds, lo: float, hi: float, width: float):
     """Shrink a bracket with holds(lo) true and holds(hi) false to at most
     the given width; returns the final (lo, hi)."""
+    _check_bracket(lo, hi, width)
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
         if holds(mid):

@@ -98,6 +98,22 @@ def test_threshold_must_be_nonnegative(threshold):
         analysis.prescan_bracket(build, sys_, u0, 2.0, 3, threshold)
 
 
+@pytest.mark.parametrize("lambda_hi, width", [
+    (2.0, 0.0), (2.0, -1.0), (2.0, np.nan),
+    (np.nan, 1e-3), (np.inf, 1e-3), (0.0, 1e-3), (-1.0, 1e-3),
+])
+def test_observed_tvd_rejects_a_bad_bracket_before_stepping(lambda_hi, width):
+    # a width of 0 or less never returned, NaN returned the pre-scan
+    # midpoint, and a NaN or infinite lambda_hi returned lambda_obs = nan
+    sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=1.0, n=64)
+
+    def build(sys, dt):
+        raise AssertionError("stepped before the bracket was checked")
+
+    with pytest.raises(ValueError, match="bracket"):
+        observed_tvd_lambda(build, sys_, u0, lambda_hi, 3, width=width)
+
+
 def test_observed_tvd_returns_hi_when_never_crossing():
     sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=0.0, n=64)
     rec = methods.get("eSSPRK+(9,2)")  # C = 8, far above the scan ceiling

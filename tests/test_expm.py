@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sspint import methods
 from sspint.errors import NonFinite, SspError
 from sspint.expm import (
     Circulant,
@@ -11,7 +10,6 @@ from sspint.expm import (
     circulant_matrix,
     expm,
     quantize_gap,
-    required_gaps,
 )
 from sspint.spatial import Grid1D, upwind_matrix, upwind_operator
 
@@ -57,13 +55,6 @@ def test_expm_identity_and_errors():
 def test_quantize_gap_collapses_nearby_values():
     assert quantize_gap(0.3 + 4e-15) == quantize_gap(0.3)
     assert quantize_gap(0.0) == 0.0
-
-
-def test_required_gap_counts_stay_small():
-    # repeated abscissa differences collapse onto few exponentials:
-    # equally spaced abscissas give only the multiples of the spacing
-    assert len(required_gaps(methods.get("eSSPRK+(9,3)").tableau.c)) == 7
-    assert len(required_gaps(methods.get("eSSPRK+(9,2)").tableau.c)) == 9
 
 
 def test_cache_circulant_matches_dense():

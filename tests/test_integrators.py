@@ -7,11 +7,10 @@ import pytest
 from sspint import methods
 from sspint.analysis import ifrk_builder, max_tv_rise, rk_builder
 from sspint.errors import NegativeGap, NonFinite
-from sspint.expm import build_cache, expm, required_gaps
+from sspint.expm import ExpCache, build_cache, expm
 from sspint.integrators import (
     SemiDiscretization,
     ifrk_step,
-    ifrk_step_general,
     integrate,
     make_general_plan,
     make_plan,
@@ -53,11 +52,26 @@ def test_every_plan_rejects_a_negative_step():
                 plan()
 
 
-def test_rk_plan_is_one_group_at_gap_zero_with_an_identity_cache():
+def test_rk_plan_is_one_group_at_gap_zero_without_a_cache():
     plan = rk_plan(methods.get("eSSPRK(10,4)"), 0.1)
     assert all(len(row) == 1 and row[0][0] == 0.0 for row in plan.rows)
-    u = np.arange(5.0)
-    assert plan.cache.apply(0.0, u) is u
+    assert plan.cache is None
+
+
+@pytest.mark.parametrize("name, applies", [
+    ("eSSPRK+(5,4)", 10), ("eSSPRK+(6,4)", 12), ("eSSPRK+(3,3)", 4), ("eSSPRK+(9,3)", 9),
+])
+def test_ifrk_step_applies_only_nonzero_gaps(name, applies, monkeypatch):
+    # each (row, nonzero gap) group costs one exponential; gap-0 groups
+    # cost none (an FFT round trip each on a Circulant before)
+    gaps = []
+    apply = ExpCache.apply
+    monkeypatch.setattr(ExpCache, "apply",
+                        lambda self, g, u: gaps.append(g) or apply(self, g, u))
+    sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=1.0, n=64)
+    plan = make_plan(methods.get(name), sys_, 0.5 * sys_.dx)
+    ifrk_step(plan, sys_, u0)
+    assert len(gaps) == applies and 0.0 not in gaps
 
 
 def test_every_ifrk_plan_builds_its_cache_through_build_cache(monkeypatch):
@@ -96,8 +110,10 @@ def test_plan_steps_a_certified_abscissa_drop_as_gap_zero(drop):
     sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=1.0, n=64)
     dt = 0.5 * sys_.dx
     plan = make_plan(rec, sys_, dt)
-    assert plan.cache.gaps[0] == 0.0
-    exact = ifrk_step_general(shu_osher_form(rec), rec.tableau.c, sys_, u0, dt)
+    assert 0.0 in [g for g, _ in plan.rows[1]]  # stage 2 to stage 1
+    assert min(plan.cache.gaps) > 0.0
+    exact = ifrk_step(make_general_plan(shu_osher_form(rec), rec.tableau.c, sys_, dt),
+                      sys_, u0)
     assert np.allclose(ifrk_step(plan, sys_, u0), exact, rtol=0, atol=1e-9)
 
 
@@ -135,8 +151,7 @@ def test_plan_caches_only_the_gaps_its_rows_use():
         else:
             plan = make_general_plan(shu_osher_form(rec), rec.tableau.c, sys_, 0.1)
         used = {g for row in plan.rows for g, _ in row}
-        assert plan.cache.gaps == sorted(used), name
-        assert used <= set(required_gaps(rec.tableau.c)), name
+        assert plan.cache.gaps == sorted(used - {0.0}), name  # gap 0 is never cached
         counts[name] = len(used)
     assert counts["eSSPRK+(6,4)"] == 11
     assert counts["eSSPRK+(5,4)"] == 10
@@ -182,7 +197,7 @@ def test_ifrk_general_agrees_with_cached_path():
     dt = 0.5 * sys_.dx
     plan = make_plan(rec, sys_, dt)
     a = ifrk_step(plan, sys_, u0)
-    b = ifrk_step_general(rec.shu_osher, rec.tableau.c, sys_, u0, dt)
+    b = ifrk_step(make_general_plan(rec.shu_osher, rec.tableau.c, sys_, dt), sys_, u0)
     assert np.allclose(a, b, atol=1e-11)
 
 

@@ -129,6 +129,26 @@ def test_ssp_radius_probes_build_no_other_form(monkeypatch):
     assert [f.name for f in dataclasses.fields(rr)] == ["radius", "bisection_width"]
 
 
+@pytest.mark.parametrize("width", [0.0, -1.0, np.nan])
+def test_ssp_radius_rejects_a_width_that_cannot_bisect(width, monkeypatch):
+    # a width of 0 or less never closed the bracket and NaN never opened it;
+    # the guard turns a runaway bisection into a failure instead of a hang
+    probes = []
+    radius_module = importlib.import_module("sspint.ssp_radius")
+    probe = radius_module.is_absolutely_monotonic
+
+    def guarded(t, r):
+        probes.append(r)
+        if len(probes) > 100:
+            raise RuntimeError("bisection did not stop")
+        return probe(t, r)
+
+    monkeypatch.setattr(radius_module, "is_absolutely_monotonic", guarded)
+    with pytest.raises(ValueError, match="width"):
+        ssp_radius(methods.get("eSSPRK+(4,3)").tableau, width)
+    assert len(probes) <= 1
+
+
 def test_monotonicity_fails_past_radius():
     t = methods.get("eSSPRK(3,3)").tableau
     assert is_absolutely_monotonic(t, 1.0)
