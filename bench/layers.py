@@ -76,6 +76,9 @@ unless stated):
 - ``ssp_radius``: ``ssp_radius`` of eSSPRK+(6,4).
 - ``optimize_<s>_<p>``: ``optimize`` of (3,2), (3,3), (4,3) and (5,3) with
   non-decreasing abscissas, 10 restarts, seed 0, with the certified C.
+- ``registry``: the method registry rebuilt and self-checked, as on the
+  first lookup of every start (``methods._registry()`` from
+  ``_REGISTRY = None``).
 """
 
 import argparse
@@ -177,6 +180,12 @@ def layers(quick):
         out[f"optimize_{s}_{p}"] = _median_time(
             lambda: found.append(optimize(spec).claimed_C), k)
         out[f"optimize_{s}_{p}"]["C"] = found[-1]
+
+    def rebuild_registry():
+        methods._REGISTRY = None
+        methods._registry()
+
+    out["registry"] = _median_time(rebuild_registry, k)
     return out
 
 

@@ -31,11 +31,13 @@ from .ssp_radius import (
 from .methods import (
     FAMILY_CLASSIC,
     FAMILY_PLUS,
+    CertificateReport,
     MethodRecord,
     generate_second_order,
     get,
     list_methods,
     method_names,
+    verify_certificate,
 )
 from .expm import Circulant, ExpCache, build_cache, expm, quantize_gap
 from .integrators import (
@@ -68,11 +70,6 @@ from .analysis import (
     total_variation,
     tv_trace,
 )
-from .optimizer import (
-    CertificateReport,
-    OptimizationSpec,
-    optimize,
-    verify_certificate,
-)
+from .optimizer import OptimizationSpec, optimize
 
 __all__ = [name for name in dir() if not name.startswith("_")]

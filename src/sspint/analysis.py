@@ -3,11 +3,11 @@ convergence-slope estimation, and the van der Pol convergence test.
 
 A "stepper builder" is a callable ``build(sys, dt)`` returning a one-step
 map ``stepper(u, obs)``; this keeps the measurement layer independent of
-whether the step is plain Runge-Kutta or integrating-factor.  A builder
-with ``batches`` set also steps a batch with a column of step sizes, one
-row per step size: physical rows when ``sys.L`` is a ``Circulant``, or
-their real-FFT coefficients on the ``spectral`` form of such a system.
-``max_tv_rises`` uses either to run lambdas in batches.
+whether the step is plain Runge-Kutta or integrating-factor.  When
+``sys.L`` is a ``Circulant``, a builder also steps a batch with a column
+of step sizes, one row per step size: physical rows, or their real-FFT
+coefficients on the ``spectral`` form of the system.  ``max_tv_rises``
+uses either to run lambdas in batches.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ def _plan_builder(plan_for, rhs=None) -> StepperBuilder:
             return partial(ifrk_step, plan, sys)
         return partial(step, plan, rhs(sys))
 
-    build.batches = True
     return build
 
 
@@ -146,7 +145,9 @@ def _stage_tvs(stepper: Stepper, u: np.ndarray, n_steps: int, n: int) -> np.ndar
     coefficients of n points, where L and N multiply: one step from ones
     gives the stage gains G, stacked (s, *u.shape), so the stages of a step
     from u are G * u, one multiply observed by one batched irfft and one
-    TV."""
+    TV.  A negative n_steps is a ValueError on either path."""
+    if n_steps < 0:
+        raise ValueError("n_steps must be nonnegative")
     if not np.iscomplexobj(u):
         values = []
         integrate(stepper, u, n_steps, lambda v: values.append(total_variation(v)))
@@ -176,11 +177,10 @@ def _rise_chunks(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
                  lams: np.ndarray, n_steps: int, physical: bool):
     """(start, rises) for consecutive chunks of lams, lazily; the one place
     that decides how lambdas run.  As many as fit in BATCH_ELEMENTS step as
-    one batch when build batches and L is a ``Circulant``: physical rows
-    if ``physical``, else on the ``spectral`` system (see
+    one batch when L is a ``Circulant``: physical rows if ``physical``,
+    else on the ``spectral`` system when there is one (see
     ``max_tv_rises``); otherwise one lambda per chunk on physical values."""
-    batches = getattr(build, "batches", False) and isinstance(sys.L, Circulant)
-    batch = (sys if physical else spectral(sys)) if batches else None
+    batch = (sys if physical else spectral(sys)) if isinstance(sys.L, Circulant) else None
     size = max(1, BATCH_ELEMENTS // sys.n) if batch else 1
     for start in range(0, len(lams), size):
         part = lams[start:start + size]
@@ -203,10 +203,10 @@ def max_tv_rises(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
                  lams: Sequence[float], n_steps: int,
                  physical: bool = False) -> np.ndarray:
     """``max_tv_rise`` at every lambda, the lambdas stepped together in
-    batches of at most BATCH_ELEMENTS elements when build can: on physical
-    rows if ``physical``, else by stage gains on real-FFT coefficients, one
-    batched ``irfft`` per step.  Without a batch form each lambda runs
-    alone.  A non-finite batch is re-run one lambda at a time."""
+    batches of at most BATCH_ELEMENTS elements when L is a ``Circulant``:
+    on physical rows if ``physical``, else by stage gains on real-FFT
+    coefficients, one batched ``irfft`` per step.  Otherwise each lambda
+    runs alone.  A non-finite batch is re-run one lambda at a time."""
     lams = np.asarray(lams, dtype=float)
     chunks = _rise_chunks(build, sys, u0, lams, n_steps, physical)
     return np.concatenate([np.empty(0)] + [rises for _, rises in chunks])
@@ -219,9 +219,15 @@ def prescan_bracket(build: StepperBuilder, sys: SemiDiscretization,
     """(grid point before, first grid point whose rise exceeds threshold)
     on the pre-scan grid over (0, lambda_hi], or None; batches run in
     chunks of at most BATCH_ELEMENTS, up to the one holding the crossing.
-    A rise is at least 0, so a negative or NaN threshold is a ValueError."""
+    A rise is at least 0, so a negative or NaN threshold is a ValueError;
+    so are a lambda_hi that is not positive and finite, and fewer than one
+    step, under which every lambda reads as TVD."""
     if not threshold >= 0:
         raise ValueError(f"threshold must be nonnegative, got {threshold!r}")
+    if not 0.0 < lambda_hi < np.inf:
+        raise ValueError(f"lambda_hi must be positive and finite, got {lambda_hi!r}")
+    if not n_steps >= 1:
+        raise ValueError(f"n_steps must be at least 1, got {n_steps!r}")
     grid = np.linspace(lambda_hi / PRESCAN_POINTS, lambda_hi, PRESCAN_POINTS)
     for start, rises in _rise_chunks(build, sys, u0, grid, n_steps, physical=False):
         above = np.flatnonzero(rises > threshold)
@@ -248,7 +254,8 @@ def observed_tvd_lambda(
     requested width, one lambda at a time.  If no grid point crosses,
     lambda_hi itself is returned; if the very first grid point already
     exceeds the threshold the bracket starts at 0.  A lambda_hi or width
-    that is not positive and finite is a ValueError, before any step."""
+    that is not positive and finite, or fewer than one step, is a
+    ValueError, before any step."""
     _check_bracket(0.0, lambda_hi, width)
     crossing = prescan_bracket(build, sys, u0, lambda_hi, n_steps, threshold)
     if crossing is None:
@@ -268,7 +275,7 @@ def lambda_sweep(
 ) -> List[SweepRecord]:
     """One (lambda, max_rise, log10 rise) record per requested lambda; the
     lambdas step as batches of physical rows, in chunks of at most
-    BATCH_ELEMENTS, whenever the builder can batch the system."""
+    BATCH_ELEMENTS, whenever L is a ``Circulant``."""
     lams = np.asarray(lambdas, dtype=float)
     rises = max_tv_rises(build, sys, u0, lams, n_steps, physical=True)
     return [SweepRecord(float(lam), float(r), float(np.log10(max(r, LOG_FLOOR))))

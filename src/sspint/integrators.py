@@ -83,10 +83,12 @@ class StepPlan:
 def _step_plan(so: ShuOsherForm, c, dt, L=None, tol: float = 0.0) -> StepPlan:
     """The one place gaps are decided: a gap no lower than -tol counts as
     0, and ``build_cache(L, dt, gaps)`` gets exactly the nonzero gaps the
-    rows use.  dt is a step size or a column of them, each nonnegative."""
+    rows use.  dt is a step size or a column of them, each nonnegative and
+    finite."""
     dt = np.asarray(dt, dtype=float)
-    if np.any(dt < 0):
-        raise ValueError("dt must be nonnegative")
+    ok = np.isfinite(dt) & (dt >= 0)
+    if not ok.all():
+        raise ValueError(f"dt must be nonnegative and finite, got {dt[~ok].tolist()}")
     ceff = np.append(c, 1.0)
     rows = []
     for i, terms in enumerate(so.terms, 1):

@@ -5,16 +5,21 @@ Coefficients are entered exactly as printed in their sources: rationals as
 abscissas are non-decreasing (family ``eSSPRKplus``) are suitable for the
 integrating-factor construction; the classical methods are kept for plain
 Runge-Kutta stepping and for the decreasing-abscissa counterexample.
+``verify_certificate`` is the one judge of a record's claims: the registry
+certifies every record when it is first built, and the optimizer each
+tableau it finds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Tuple
+
+import numpy as np
 
 from .errors import UnknownMethod
-from .ssp_radius import ssp_radius
+from .ssp_radius import is_absolutely_monotonic, ssp_radius
 from .tableau import (
     ButcherTableau,
     ShuOsherForm,
@@ -58,6 +63,42 @@ class MethodRecord:
         canonical one at the SSP radius, derived once per record."""
         t = self.tableau
         return self.shu_osher or butcher_to_canonical_shu_osher(t, ssp_radius(t).radius)
+
+
+@dataclass(frozen=True)
+class CertificateReport:
+    checks: Tuple[Tuple[str, bool, str], ...]
+
+    @property
+    def ok(self) -> bool:
+        return all(passed for _, passed, _ in self.checks)
+
+    @property
+    def violations(self) -> Tuple[str, ...]:
+        return tuple(
+            f"{name}: {detail}" for name, passed, detail in self.checks if not passed
+        )
+
+
+def verify_certificate(record: MethodRecord) -> CertificateReport:
+    """Independently re-check a method record's claims from its tableau:
+    order conditions, absolute monotonicity just below the claimed
+    coefficient (at C - 1e-6), and, in the plus family, non-decreasing
+    abscissas.  The one judge of a record, printed or optimized."""
+    t = record.tableau
+    rep = order_residuals(t)
+    r_probe = max(record.claimed_C - 1e-6, 0.0)
+    checks = [
+        ("order", rep.achieved_order >= record.order,
+         f"achieved order {rep.achieved_order}, claimed {record.order}"),
+        ("absolute_monotonicity", is_absolutely_monotonic(t, r_probe),
+         f"claimed coefficient {record.claimed_C:.6f}, probed at {r_probe:.6f}"),
+    ]
+    if record.family == FAMILY_PLUS:
+        # the rule make_plan applies, so a certified record can be stepped
+        checks.append(("nondecreasing_abscissas", abscissas_nondecreasing(t),
+                       f"c = {np.round(t.c, 6).tolist()}"))
+    return CertificateReport(tuple(checks))
 
 
 def _record(name, order, alpha, beta, claimed_C, family, citation):
@@ -328,27 +369,12 @@ def _registry():
     return _REGISTRY
 
 
-def invariant_violation(rec: MethodRecord, radius: float,
-                        achieved_order: int) -> Optional[str]:
-    """The first broken part of a record's invariant, or None if it holds:
-    SSP radius at least the claimed C (to 1e-4), the claimed order
-    achieved, and non-decreasing abscissas in the plus family."""
-    if radius < rec.claimed_C - 1e-4:
-        return f"computed SSP radius {radius} below claimed {rec.claimed_C}"
-    if achieved_order < rec.order:
-        return f"achieved order {achieved_order} below claimed {rec.order}"
-    if rec.family == FAMILY_PLUS and not rec.nondecreasing:
-        return "abscissas are not non-decreasing"
-    return None
-
-
 def _self_check(reg):
-    """Verify every record's claimed coefficient, order and abscissa flag."""
+    """Certify every record: claimed coefficient, order and abscissa flag."""
     for name, rec in reg.items():
-        broken = invariant_violation(rec, ssp_radius(rec.tableau).radius,
-                                     order_residuals(rec.tableau).achieved_order)
-        if broken:
-            raise AssertionError(f"{name}: {broken}")
+        violations = verify_certificate(rec).violations
+        if violations:
+            raise AssertionError(f"{name}: {violations}")
 
 
 def get(name: str) -> MethodRecord:

@@ -7,7 +7,8 @@ subject to the order conditions (equalities) and to (I + rS)^{-1} e >= 0,
 r (I + rS)^{-1} S >= 0 and, when requested, abscissa ordering
 (inequalities), solved by SLSQP (Ketcheson, SISC 30(4), 2008).  Every
 start's tableau is re-certified by the independent radius computation and
-``verify_certificate``; the best certified start wins.
+``methods.verify_certificate`` (re-exported here); the best certified
+start wins.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import ConfigError, NotFound, SingularTransform
-from .methods import FAMILY_CLASSIC, FAMILY_PLUS, MethodRecord
-from .ssp_radius import _stacked, is_absolutely_monotonic, ssp_radius
-from .tableau import (_ORDER_CONDITIONS, _ROW_SUM_TOL, ButcherTableau,
-                      abscissas_nondecreasing, order_residuals)
+from .methods import (FAMILY_CLASSIC, FAMILY_PLUS, CertificateReport,  # re-exported
+                      MethodRecord, verify_certificate)
+from .ssp_radius import _stacked, ssp_radius
+from .tableau import _ORDER_CONDITIONS, _ROW_SUM_TOL, ButcherTableau
 
 _BOUND = 2.0
 _R0 = 0.1
@@ -161,58 +162,3 @@ def optimize(spec: OptimizationSpec) -> MethodRecord:
             f"after {spec.restarts} restarts"
         )
     return best
-
-
-@dataclass(frozen=True)
-class CertificateReport:
-    checks: Tuple[Tuple[str, bool, str], ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(passed for _, passed, _ in self.checks)
-
-    @property
-    def violations(self) -> Tuple[str, ...]:
-        return tuple(
-            f"{name}: {detail}" for name, passed, detail in self.checks if not passed
-        )
-
-
-def verify_certificate(
-    record: MethodRecord, require_nondecreasing: Optional[bool] = None
-) -> CertificateReport:
-    """Independently re-check a method record's claims from its tableau:
-    order conditions, absolute monotonicity at the claimed coefficient,
-    and (when applicable) the non-decreasing-abscissa constraint."""
-    if require_nondecreasing is None:
-        require_nondecreasing = record.family == FAMILY_PLUS
-    t = record.tableau
-    checks = []
-
-    rep = order_residuals(t)
-    ok = rep.achieved_order >= record.order
-    checks.append(
-        (
-            "order",
-            ok,
-            f"achieved order {rep.achieved_order}, claimed {record.order}",
-        )
-    )
-
-    r_probe = max(record.claimed_C - 1e-6, 0.0)
-    ok = is_absolutely_monotonic(t, r_probe)
-    checks.append(
-        (
-            "absolute_monotonicity",
-            ok,
-            f"claimed coefficient {record.claimed_C:.6f}, probed at {r_probe:.6f}",
-        )
-    )
-
-    if require_nondecreasing:
-        # the rule make_plan applies, so a certified record can be stepped
-        ok = abscissas_nondecreasing(t)
-        checks.append(
-            ("nondecreasing_abscissas", ok, f"c = {np.round(t.c, 6).tolist()}")
-        )
-    return CertificateReport(tuple(checks))

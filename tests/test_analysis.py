@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -114,6 +115,36 @@ def test_observed_tvd_rejects_a_bad_bracket_before_stepping(lambda_hi, width):
         observed_tvd_lambda(build, sys_, u0, lambda_hi, 3, width=width)
 
 
+@pytest.mark.parametrize("lambda_hi", [np.nan, np.inf, -1.0, 0.0])
+def test_prescan_rejects_a_bad_lambda_hi_before_stepping(lambda_hi):
+    # NaN and inf returned the bracket (0.0, nan), -1 failed in the plan
+    # on a negative dt, and 0 returned None, as if no lambda crossed
+    sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=1.0, n=64)
+
+    def build(sys, dt):
+        raise AssertionError("stepped before lambda_hi was checked")
+
+    with pytest.raises(ValueError, match="lambda_hi"):
+        analysis.prescan_bracket(build, sys_, u0, lambda_hi, 3)
+
+
+@pytest.mark.parametrize("problem", [LINEAR_ADVECTION_STEP, ADVECTION_BURGERS_STEP])
+def test_step_counts_are_checked_on_every_path(problem):
+    # linear advection takes the spectral path, which once stepped -3 steps
+    # as 0: observed_tvd_lambda returned lambda_hi and max_tv_rises [0.]
+    sys_, u0 = make_problem(problem, a=1.0, n=64)
+    build = ifrk_builder(methods.get("eSSPRK+(3,3)"))
+    with pytest.raises(ValueError, match="n_steps must be nonnegative"):
+        max_tv_rises(build, sys_, u0, [1.5], -3)
+    with pytest.raises(ValueError, match="n_steps must be nonnegative"):
+        tv_trace(build, sys_, u0, 1.5, -3)
+    for n_steps in (0, -3):  # no step reads every lambda as TVD
+        with pytest.raises(ValueError, match="n_steps must be at least 1"):
+            observed_tvd_lambda(build, sys_, u0, 2.0, n_steps)
+        with pytest.raises(ValueError, match="n_steps must be at least 1"):
+            analysis.prescan_bracket(build, sys_, u0, 2.0, n_steps)
+
+
 def test_observed_tvd_returns_hi_when_never_crossing():
     sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=0.0, n=64)
     rec = methods.get("eSSPRK+(9,2)")  # C = 8, far above the scan ceiling
@@ -226,10 +257,15 @@ def test_nonfinite_operator_is_an_error_not_a_rise(problem):
         max_tv_rises(build, sys_, u0, [0.1, 0.2], 3)
 
 
-def _one_lambda(build):
-    """build without its batch forms: one 1-D run per lambda, the
-    reference every batched rise is compared against."""
-    return lambda s, dt: build(s, dt)
+def _per_lambda(build, sys_, u0, lam, n_steps):
+    """The rise of one 1-D physical run (``tv_trace``), the reference every
+    batched rise is compared against: inf on a blow-up, 0 at lambda = 0."""
+    if lam == 0.0:
+        return 0.0
+    try:
+        return tv_trace(build, sys_, u0, lam, n_steps).max_rise
+    except NonFinite:
+        return np.inf
 
 
 def test_chunked_prescan_matches_single_chunk_and_physical(monkeypatch):
@@ -240,8 +276,10 @@ def test_chunked_prescan_matches_single_chunk_and_physical(monkeypatch):
     for label, elements in (("chunks of 3", 3 * 64), ("one chunk", 10**9)):
         monkeypatch.setattr(analysis, "BATCH_ELEMENTS", elements)
         found[label] = observed_tvd_lambda(build, sys_, u0, 2.5, 5).lambda_obs
+    # without a linear explicit term there is no spectral system: one 1-D
+    # physical run per lambda
     found["physical"] = observed_tvd_lambda(
-        _one_lambda(build), sys_, u0, 2.5, 5).lambda_obs
+        build, replace(sys_, N_linear=None), u0, 2.5, 5).lambda_obs
     assert len(set(found.values())) == 1, found
     assert 1.0 < found["physical"] < 2.5
 
@@ -296,7 +334,7 @@ def test_lambda_sweep_matches_per_lambda_bitwise(stepper, name, problem, n, a,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "BATCH_ELEMENTS", rows_per_chunk * n)
         recs = lambda_sweep(build, sys_, u0, lams, 3)
-    want = [max_tv_rise(_one_lambda(build), sys_, u0, lam, 3) for lam in lams]
+    want = [_per_lambda(build, sys_, u0, lam, 3) for lam in lams]
     assert [r.lam for r in recs] == lams
     assert [r.max_rise for r in recs] == want
     assert [r.log10_rise for r in recs] == [
@@ -310,7 +348,7 @@ def test_lambda_sweep_blowups_read_inf():
     build = rk_builder(methods.get("eSSPRK(10,4)"))
     lams = [0.3, 1.3, 0.5, 2.0]
     recs = lambda_sweep(build, sys_, u0, lams, 3)
-    want = [max_tv_rise(_one_lambda(build), sys_, u0, lam, 3) for lam in lams]
+    want = [_per_lambda(build, sys_, u0, lam, 3) for lam in lams]
     assert [r.max_rise for r in recs] == want
     assert want[1] == want[3] == np.inf
     assert np.isfinite(want[0]) and np.isfinite(want[2])

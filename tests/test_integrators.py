@@ -40,16 +40,24 @@ def test_rk_step_nonfinite_detection():
 
 
 def test_every_plan_rejects_a_negative_step():
-    # make_plan once stepped eSSPRK+(3,3) backward in time without an error
-    sys_, _ = make_problem(LINEAR_ADVECTION_STEP, a=1.0, n=64)
+    # make_plan once stepped eSSPRK+(3,3) backward in time without an error,
+    # and a NaN or infinite dt built a plan of NaN exponentials whose step
+    # failed as NonFinite, so max_tv_rise read a NaN lambda as a blow-up
+    sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=1.0, n=64)
     plus, classic = methods.get("eSSPRK+(3,3)"), methods.get("eSSPRK(3,3)")
     so, c = shu_osher_form(classic), classic.tableau.c
-    for dt in (-0.01, np.array([[0.01], [-0.01]])):
-        for plan in (lambda: make_plan(plus, sys_, dt),
-                     lambda: make_general_plan(so, c, sys_, dt),
-                     lambda: rk_plan(classic, dt)):
-            with pytest.raises(ValueError, match="dt must be nonnegative"):
-                plan()
+    for bad in (-0.01, np.nan, np.inf, -np.inf):
+        for dt in (bad, np.array([[0.01], [bad]])):
+            u = u0 if np.ndim(dt) == 0 else np.tile(u0, (2, 1))
+            for call in (lambda: make_plan(plus, sys_, dt),
+                         lambda: make_general_plan(so, c, sys_, dt),
+                         lambda: rk_plan(classic, dt),
+                         lambda: rk_step(classic, sys_.N, u, dt)):
+                with pytest.raises(ValueError, match="dt must be nonnegative and finite"):
+                    call()
+        for build in (ifrk_builder(plus), rk_builder(classic)):
+            with pytest.raises(ValueError, match="dt must be nonnegative and finite"):
+                max_tv_rise(build, sys_, u0, bad, 3)
 
 
 def test_rk_plan_is_one_group_at_gap_zero_without_a_cache():

@@ -62,12 +62,27 @@ def test_shu_osher_forms_are_ssp_admissible():
         assert rec.shu_osher.is_ssp_admissible(), rec.name
 
 
-def test_invariant_violation_names_the_first_broken_part():
-    rec = methods.get("eSSPRK+(4,3)")
-    assert methods.invariant_violation(rec, 20.0 / 11.0, 3) is None
-    assert methods.invariant_violation(rec, 1.8, 2).startswith("computed SSP radius 1.8")
-    assert methods.invariant_violation(rec, 20.0 / 11.0, 2) == (
-        "achieved order 2 below claimed 3")
-    decreasing = dataclasses.replace(methods.get("eSSPRK(3,3)"), family=methods.FAMILY_PLUS)
-    assert methods.invariant_violation(decreasing, 1.0, 3) == (
-        "abscissas are not non-decreasing")
+def test_certificate_names_the_broken_claim():
+    plus43, classic33 = methods.get("eSSPRK+(4,3)"), methods.get("eSSPRK(3,3)")
+    t = plus43.tableau
+    assert methods.verify_certificate(plus43).violations == ()
+    cases = [
+        (dataclasses.replace(plus43, claimed_C=1.9), "absolute_monotonicity"),
+        (dataclasses.replace(plus43, tableau=dataclasses.replace(t, order=4)), "order"),
+        (dataclasses.replace(classic33, family=methods.FAMILY_PLUS),
+         "nondecreasing_abscissas"),
+    ]
+    for rec, broken in cases:
+        violations = methods.verify_certificate(rec).violations
+        assert len(violations) == 1 and violations[0].startswith(broken + ": "), violations
+
+
+def test_registry_self_check_names_a_corrupted_record(monkeypatch):
+    # every start certifies the registry; an over-claimed C must stop it
+    reg = methods._build_registry()
+    reg["eSSPRK(5,4)"] = dataclasses.replace(reg["eSSPRK(5,4)"], claimed_C=1.6)
+    monkeypatch.setattr(methods, "_build_registry", lambda: reg)
+    monkeypatch.setattr(methods, "_REGISTRY", None)
+    with pytest.raises(AssertionError, match=r"eSSPRK\(5,4\): .*absolute_monotonicity"):
+        methods._registry()
+    assert methods._REGISTRY is None
