@@ -65,7 +65,8 @@ unless stated):
   Pol right-hand side at dt = 1e-5 (the step of ex1's reference solve,
   which no longer calls it), its plan included.
 - ``van_der_pol_reference``: that whole solve, ``cli.van_der_pol_reference``
-  (50 000 steps to T = 0.5).
+  (50 000 steps to T = 0.5).  ``run_ex1`` reads its pinned value,
+  ``analysis.VAN_DER_POL_REFERENCE``, instead.
 - ``make_plan_batch``: ``make_plan`` of eSSPRK+(6,4) for the first
   10-row batch of ex4's sweep on that problem (lambda = 0.05 to 0.5), its
   cache included.
@@ -79,6 +80,8 @@ unless stated):
 - ``registry``: the method registry rebuilt and self-checked, as on the
   first lookup of every start (``methods._registry()`` from
   ``_REGISTRY = None``).
+- ``startup``: ``import sspint.cli`` in a fresh interpreter per repeat,
+  timed inside it, so the interpreter's own start is left out.
 """
 
 import argparse
@@ -108,6 +111,16 @@ BURGERS_LAMBDAS = (0.05, 2.0, 40)
 ROUNDS = 6
 
 
+#: run by ``python -c`` in a fresh interpreter: the ``startup`` layer.
+_STARTUP = ("import time; start = time.perf_counter(); import sspint.cli; "
+            "print(time.perf_counter() - start)")
+
+
+def _stats(samples):
+    return {"median_s": statistics.median(samples), "best_s": min(samples),
+            "repeats": len(samples), "samples_s": samples}
+
+
 def _median_time(fn, repeats, inner=1):
     samples = []
     for _ in range(repeats):
@@ -115,11 +128,24 @@ def _median_time(fn, repeats, inner=1):
         for _ in range(inner):
             fn()
         samples.append((time.perf_counter() - start) / inner)
-    return {"median_s": statistics.median(samples), "best_s": min(samples),
-            "repeats": repeats, "samples_s": samples}
+    return _stats(samples)
 
 
-def layers(quick):
+def _env_with(src):
+    """The environment with src first on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def startup(src, repeats):
+    """``import sspint.cli`` from src, each repeat in a fresh interpreter."""
+    return _stats([
+        float(subprocess.run([sys.executable, "-c", _STARTUP], env=_env_with(src),
+                             capture_output=True, text=True, check=True).stdout)
+        for _ in range(repeats)])
+
+
+def layers(quick, src):
     import numpy as np
 
     from sspint import analysis, cli, integrators, methods, spatial
@@ -186,6 +212,7 @@ def layers(quick):
         methods._registry()
 
     out["registry"] = _median_time(rebuild_registry, k)
+    out["startup"] = startup(src, k)
     return out
 
 
@@ -272,11 +299,10 @@ def alternating(src, against, label):
 
 def tier1(src):
     """Wall time and summary line of the tier-1 suite beside src."""
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
-        cwd=os.path.dirname(os.path.abspath(src).rstrip(os.sep)), env=dict(os.environ, PYTHONPATH=path),
+        cwd=os.path.dirname(os.path.abspath(src).rstrip(os.sep)), env=_env_with(src),
         capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     return {"wall_s": time.perf_counter() - start,
@@ -320,7 +346,7 @@ def main(argv=None):
         run = {
             "src_lines": sum(_line_count(f) for f in files),
             "quick": args.quick,
-            "layers": layers(args.quick),
+            "layers": layers(args.quick, src),
         }
         if not args.quick:
             run["tier1"] = tier1(src)

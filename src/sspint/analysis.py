@@ -54,6 +54,9 @@ LOG_FLOOR = 1e-300
 
 #: end time of the van der Pol convergence runs (ex1).
 VAN_DER_POL_T = 0.5
+#: ex1's reference: van_der_pol_reference() at dt = 1e-5, T = VAN_DER_POL_T, from (2, 0).
+VAN_DER_POL_REFERENCE = (float.fromhex("0x1.d674c41aa053cp+0"),
+                         float.fromhex("-0x1.11ad0ec0f45fep-1"))
 
 #: largest k * n a batched scan steps at once (k lambdas, n grid points);
 #: a larger pre-scan or sweep runs in chunks of at most this many elements.

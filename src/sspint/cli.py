@@ -20,7 +20,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from . import analysis, methods, spatial
-from .analysis import van_der_pol_errors, van_der_pol_reference
+from .analysis import van_der_pol_errors, van_der_pol_reference  # noqa: F401 (re-export)
 from .errors import ConfigError, NonFinite, SspError
 from .integrators import integrate
 from .optimizer import OptimizationSpec, optimize
@@ -346,7 +346,7 @@ def run_ex1(cfg: Dict[str, str], outdir: str) -> List[str]:
     recs = _records(cfg.get("methods", ",".join(methods.method_names())))
     splittings = [s.strip() for s in cfg.get("splittings", "a,b").split(",")]
     dts = _floats(cfg.get("dts", "0.02,0.04,0.06,0.08,0.10"))
-    uref = van_der_pol_reference()
+    uref = np.array(analysis.VAN_DER_POL_REFERENCE)
 
     err_rows, slope_rows = [], []
     for rec in recs:
@@ -399,6 +399,11 @@ def _write_method_json(path: str, rec, **extra):
 
 
 def cmd_methods(args) -> int:
+    if (args.name is None) != (args.action == "list"):
+        raise ConfigError(f"methods {args.action} requires a method name" if args.name is None
+                          else f"methods list takes no method name, got {args.name!r}")
+    if args.out is not None and args.action != "export":
+        raise ConfigError(f"methods {args.action} takes no --out, got {args.out!r}")
     if args.action == "list":
         print(f"{'name':<16} {'s':>2} {'p':>2} {'C':>8} {'C_eff':>7}  family")
         for rec in methods.list_methods():
@@ -408,8 +413,6 @@ def cmd_methods(args) -> int:
                 f"{rec.family}"
             )
         return 0
-    if args.name is None:
-        raise ConfigError(f"methods {args.action} requires a method name")
     if args.action == "verify":
         rec = methods.get(args.name)
         rr = ssp_radius(rec.tableau)
@@ -426,11 +429,10 @@ def cmd_methods(args) -> int:
         ok = methods.verify_certificate(rec).ok
         print("status:        " + ("ok" if ok else "INVARIANT VIOLATED"))
         return 0 if ok else 1
-    if args.action == "export":
-        if not args.out:
-            raise ConfigError("methods export requires --out")
-        _write_method_json(args.out, methods.get(args.name))
-        return 0
+    if not args.out:
+        raise ConfigError("methods export requires --out")
+    _write_method_json(args.out, methods.get(args.name))
+    return 0
 
 
 def cmd_radius(args) -> int:

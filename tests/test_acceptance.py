@@ -13,13 +13,14 @@ import pytest
 import sspint as sp
 from sspint import methods
 from sspint.analysis import (
+    VAN_DER_POL_REFERENCE,
     ifrk_builder,
     ifrk_general_builder,
     max_tv_rise,
     observed_tvd_lambda,
     rk_builder,
 )
-from sspint.cli import van_der_pol_errors, van_der_pol_reference
+from sspint.cli import van_der_pol_errors
 from sspint.expm import expm
 from sspint.integrators import SemiDiscretization, ifrk_step, integrate, make_plan
 from sspint.optimizer import OptimizationSpec, optimize, verify_certificate
@@ -202,8 +203,9 @@ def test_criterion_07_van_der_pol_convergence():
     # on splitting a is pre-asymptotic: e(0.10)/e(0.02) = 45 instead of 25,
     # a dt^3 term about 12 dt times the dt^2 term, and the slope is 2.36.
     # Every error must stay >= 1e-11 so that the fit measures the method,
-    # not the ~3e-12 accuracy of van_der_pol_reference.
-    uref = van_der_pol_reference()
+    # not the ~3e-12 accuracy of the reference, van_der_pol_reference() as
+    # pinned in VAN_DER_POL_REFERENCE.
+    uref = np.array(VAN_DER_POL_REFERENCE)
     dts = [0.01, 0.02, 0.03, 0.04, 0.05]
     bad = []
     for rec in methods.list_methods():

@@ -423,10 +423,12 @@ def test_two_float_steps_treat_an_overflowing_rhs_as_rk_step_does(u0):
 
 
 def test_van_der_pol_reference_is_pinned():
-    # the ex1 reference, bitwise as rk_step computed it; sspint.cli
-    # re-exports it (run ex1 and perfbench look it up there)
+    # the ex1 reference, bitwise as rk_step computed it, and the constant
+    # run ex1 reads in its place; sspint.cli re-exports the solve
+    # (perfbench looks it up there)
     u = analysis.van_der_pol_reference()
     assert [float(v).hex() for v in u] == ["0x1.d674c41aa053cp+0", "-0x1.11ad0ec0f45fep-1"]
+    assert _bits(u) == _bits(analysis.VAN_DER_POL_REFERENCE)
     assert cli.van_der_pol_reference is analysis.van_der_pol_reference
     assert cli.van_der_pol_errors is analysis.van_der_pol_errors
 

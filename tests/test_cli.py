@@ -81,6 +81,17 @@ def test_cli_usage_error_exits_one(capsys):
     assert main(["methods", "bogus-action"]) == 1
 
 
+def test_cli_methods_rejects_what_its_action_ignores(tmp_path, capsys):
+    # list takes no name, and only export takes --out
+    out = tmp_path / "m.txt"
+    for argv, named in ((["methods", "list", "eSSPRK+(3,3)"], "method name"),
+                        (["methods", "list", "--out", str(out)], "--out"),
+                        (["methods", "verify", "eSSPRK+(3,3)", "--out", str(out)], "--out")):
+        assert main(argv) == 1
+        assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_export_round_trip(tmp_path, capsys):
     out = tmp_path / "m.json"
     assert main(["methods", "export", "eSSPRK+(4,3)", "--out", str(out)]) == 0
@@ -159,13 +170,16 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     ("threshold=-1e-300\n", ["run", "table7"]),
     (None, ["run", "ex4", "--lambdas", ""]),
     (None, ["sweep", "--method", "eSSPRK+(3,3)", "--lambdas", ""]),
+    (None, ["methods", "list", "eSSPRK+(3,3)"]),
+    (None, ["methods", "list", "--out", "FILE/list.txt"]),
+    (None, ["methods", "verify", "eSSPRK+(3,3)", "--out", "FILE/verify.txt"]),
 ])
 def test_cli_bad_values_exit_one_with_one_line(tmp_path, capsys, monkeypatch,
                                                config, argv):
-    def reference_not_reached():
-        raise AssertionError("bad values must be rejected before the reference solve")
+    def solve_not_reached(*args):
+        raise AssertionError("bad values must be rejected before ex1's first solve")
 
-    monkeypatch.setattr(cli, "van_der_pol_reference", reference_not_reached)
+    monkeypatch.setattr(cli, "van_der_pol_errors", solve_not_reached)
     if config is not None:
         path = tmp_path / "bad.cfg"
         path.write_text(config)
@@ -264,3 +278,31 @@ def test_cli_optimize_seed_six_certifies(capsys):
             "--restarts", "10", "--seed", "6"]
     assert main(argv) == 0
     assert "order: ok" in capsys.readouterr().out
+
+
+#: the recorded outputs of the benchmark's van-der-pol workload, and its
+#: tolerances (perfbench/checks.py) as (abs, rel): |got - want| <= abs + rel * |want|.
+_BENCH_REFERENCE = os.path.join(os.path.dirname(__file__), "..", "perfbench", "reference.json")
+_EX1_TOLERANCES = {"ex1_errors.csv": (1e-12, 1e-6), "ex1_slopes.csv": (1e-6, 0.0)}
+
+
+def _csv_rows(text):
+    rows = [line for line in text.splitlines() if line and not line.startswith("# ")]
+    return list(csv.reader(io.StringIO("\n".join(rows))))
+
+
+def test_cli_run_ex1_stays_inside_the_benchmark_tolerances(tmp_path, capsys):
+    # the eSSPRK(10,4) slope on splitting a sits about 1e-8 inside its
+    # tolerance, so a change to ex1's bits fails here before the benchmark
+    with open(_BENCH_REFERENCE) as fh:
+        want = json.load(fh)["full"]["run.ex1"]
+    assert main(["run", "ex1", "--out", str(tmp_path)]) == 0
+    assert sorted(os.listdir(tmp_path)) == sorted(want)
+    for name, (abs_tol, rel_tol) in _EX1_TOLERANCES.items():
+        got = _csv_rows((tmp_path / name).read_text())
+        ref = _csv_rows(want[name])
+        # same header, and the same (method, splitting, dt or order) rows in order
+        assert got[0] == ref[0] and [r[:3] for r in got] == [r[:3] for r in ref]
+        for g, w in zip(got[1:], ref[1:]):
+            value, recorded = float(g[3]), float(w[3])
+            assert abs(value - recorded) <= abs_tol + rel_tol * abs(recorded), (g, w)
