@@ -13,7 +13,9 @@ directory, so one script times two commits on the same machine; that
 package must have the batched pre-scan, the spectral system, the
 circulant L2 probe and the batched WENO5 right-hand side.  With ``--out`` the
 run is merged into that JSON file under ``runs[label]``, beside the
-machine facts; without it the run is printed.  A full run (not
+machine facts, which include the BLAS thread setting
+(``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and OpenBLAS's runtime
+count); without it the run is printed.  A full run (not
 ``--quick``) also records the tier-1 suite of the checkout that holds
 ``--src`` (``python -m pytest -q --continue-on-collection-errors`` there,
 with that ``src`` on ``PYTHONPATH``): its wall time and summary line.
@@ -314,13 +316,43 @@ def _line_count(path):
         return sum(1 for _ in fh)
 
 
+def _blas_threads():
+    """OpenBLAS's runtime thread count per OpenBLAS library loaded in this
+    process, read through ctypes; empty where /proc/self/maps is missing."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({ln.split()[-1] for ln in fh
+                           if "openblas" in ln and ln.rstrip().endswith(".so")})
+    except OSError:
+        return {}
+    found = {}
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for sym in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                found[os.path.basename(path)] = fn()
+                break
+    return found
+
+
 def machine():
+    """Machine facts, with the BLAS thread setting the children inherit:
+    SLSQP's QP in the optimizer layers runs on OpenBLAS's threads."""
     import numpy
     import scipy
+    import scipy.optimize  # noqa: F401  (loads SciPy's own OpenBLAS)
 
     return {"nproc": os.cpu_count(), "python": platform.python_version(),
             "numpy": numpy.__version__, "scipy": scipy.__version__,
-            "machine": platform.machine()}
+            "machine": platform.machine(),
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+            "blas_threads": _blas_threads()}
 
 
 def main(argv=None):

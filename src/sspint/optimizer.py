@@ -2,19 +2,18 @@
 coefficient, optionally under the non-decreasing-abscissa constraint.
 
 Each start is one nonlinear program over x = (theta, r), theta holding the
-free Butcher entries (strictly lower triangular A plus b): maximize r
-subject to the order conditions (equalities) and to (I + rS)^{-1} e >= 0,
-r (I + rS)^{-1} S >= 0 and, when requested, abscissa ordering
-(inequalities), solved by SLSQP (Ketcheson, SISC 30(4), 2008).  Every
-start's tableau is re-certified by the independent radius computation and
-``methods.verify_certificate`` (re-exported here); the best certified
-start wins.
+strictly lower part of S = [[A, 0], [b^T, 0]] row by row: maximize r subject
+to the order conditions and to (I + rS)^{-1} e >= 0, r (I + rS)^{-1} S >= 0
+and, if requested, abscissa ordering, solved by SLSQP with exact Jacobians
+(Ketcheson, SISC 30(4), 2008) and every index layout built once per problem.
+Each start's tableau is re-certified by the radius computation and
+``methods.verify_certificate`` (re-exported here); a start with a non-finite
+entry fails, and the best certified start wins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 from scipy.optimize import minimize
@@ -22,7 +21,7 @@ from scipy.optimize import minimize
 from .errors import ConfigError, NotFound, SingularTransform
 from .methods import (FAMILY_CLASSIC, FAMILY_PLUS, CertificateReport,  # re-exported
                       MethodRecord, verify_certificate)
-from .ssp_radius import _stacked, ssp_radius
+from .ssp_radius import ssp_radius
 from .tableau import _ORDER_CONDITIONS, _ROW_SUM_TOL, ButcherTableau
 
 _BOUND = 2.0
@@ -50,14 +49,6 @@ class OptimizationSpec:
             raise ConfigError("seed must be >= 0")
 
 
-def _unpack(theta: np.ndarray, s: int) -> Tuple[np.ndarray, np.ndarray]:
-    """A and b from theta, the strictly lower part of [[A, 0], [b^T, 0]]
-    read row by row."""
-    A = np.zeros((s, s), dtype=theta.dtype)
-    A[np.tril_indices(s, -1)] = theta[:-s]
-    return A, theta[-s:]
-
-
 def _start(rng: np.random.Generator, s: int) -> np.ndarray:
     """A uniform(0, 1) draw of theta with row i of [[A, 0], [b^T, 0]]
     rescaled to sum to i/s: evenly spaced abscissas and sum(b) = 1."""
@@ -68,24 +59,30 @@ def _start(rng: np.random.Generator, s: int) -> np.ndarray:
 
 def _problem(spec: OptimizationSpec):
     """Objective, constraints (with exact Jacobians) and bounds of the
-    max-r program over x = (theta, r)."""
+    max-r program over x = (theta, r), its constants built once."""
     s = spec.stages
     conditions = [fn for _, order, fn in _ORDER_CONDITIONS if order <= spec.order]
     K, L = np.tril_indices(s + 1, -1)  # theta[m] is S[K[m], L[m]]
     n = len(K)
+    eye, KK, LL, steps = np.eye(s + 1), np.ix_(K, K), np.ix_(L, L), 1e-30j * np.eye(n + 1)
+
+    def stacked(x):
+        S = np.zeros((s + 1, s + 1), x.dtype)
+        S[K, L] = x[:-1]
+        return S
 
     def order_conditions(x):
-        A, b = _unpack(x[:-1], s)
-        return np.array([fn(A, b, A.sum(axis=1)) for fn in conditions])
+        S = stacked(x)
+        A, b, c = S[:s, :s], S[s, :s], S[:s, :s].sum(axis=1)
+        return np.array([fn(A, b, c) for fn in conditions])
 
     def order_jacobian(x):
         # complex step: exact derivatives of the polynomial conditions
-        steps = x + 1e-30j * np.eye(n + 1)
-        return np.column_stack([order_conditions(y).imag for y in steps]) / 1e-30
+        return np.column_stack([order_conditions(y).imag for y in x + steps]) / 1e-30
 
     def transform(x):
-        r, S = x[-1], _stacked(*_unpack(x[:-1], s))
-        R = np.linalg.inv(np.eye(s + 1) + r * S)
+        r, S = x[-1], stacked(x)
+        R = np.linalg.inv(eye + r * S)
         return r, R, R @ S
 
     def monotonicity(x):
@@ -97,7 +94,7 @@ def _problem(spec: OptimizationSpec):
         r, R, RS = transform(x)
         v = R.sum(axis=1)
         dv = np.column_stack([-r * R[:, K] * v[L], -RS @ v])
-        dP = np.column_stack([r * R[np.ix_(K, K)] * R[np.ix_(L, L)].T, (RS @ R)[K, L]])
+        dP = np.column_stack([r * R[KK] * R[LL].T, (RS @ R)[K, L]])
         return np.vstack([dv, dP])
 
     constraints = [
@@ -116,10 +113,14 @@ def _problem(spec: OptimizationSpec):
     return (lambda x: -x[-1]), (lambda x: grad), constraints, bounds
 
 
-def _certified(spec: OptimizationSpec, theta: np.ndarray) -> Optional[MethodRecord]:
+def _certified(spec: OptimizationSpec, theta: np.ndarray) -> MethodRecord | None:
     """The record of this tableau if it certifies, else None."""
-    A, b = _unpack(theta, spec.stages)
-    if not abs(b.sum() - 1.0) <= _ROW_SUM_TOL:  # the solve left sum(b) = 1 unmet
+    s = spec.stages
+    S = np.zeros((s + 1, s + 1))
+    S[np.tril_indices(s + 1, -1)] = theta
+    A, b = S[:s, :s], S[s, :s]
+    # the solve left a non-finite entry or sum(b) = 1 unmet
+    if not (np.isfinite(theta).all() and abs(b.sum() - 1.0) <= _ROW_SUM_TOL):
         return None
     plus = spec.require_nondecreasing
     t = ButcherTableau.from_arrays(A, b, order=spec.order,

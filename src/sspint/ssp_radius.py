@@ -38,20 +38,11 @@ class RadiusResult:
     bisection_width: float
 
 
-def _stacked(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The stacked stage matrix [[A, 0], [b^T, 0]]."""
-    s = len(b)
-    S = np.zeros((s + 1, s + 1))
-    S[:s, :s] = A
-    S[s, :s] = b
-    return S
-
-
 def canonical_form(t: ButcherTableau, r: float) -> CanonicalShuOsher:
     """v = (I + rS)^(-1) e and P = r (I + rS)^(-1) S from one inverse R of
     M = I + rS, guarded as np.linalg.cond(M, 1) = ||M||_1 ||R||_1 is: a
     failed or NaN inverse counts as singular unless M itself holds NaN."""
-    S = _stacked(t.A, t.b)
+    S = t.stacked
     M = np.eye(S.shape[0]) + r * S
     try:
         R = np.linalg.inv(M)

@@ -80,6 +80,14 @@ class ButcherTableau:
     def stages(self) -> int:
         return len(self.b)
 
+    @cached_property
+    def stacked(self) -> np.ndarray:
+        """The read-only stacked stage matrix [[A, 0], [b^T, 0]]."""
+        S = np.zeros((self.stages + 1,) * 2)
+        S[:-1, :-1], S[-1, :-1] = self.A, self.b
+        S.setflags(write=False)
+        return S
+
     @classmethod
     def from_arrays(cls, A, b, c=None, name="", order=1):
         A = np.array([[parse_coefficient(x) for x in row] for row in A], dtype=float)

@@ -6,7 +6,7 @@ import pytest
 from sspint import methods, optimizer
 from sspint.methods import FAMILY_PLUS, MethodRecord
 from sspint.optimizer import OptimizationSpec, optimize, verify_certificate
-from sspint.tableau import ButcherTableau
+from sspint.tableau import _ORDER_CONDITIONS, ButcherTableau
 
 
 def test_spec_validation():
@@ -45,16 +45,109 @@ def test_optimize_reaches_known_optima(stages, order, nondecreasing, floor):
     assert verify_certificate(rec).ok
 
 
-@pytest.mark.parametrize("nondecreasing", [True, False])
-def test_constraint_jacobians_match_central_differences(nondecreasing):
-    spec = OptimizationSpec(5, 4, require_nondecreasing=nondecreasing)
+@pytest.mark.parametrize("stages, order, nondecreasing", [
+    pytest.param(5, 4, True, id="True"),
+    pytest.param(5, 4, False, id="False"),
+    pytest.param(3, 3, True, id="3-3-plus"),
+    pytest.param(10, 4, False, id="10-4-classic"),
+])
+def test_constraint_jacobians_match_central_differences(stages, order, nondecreasing):
+    spec = OptimizationSpec(stages, order, require_nondecreasing=nondecreasing)
     _, _, constraints, _ = optimizer._problem(spec)
-    x = np.append(np.random.default_rng(1).uniform(0.0, 1.0, 15), 0.7)
+    n = stages * (stages + 1) // 2
+    x = np.append(np.random.default_rng(1).uniform(0.0, 1.0, n), 0.7)
     h = 1e-6
     for con in constraints:
         fd = np.column_stack([(con["fun"](x + h * e) - con["fun"](x - h * e)) / (2 * h)
                               for e in np.eye(len(x))])
         assert np.abs(con["jac"](x) - fd).max() <= 1e-7 * max(1.0, np.abs(fd).max())
+
+
+def _reference_constraints(spec):
+    """The constraints as written before their layouts were hoisted: A and
+    b unpacked from theta and restacked on every call."""
+    s = spec.stages
+    conditions = [fn for _, order, fn in _ORDER_CONDITIONS if order <= spec.order]
+    K, L = np.tril_indices(s + 1, -1)
+    n = len(K)
+
+    def unpack(theta):
+        A = np.zeros((s, s), dtype=theta.dtype)
+        A[np.tril_indices(s, -1)] = theta[:-s]
+        return A, theta[-s:]
+
+    def stacked(A, b):
+        S = np.zeros((s + 1, s + 1))
+        S[:s, :s] = A
+        S[s, :s] = b
+        return S
+
+    def order_conditions(x):
+        A, b = unpack(x[:-1])
+        return np.array([fn(A, b, A.sum(axis=1)) for fn in conditions])
+
+    def order_jacobian(x):
+        steps = x + 1e-30j * np.eye(n + 1)
+        return np.column_stack([order_conditions(y).imag for y in steps]) / 1e-30
+
+    def transform(x):
+        r, S = x[-1], stacked(*unpack(x[:-1]))
+        R = np.linalg.inv(np.eye(s + 1) + r * S)
+        return r, R, R @ S
+
+    def monotonicity(x):
+        r, R, RS = transform(x)
+        return np.concatenate([R.sum(axis=1), r * RS[K, L]])
+
+    def monotonicity_jacobian(x):
+        r, R, RS = transform(x)
+        v = R.sum(axis=1)
+        dv = np.column_stack([-r * R[:, K] * v[L], -RS @ v])
+        dP = np.column_stack([r * R[np.ix_(K, K)] * R[np.ix_(L, L)].T, (RS @ R)[K, L]])
+        return np.vstack([dv, dP])
+
+    dc = np.eye(s + 1)[:s, np.append(K, s)]
+    G = np.vstack([np.diff(dc, axis=0), -dc[-1:], dc])
+    g = np.eye(len(G))[s - 1]
+    return [(order_conditions, order_jacobian), (monotonicity, monotonicity_jacobian),
+            (lambda x: G @ x + g, lambda x: G)][:3 if spec.require_nondecreasing else 2]
+
+
+@pytest.mark.parametrize("stages, order, nondecreasing", [
+    (3, 2, True), (4, 3, True), (6, 4, True), (5, 4, False), (10, 4, False)])
+def test_constraints_match_the_unhoisted_reference_bitwise(stages, order, nondecreasing):
+    spec = OptimizationSpec(stages, order, require_nondecreasing=nondecreasing)
+    _, _, constraints, _ = optimizer._problem(spec)
+    reference = _reference_constraints(spec)
+    assert len(constraints) == len(reference)
+    rng = np.random.default_rng(stages * 10 + order)
+    n = stages * (stages + 1) // 2
+    for x in [np.append(rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 2.0 * stages))
+              for _ in range(5)] + [np.append(optimizer._start(rng, stages), 0.1)]:
+        for con, (fun, jac) in zip(constraints, reference):
+            for got, want in ((con["fun"](x), fun(x)), (con["jac"](x), jac(x))):
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+
+def test_a_start_with_a_nonfinite_entry_is_uncertified(monkeypatch):
+    spec = OptimizationSpec(3, 2, restarts=2)
+    theta = np.array([np.nan, 0.5, 0.5, 0.25, 0.25, 0.5])  # sum(b) = 1
+    assert optimizer._certified(spec, theta) is None
+    # a start that ends there counts as failed; the other start still wins
+    real, calls = optimizer.minimize, []
+
+    def first_start_fails(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        if not calls:
+            sol.x = np.append(theta, sol.x[-1])
+        calls.append(sol)
+        return sol
+
+    monkeypatch.setattr(optimizer, "minimize", first_start_fails)
+    rec = optimize(spec)
+    assert len(calls) == 2 and rec.claimed_C >= 2.0 - 1e-3
+    assert verify_certificate(rec).ok
 
 
 def test_optimize_is_deterministic():

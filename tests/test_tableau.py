@@ -92,6 +92,22 @@ def test_tableau_freezes_copies_not_the_callers_arrays():
     assert t.A[1, 0] == 1.0
 
 
+@pytest.mark.parametrize("name", ["eSSPRK(3,3)", "eSSPRK+(6,4)", "eSSPRK(10,4)"])
+def test_stacked_is_one_read_only_matrix_per_tableau(name):
+    t = methods.get(name).tableau
+    s = t.stages
+    want = np.zeros((s + 1, s + 1))
+    want[:s, :s] = t.A
+    want[s, :s] = t.b
+    assert t.stacked.tobytes() == want.tobytes() and t.stacked.shape == want.shape
+    assert not t.stacked.flags.writeable
+    with pytest.raises(ValueError):
+        t.stacked[1, 0] = 0.0
+    # built once: every canonical probe of the tableau shares the same array
+    assert t.stacked is t.stacked
+    assert all(canonical_form(t, r).S is t.stacked for r in (0.0, 0.5, 1.0))
+
+
 def test_tableau_json_round_trip(tmp_path):
     t = methods.get("eSSPRK+(5,4)").tableau
     path = tmp_path / "t.json"
