@@ -79,6 +79,11 @@ unless stated):
 - ``ssp_radius``: ``ssp_radius`` of eSSPRK+(6,4).
 - ``optimize_<s>_<p>``: ``optimize`` of (3,2), (3,3), (4,3) and (5,3) with
   non-decreasing abscissas, 10 restarts, seed 0, with the certified C.
+- ``optimize_6_4``: ``optimize`` of (6,4) with non-decreasing abscissas,
+  2 restarts, seed 0, with the certified C.
+- ``order_jacobian_10_4``: one Jacobian of the order conditions of the
+  classic (10,4) search (``optimizer._problem``), at the first start of
+  seed 0 (``_start`` with r = 0.1).
 - ``registry``: the method registry rebuilt and self-checked, as on the
   first lookup of every start (``methods._registry()`` from
   ``_REGISTRY = None``).
@@ -103,7 +108,8 @@ N = 1000
 STEPS = 10
 A = 10.0
 METHOD = "eSSPRK+(5,4)"
-OPTIMIZER_CASES = ((3, 2), (3, 3), (4, 3), (5, 3))
+#: (stages, order, restarts) of the ``optimize_<s>_<p>`` layers.
+OPTIMIZER_CASES = ((3, 2, 10), (3, 3, 10), (4, 3, 10), (5, 3, 10), (6, 4, 2))
 #: the advection-Burgers sweep of ex4 at its default config.
 BURGERS_N = 400
 BURGERS_STEPS = 25
@@ -152,7 +158,7 @@ def layers(quick, src):
 
     from sspint import analysis, cli, integrators, methods, spatial
     from sspint.integrators import ifrk_step, make_plan
-    from sspint.optimizer import OptimizationSpec, optimize
+    from sspint.optimizer import OptimizationSpec, _problem, _start, optimize
     from sspint.ssp_radius import observed_l2_cfl
 
     k = 3 if quick else 5
@@ -202,12 +208,17 @@ def layers(quick, src):
     out["l2cfl_circulant"] = _median_time(
         lambda: observed_l2_cfl(t33, circ, 0.2, 500, seed=0), k)
 
-    for s, p in OPTIMIZER_CASES:
-        spec = OptimizationSpec(s, p, require_nondecreasing=True, restarts=10, seed=0)
+    for s, p, restarts in OPTIMIZER_CASES:
+        spec = OptimizationSpec(s, p, require_nondecreasing=True, restarts=restarts,
+                                seed=0)
         found = []
         out[f"optimize_{s}_{p}"] = _median_time(
             lambda: found.append(optimize(spec).claimed_C), k)
         out[f"optimize_{s}_{p}"]["C"] = found[-1]
+
+    jacobian = _problem(OptimizationSpec(10, 4, require_nondecreasing=False))[2][0]["jac"]
+    x = np.append(_start(np.random.default_rng(0), 10), 0.1)
+    out["order_jacobian_10_4"] = _median_time(lambda: jacobian(x), k, 200)
 
     def rebuild_registry():
         methods._REGISTRY = None

@@ -139,7 +139,8 @@ class SweepRecord:
 def tv_trace(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
              lam: float, n_steps: int) -> TvTrace:
     """Run n_steps at dt = lam * dx and record the TV of every stage."""
-    return TvTrace(tuple(_stage_tvs(build(sys, lam * sys.dx), u0, n_steps, sys.n)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises NonFinite
+        return TvTrace(tuple(_stage_tvs(build(sys, lam * sys.dx), u0, n_steps, sys.n)))
 
 
 def _stage_tvs(stepper: Stepper, u: np.ndarray, n_steps: int, n: int) -> np.ndarray:
@@ -187,18 +188,19 @@ def _rise_chunks(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
     size = max(1, BATCH_ELEMENTS // sys.n) if batch else 1
     for start in range(0, len(lams), size):
         part = lams[start:start + size]
-        if batch is None:
-            stepper, u = build(sys, part[0] * sys.dx), u0
-        else:
-            stepper = build(batch, part[:, None] * sys.dx)
-            # one C-order row per lambda, so every stage is in C order too
-            u = np.tile(u0 if physical else np.fft.rfft(u0), (len(part), 1))
-        try:  # a non-finite operator raised above, in the plan: not a rise
-            tvs = _stage_tvs(stepper, u, n_steps, sys.n).T.reshape(len(part), -1)
-            rises = [TvTrace(tuple(v)).max_rise for v in tvs]
-        except NonFinite:
-            rises = np.inf if len(part) == 1 else np.concatenate(
-                [max_tv_rises(build, sys, u0, [lam], n_steps, physical) for lam in part])
+        with np.errstate(over="ignore", invalid="ignore"):  # a blow-up reads inf
+            if batch is None:
+                stepper, u = build(sys, part[0] * sys.dx), u0
+            else:
+                stepper = build(batch, part[:, None] * sys.dx)
+                # one C-order row per lambda, so every stage is in C order too
+                u = np.tile(u0 if physical else np.fft.rfft(u0), (len(part), 1))
+            try:  # a non-finite operator raised above, in the plan: not a rise
+                tvs = _stage_tvs(stepper, u, n_steps, sys.n).T.reshape(len(part), -1)
+                rises = [TvTrace(tuple(v)).max_rise for v in tvs]
+            except NonFinite:
+                rises = np.inf if len(part) == 1 else np.concatenate(
+                    [max_tv_rises(build, sys, u0, [x], n_steps, physical) for x in part])
         yield start, np.where(part == 0.0, 0.0, rises)
 
 

@@ -6,6 +6,9 @@ strictly lower part of S = [[A, 0], [b^T, 0]] row by row: maximize r subject
 to the order conditions and to (I + rS)^{-1} e >= 0, r (I + rS)^{-1} S >= 0
 and, if requested, abscissa ordering, solved by SLSQP with exact Jacobians
 (Ketcheson, SISC 30(4), 2008) and every index layout built once per problem.
+The order conditions' Jacobian is one complex step (Squire and Trapp, SIAM
+Review 40(1), 1998) over a batch of all n + 1 rows, and the monotonicity
+Jacobian reuses the inverse of the x just evaluated.
 Each start's tableau is re-certified by the radius computation and
 ``methods.verify_certificate`` (re-exported here); a start with a non-finite
 entry fails, and the best certified start wins.
@@ -67,23 +70,27 @@ def _problem(spec: OptimizationSpec):
     eye, KK, LL, steps = np.eye(s + 1), np.ix_(K, K), np.ix_(L, L), 1e-30j * np.eye(n + 1)
 
     def stacked(x):
-        S = np.zeros((s + 1, s + 1), x.dtype)
-        S[K, L] = x[:-1]
+        S = np.zeros(x.shape[:-1] + (s + 1, s + 1), x.dtype)
+        S[..., K, L] = x[..., :-1]
         return S
 
-    def order_conditions(x):
+    def order_conditions(x):  # one column per row of a batch of x
         S = stacked(x)
-        A, b, c = S[:s, :s], S[s, :s], S[:s, :s].sum(axis=1)
-        return np.array([fn(A, b, c) for fn in conditions])
+        A, b = S[..., :s, :s], S[..., s, :s]
+        return np.array([fn(A, b, A.sum(axis=-1)) for fn in conditions])
 
     def order_jacobian(x):
-        # complex step: exact derivatives of the polynomial conditions
-        return np.column_stack([order_conditions(y).imag for y in x + steps]) / 1e-30
+        # complex step over n + 1 rows in one batch: exact derivatives
+        return order_conditions(x + steps).imag / 1e-30
+
+    last = [b"", None]  # SLSQP asks for monotonicity_jacobian at the x it just evaluated
 
     def transform(x):
-        r, S = x[-1], stacked(x)
-        R = np.linalg.inv(eye + r * S)
-        return r, R, R @ S
+        if x.tobytes() != last[0]:
+            r, S = x[-1], stacked(x)
+            R = np.linalg.inv(eye + r * S)
+            last[:] = x.tobytes(), (r, R, R @ S)
+        return last[1]
 
     def monotonicity(x):
         r, R, RS = transform(x)

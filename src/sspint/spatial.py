@@ -90,21 +90,18 @@ def _weno5_reconstruct(f):
         _scaled_square(b[r], 0.25)
         b[r] += d[..., r:r + m]
     del d
-    # on diverging (blowing-up) data the smoothness indicators overflow;
-    # the resulting non-finite values are caught by the caller's check
-    with np.errstate(over="ignore", invalid="ignore"):
-        # w_r = (0.1, 0.6, 0.3)_r / (eps + b_r)^2, in place of b_r
-        for w, c in zip(b, (0.1, 0.6, 0.3)):
-            w += WENO_EPS
-            np.divide(c, np.square(w, out=w), out=w)
-        # (w0 q0 + w1 q1 + w2 q2) / (w0 + w1 + w2)
-        w0, w1, w2 = b
-        q0 *= w0
-        q0 += np.multiply(q1, w1, out=q1)
-        q0 += np.multiply(q2, w2, out=q2)
-        w0 += w1
-        w0 += w2
-        q0 /= w0
+    # w_r = (0.1, 0.6, 0.3)_r / (eps + b_r)^2, in place of b_r
+    for w, c in zip(b, (0.1, 0.6, 0.3)):
+        w += WENO_EPS
+        np.divide(c, np.square(w, out=w), out=w)
+    # (w0 q0 + w1 q1 + w2 q2) / (w0 + w1 + w2)
+    w0, w1, w2 = b
+    q0 *= w0
+    q0 += np.multiply(q1, w1, out=q1)
+    q0 += np.multiply(q2, w2, out=q2)
+    w0 += w1
+    w0 += w2
+    q0 /= w0
     return q0
 
 
@@ -126,16 +123,19 @@ def weno5_burgers_rhs(grid: Grid1D, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if not np.isfinite(u).all():
         raise NonFinite("weno5 input contains NaN or Inf")
-    f = 0.5 * u * u
-    alpha = np.abs(u).max(axis=-1, keepdims=True)
-    # the negative-wind flux reversed takes the left-biased stencil too;
-    # padded periodically by 3 cells before and 2 after, both give the
-    # n + 1 interfaces -1/2 .. n-1/2 (the negative one in reverse order)
-    split = np.stack([0.5 * (f + alpha * u), (0.5 * (f - alpha * u))[..., ::-1]])
-    plus, minus = _weno5_reconstruct(
-        np.concatenate([split[..., -3:], split, split[..., :2]], axis=-1))
-    fhat = plus + minus[..., ::-1]
-    return -(fhat[..., 1:] - fhat[..., :-1]) / grid.dx
+    # on diverging (blowing-up) data the fluxes and smoothness indicators
+    # overflow; the resulting non-finite values are caught by the caller's check
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = 0.5 * u * u
+        alpha = np.abs(u).max(axis=-1, keepdims=True)
+        # the negative-wind flux reversed takes the left-biased stencil too;
+        # padded periodically by 3 cells before and 2 after, both give the
+        # n + 1 interfaces -1/2 .. n-1/2 (the negative one in reverse order)
+        split = np.stack([0.5 * (f + alpha * u), (0.5 * (f - alpha * u))[..., ::-1]])
+        plus, minus = _weno5_reconstruct(
+            np.concatenate([split[..., -3:], split, split[..., :2]], axis=-1))
+        fhat = plus + minus[..., ::-1]
+        return -(fhat[..., 1:] - fhat[..., :-1]) / grid.dx
 
 
 # --- built-in problems -----------------------------------------------------

@@ -38,27 +38,32 @@ class RadiusResult:
     bisection_width: float
 
 
-def canonical_form(t: ButcherTableau, r: float) -> CanonicalShuOsher:
-    """v = (I + rS)^(-1) e and P = r (I + rS)^(-1) S from one inverse R of
-    M = I + rS, guarded as np.linalg.cond(M, 1) = ||M||_1 ||R||_1 is: a
-    failed or NaN inverse counts as singular unless M itself holds NaN."""
-    S = t.stacked
-    M = np.eye(S.shape[0]) + r * S
+def _inverse(t: ButcherTableau, r: float) -> np.ndarray:
+    """The inverse R of M = I + rS, guarded as np.linalg.cond(M, 1) =
+    ||M||_1 ||R||_1 is, ||X||_1 the largest column sum of |X|: a failed or
+    NaN inverse counts as singular unless M itself holds NaN."""
+    M = np.eye(t.stages + 1) + r * t.stacked
     try:
         R = np.linalg.inv(M)
     except np.linalg.LinAlgError:  # an exactly zero pivot in LAPACK's LU
         R = np.full_like(M, np.nan)
-    cond = np.linalg.norm(M, 1) * np.linalg.norm(R, 1)
+    cond = np.abs(M).sum(axis=0).max() * np.abs(R).sum(axis=0).max()
     if cond > _COND_LIMIT or (np.isnan(cond) and not np.isnan(M).any()):
         raise SingularTransform(f"(I + rS) is numerically singular at r = {r}")
+    return R
+
+
+def canonical_form(t: ButcherTableau, r: float) -> CanonicalShuOsher:
+    """v = (I + rS)^(-1) e and P = r (I + rS)^(-1) S from one guarded inverse."""
+    S, R = t.stacked, _inverse(t, r)
     return CanonicalShuOsher(r=r, v=R @ np.ones(S.shape[0]), P=r * (R @ S), S=S)
 
 
 def is_absolutely_monotonic(t: ButcherTableau, r: float, tol: float = NONNEG_TOL) -> bool:
     """True iff (I + rS)^(-1) e >= 0 and r (I + rS)^(-1) S >= 0
-    componentwise (within tol)."""
-    can = canonical_form(t, r)
-    return bool(can.v.min() >= -tol and can.P.min() >= -tol)
+    componentwise (within tol), with no canonical form built."""
+    S, R = t.stacked, _inverse(t, r)
+    return bool((R @ np.ones(S.shape[0])).min() >= -tol and (r * (R @ S)).min() >= -tol)
 
 
 def _check_bracket(lo: float, hi: float, width: float):

@@ -203,16 +203,27 @@ class OrderReport:
     achieved_order: int = 0
 
 
-# Order conditions: tag -> (order, evaluator returning lhs - rhs).
+def _dot(x, y):
+    """x . y over the last axis, for any leading batch axes."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _mv(A, x):
+    """A x over the last two axes of A, for any leading batch axes."""
+    return (A @ x[..., None])[..., 0]
+
+
+# Order conditions: tag -> (order, evaluator returning lhs - rhs), over any
+# leading batch axes of A (..., s, s), b and c (..., s), bit for bit per row.
 _ORDER_CONDITIONS = (
-    ("b.e", 1, lambda A, b, c: b.sum() - 1.0),
-    ("b.c", 2, lambda A, b, c: b @ c - 1.0 / 2.0),
-    ("b.cc", 3, lambda A, b, c: b @ (c * c) - 1.0 / 3.0),
-    ("bAc", 3, lambda A, b, c: b @ (A @ c) - 1.0 / 6.0),
-    ("b.ccc", 4, lambda A, b, c: b @ (c * c * c) - 1.0 / 4.0),
-    ("b.cAc", 4, lambda A, b, c: b @ (c * (A @ c)) - 1.0 / 8.0),
-    ("bA.cc", 4, lambda A, b, c: b @ (A @ (c * c)) - 1.0 / 12.0),
-    ("bAAc", 4, lambda A, b, c: b @ (A @ (A @ c)) - 1.0 / 24.0),
+    ("b.e", 1, lambda A, b, c: b.sum(axis=-1) - 1.0),
+    ("b.c", 2, lambda A, b, c: _dot(b, c) - 1.0 / 2.0),
+    ("b.cc", 3, lambda A, b, c: _dot(b, c * c) - 1.0 / 3.0),
+    ("bAc", 3, lambda A, b, c: _dot(b, _mv(A, c)) - 1.0 / 6.0),
+    ("b.ccc", 4, lambda A, b, c: _dot(b, c * c * c) - 1.0 / 4.0),
+    ("b.cAc", 4, lambda A, b, c: _dot(b, c * _mv(A, c)) - 1.0 / 8.0),
+    ("bA.cc", 4, lambda A, b, c: _dot(b, _mv(A, c * c)) - 1.0 / 12.0),
+    ("bAAc", 4, lambda A, b, c: _dot(b, _mv(A, _mv(A, c))) - 1.0 / 24.0),
 )
 
 ORDER_RESIDUAL_TOL = 1e-10

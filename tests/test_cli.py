@@ -229,6 +229,28 @@ def test_cli_sweep_deterministic_output(tmp_path):
     assert lines[0] == "lambda,max_rise,log10_rise"
 
 
+@pytest.mark.parametrize("args, csv_name", [
+    (["run", "fig1", "--lambdas", "0.05:2.0:40"], "fig1_decreasing-abscissa-IF.csv"),
+    (["sweep", "--method", "eSSPRK(3,3)", "--stepper", "ifrk-general", "--problem",
+      "advection-step", "--n", "64", "--a", "1000", "--lambdas", "1,5"], "sweep.csv"),
+], ids=["fig1", "sweep-ifrk-general"])
+def test_cli_blowups_read_inf_without_a_warning(tmp_path, capsys, args, csv_name):
+    # a blow-up overflows on its way to inf; that reads as a rise and warns
+    # nothing, so the run is the same with warnings as errors or ignored
+    def run(action):
+        out = tmp_path / action
+        out.mkdir()
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            assert main(args + ["--out", str(out / csv_name if args[0] == "sweep" else out)]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    strict = run("error")
+    assert capsys.readouterr().err == ""
+    assert strict == run("ignore")
+    assert b",inf," in strict[csv_name]
+
+
 @pytest.mark.parametrize("experiment, table, method", [
     ("table7", "table7", "eSSPRK(4,3)"),
     ("ex3", "table6", "eSSPRK+(3,3)"),

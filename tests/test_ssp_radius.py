@@ -75,6 +75,68 @@ def test_registry_radii_pinned():
     assert got == REGISTRY_RADII
 
 
+def _reference_radius(t, width=1e-10):
+    """The radius as bisected before probes shared the guarded inverse: one
+    canonical (v, P) per probe, guarded by np.linalg.norm."""
+    S = t.stacked
+
+    def holds(r):
+        M = np.eye(S.shape[0]) + r * S
+        try:
+            R = np.linalg.inv(M)
+        except np.linalg.LinAlgError:
+            R = np.full_like(M, np.nan)
+        cond = np.linalg.norm(M, 1) * np.linalg.norm(R, 1)
+        if cond > 1e14 or (np.isnan(cond) and not np.isnan(M).any()):
+            raise SingularTransform(f"(I + rS) is numerically singular at r = {r}")
+        v, P = R @ np.ones(S.shape[0]), r * (R @ S)
+        return v.min() >= -1e-12 and P.min() >= -1e-12
+
+    lo, hi = 0.0, 2.0 * t.stages
+    if holds(hi):
+        return hi
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return lo
+
+
+def test_registry_radii_match_the_reference_bitwise():
+    for name in methods.method_names():
+        t = methods.get(name).tableau
+        assert ssp_radius(t).radius.hex() == _reference_radius(t).hex(), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1), signed=st.booleans())
+def test_random_radii_match_the_reference_bitwise(s, seed, signed):
+    rng = np.random.default_rng(seed)
+    A = np.tril(rng.uniform(-0.2 if signed else 0.0, 1.0, (s, s)), -1)
+    w = rng.uniform(-0.2 if signed else 0.05, 1.0, s)
+    b = np.append(w[:-1], 1.0 - w[:-1].sum())
+    t = ButcherTableau(A=A, b=b, c=A.sum(axis=1))
+    try:
+        want = _reference_radius(t).hex()
+    except SingularTransform:
+        with pytest.raises(SingularTransform):
+            ssp_radius(t)
+    else:
+        assert ssp_radius(t).radius.hex() == want
+
+
+@pytest.mark.parametrize("A, b", [
+    # (I + 6S)^(-1) holds (6e5)^2, so ||M||_1 ||M^-1||_1 passes 1e14 at r = 2s
+    ([[0, 0, 0], [1e5, 0, 0], [0, 1e5, 0]], [0.25, 0.25, 0.5]),
+    # at r = 2s the column sums give 1.3e14 where the row sums give 6.4e13
+    ([[0, 0], [2e6, 0]], [0.75, 0.25]),
+], ids=["large", "column-sums"])
+def test_singular_probe_raises_as_the_reference_does(A, b):
+    t = ButcherTableau.from_arrays(A, b)
+    for radius in (ssp_radius, _reference_radius):
+        with pytest.raises(SingularTransform):
+            radius(t)
+
+
 def test_canonical_form_inverts_once(monkeypatch):
     inverses = []
     inv = np.linalg.inv
@@ -114,18 +176,24 @@ def test_canonical_form_exactly_singular_pivot_is_singular_transform(monkeypatch
 
 
 def test_ssp_radius_probes_build_no_other_form(monkeypatch):
-    # one form per bisection probe and no r = 0 probe or final form
-    forms, probes = [], []
+    # one guarded inverse per bisection probe, no canonical form, and no
+    # r = 0 probe or final form
+    guards, probes, inverses = [], [], []
     radius_module = importlib.import_module("sspint.ssp_radius")
-    build, probe = radius_module.canonical_form, radius_module.is_absolutely_monotonic
-    monkeypatch.setattr(radius_module, "canonical_form",
-                        lambda t, r: forms.append(r) or build(t, r))
+    guard, probe, inv = (radius_module._inverse, radius_module.is_absolutely_monotonic,
+                         np.linalg.inv)
+    monkeypatch.setattr(radius_module, "_inverse",
+                        lambda t, r: guards.append(r) or guard(t, r))
     monkeypatch.setattr(radius_module, "is_absolutely_monotonic",
                         lambda t, r: probes.append(r) or probe(t, r))
+    monkeypatch.setattr(radius_module, "canonical_form",
+                        lambda t, r: pytest.fail("a probe built a canonical form"))
+    monkeypatch.setattr(np.linalg, "inv", lambda M: inverses.append(M) or inv(M))
     t = methods.get("eSSPRK+(4,3)").tableau
     rr = ssp_radius(t)
-    assert forms == probes and 0.0 not in probes
+    assert guards == probes and 0.0 not in probes
     assert probes[0] == 2.0 * t.stages and len(probes) == 1 + 37
+    assert len(inverses) == len(probes)
     assert [f.name for f in dataclasses.fields(rr)] == ["radius", "bisection_width"]
 
 

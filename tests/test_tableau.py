@@ -2,10 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sspint import methods
 from sspint.ssp_radius import canonical_form, ssp_radius
 from sspint.tableau import (
+    _ORDER_CONDITIONS,
     ButcherTableau,
     ShuOsherForm,
     abscissas_nondecreasing,
@@ -212,6 +215,51 @@ def test_order_residuals_classic():
     assert abs(rep.residuals["bAc"]) <= 1e-14
     rep2 = order_residuals(methods.get("eSSPRK(2,2)").tableau)
     assert rep2.achieved_order == 2
+
+
+#: the order conditions as written for one tableau at a time, the
+#: reference the batch-aware table is compared against.
+_SCALAR_CONDITIONS = (
+    lambda A, b, c: b.sum() - 1.0,
+    lambda A, b, c: b @ c - 1.0 / 2.0,
+    lambda A, b, c: b @ (c * c) - 1.0 / 3.0,
+    lambda A, b, c: b @ (A @ c) - 1.0 / 6.0,
+    lambda A, b, c: b @ (c * c * c) - 1.0 / 4.0,
+    lambda A, b, c: b @ (c * (A @ c)) - 1.0 / 8.0,
+    lambda A, b, c: b @ (A @ (c * c)) - 1.0 / 12.0,
+    lambda A, b, c: b @ (A @ (A @ c)) - 1.0 / 24.0,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=st.integers(1, 10), batch=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+       complex_step=st.booleans())
+def test_batched_order_conditions_match_the_scalar_table_bitwise(s, batch, seed,
+                                                                 complex_step):
+    # a batch of tableaux that share a real part, as the rows of a
+    # complex-step Jacobian do, or independent real tableaux
+    rng = np.random.default_rng(seed)
+    A = np.tril(rng.uniform(-1.0, 1.0, (batch, s, s)), -1)
+    b = rng.uniform(-1.0, 1.0, (batch, s))
+    if complex_step:
+        A = A[0] + 1e-30j * np.tril(rng.uniform(-1.0, 1.0, (batch, s, s)), -1)
+        b = b[0] + 1e-30j * rng.uniform(-1.0, 1.0, (batch, s))
+    c = A.sum(axis=-1)
+    assert len(_ORDER_CONDITIONS) == len(_SCALAR_CONDITIONS)
+    for (_, _, fn), ref in zip(_ORDER_CONDITIONS, _SCALAR_CONDITIONS):
+        want = np.array([ref(A[i], b[i], c[i]) for i in range(batch)])
+        rows = np.array([fn(A[i], b[i], c[i]) for i in range(batch)])
+        got = fn(A, b, c)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes() == rows.tobytes()
+
+
+def test_order_residuals_match_the_scalar_table_bitwise():
+    for name in methods.method_names():
+        t = methods.get(name).tableau
+        got = order_residuals(t).residuals
+        want = [float(ref(t.A, t.b, t.c)) for ref in _SCALAR_CONDITIONS]
+        assert [x.hex() for x in got.values()] == [x.hex() for x in want], name
 
 
 def test_abscissas_nondecreasing_flag():
