@@ -41,7 +41,9 @@ unless stated):
 - ``observed_tvd_lambda``: the full search (pre-scan plus bisection).
 - ``rises_spectral_k4``: one 4-lambda batch of that pre-scan (its first
   four grid points) on real-FFT coefficients, as ``prescan_bracket`` runs
-  it: ``max_tv_rises`` of those lambdas.
+  it: ``max_tv_rises`` of those lambdas on the ``spectral`` system (on
+  the physical one, for a package whose ``max_tv_rises`` still takes a
+  ``physical`` flag and derives the spectral system itself).
 - ``run_ex1``, ``run_ex4``, ``run_fig1``, ``run_table6``, ``run_table7``
   and ``run_table8``: ``sspint run`` of ex1, ex4, fig1, table6, table7 and
   table8-partial at their default config, in-process through ``cli.main``
@@ -60,6 +62,10 @@ unless stated):
   the n = 400 advection-Burgers step (a = 10, lambda = 1).
 - ``lambda_sweep_burgers``: ex4's default sweep of eSSPRK+(5,4): 40
   lambdas over [0.05, 2], 25 steps, on that problem.
+- ``observed_tvd_lambda_burgers``: ``observed_tvd_lambda`` of
+  eSSPRK+(5,4) on that problem, 25 steps, threshold 1e-4, up to
+  lambda_hi = 1.5 C + 0.75: a search on a circulant L with a nonlinear
+  explicit term, so without a spectral system.
 - ``rk_step_burgers_k10``: one plain-RK step of eSSPRK(10,4), as
   ``rk_builder`` steps it, of the first 10-row batch of ex4's sweep on
   that problem (lambda = 0.05 to 0.5).
@@ -94,6 +100,7 @@ unless stated):
 import argparse
 import contextlib
 import glob
+import inspect
 import io
 import json
 import os
@@ -114,6 +121,9 @@ OPTIMIZER_CASES = ((3, 2, 10), (3, 3, 10), (4, 3, 10), (5, 3, 10), (6, 4, 2))
 BURGERS_N = 400
 BURGERS_STEPS = 25
 BURGERS_LAMBDAS = (0.05, 2.0, 40)
+#: TV-rise threshold of ``observed_tvd_lambda_burgers``: above the WENO
+#: roundoff, under which the first pre-scan point already crosses.
+BURGERS_THRESHOLD = 1e-4
 #: rotating rounds of ``--against``: a multiple of its 3 children, so
 #: each runs first, second and third equally often.
 ROUNDS = 6
@@ -176,6 +186,9 @@ def layers(quick, src):
     plan = make_plan(rec, sys_, 1.5 * sys_.dx)
     spec = integrators.spectral(sys_)
     lams = np.linspace(hi / 50, hi, 50)
+    # a package with the ``physical`` flag derives the spectral system itself
+    flag = "physical" in inspect.signature(analysis.max_tv_rises).parameters
+    scan = sys_ if flag else spec
     batch = make_plan(rec, spec, lams[:, None] * sys_.dx)
     uh0 = np.broadcast_to(np.fft.rfft(u0), (50, N // 2 + 1))
     out = {
@@ -184,7 +197,7 @@ def layers(quick, src):
         "observed_tvd_lambda": _median_time(
             lambda: analysis.observed_tvd_lambda(build, sys_, u0, hi, STEPS), k),
         "rises_spectral_k4": _median_time(
-            lambda: analysis.max_tv_rises(build, sys_, u0, lams[:4], STEPS), k, 20),
+            lambda: analysis.max_tv_rises(build, scan, u0, lams[:4], STEPS), k, 20),
         "run_ex1": _median_time(lambda: run("ex1"), k),
         "run_ex4": _median_time(lambda: run("ex4"), k),
         "run_fig1": _median_time(lambda: run("fig1"), k),
@@ -265,6 +278,10 @@ def burgers_layers(k):
             lambda: analysis.lambda_sweep(analysis.ifrk_builder(rec), sys_, u0,
                                           np.linspace(*BURGERS_LAMBDAS), BURGERS_STEPS),
             k),
+        "observed_tvd_lambda_burgers": _median_time(
+            lambda: analysis.observed_tvd_lambda(
+                analysis.ifrk_builder(rec), sys_, u0, 1.5 * rec.claimed_C + 0.75,
+                BURGERS_STEPS, BURGERS_THRESHOLD), k),
         "rk_step_burgers_k10": _median_time(lambda: rk_batch(u0_batch, None), k, 20),
         "van_der_pol_rk_step": _median_time(
             lambda: rk_step(vdp, spatial.van_der_pol_full, np.array([2.0, 0.0]), 1e-5),

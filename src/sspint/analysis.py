@@ -5,9 +5,8 @@ A "stepper builder" is a callable ``build(sys, dt)`` returning a one-step
 map ``stepper(u, obs)``; this keeps the measurement layer independent of
 whether the step is plain Runge-Kutta or integrating-factor.  When
 ``sys.L`` is a ``Circulant``, a builder also steps a batch with a column
-of step sizes, one row per step size: physical rows, or their real-FFT
-coefficients on the ``spectral`` form of the system.  ``max_tv_rises``
-uses either to run lambdas in batches.
+of step sizes, one row per step size, and ``max_tv_rises`` runs lambdas
+in such batches: real-FFT rows when sys is ``spectral``, else physical.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import methods, spatial
 from .errors import NonFinite
-from .expm import Circulant
+from .expm import Circulant, Spectral
 from .integrators import (
     SemiDiscretization,
     Stepper,
@@ -116,10 +115,9 @@ class TvTrace:
 
     @property
     def max_rise(self) -> float:
-        """Largest stage-to-stage TV increase, clamped at 0."""
-        if len(self.values) < 2:
-            return 0.0
-        return max(0.0, float(np.diff(self.values).max()))
+        """Largest stage-to-stage TV increase, clamped at 0, as
+        ``max_tv_rises`` takes it."""
+        return float(np.diff(self.values).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -174,46 +172,42 @@ def max_tv_rise(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
     non-finite operator raises.  ``max_tv_rises`` of one lambda."""
     if lam == 0.0:
         return 0.0
-    return float(max_tv_rises(build, sys, u0, [lam], n_steps, physical=True)[0])
+    return float(max_tv_rises(build, sys, u0, [lam], n_steps)[0])
 
 
 def _rise_chunks(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
-                 lams: np.ndarray, n_steps: int, physical: bool):
+                 lams: np.ndarray, n_steps: int):
     """(start, rises) for consecutive chunks of lams, lazily; the one place
-    that decides how lambdas run.  As many as fit in BATCH_ELEMENTS step as
-    one batch when L is a ``Circulant``: physical rows if ``physical``,
-    else on the ``spectral`` system when there is one (see
-    ``max_tv_rises``); otherwise one lambda per chunk on physical values."""
-    batch = (sys if physical else spectral(sys)) if isinstance(sys.L, Circulant) else None
-    size = max(1, BATCH_ELEMENTS // sys.n) if batch else 1
+    that decides how lambdas run, by the form of sys.L.  A ``Spectral`` L
+    steps a chunk of real-FFT rows by stage gains, any other ``Circulant``
+    a chunk of physical rows, each of at most BATCH_ELEMENTS elements;
+    otherwise a chunk is one lambda on physical values."""
+    batched = isinstance(sys.L, Circulant)
+    size = max(1, BATCH_ELEMENTS // sys.n) if batched else 1
+    row = np.fft.rfft(u0) if isinstance(sys.L, Spectral) else u0
     for start in range(0, len(lams), size):
         part = lams[start:start + size]
         with np.errstate(over="ignore", invalid="ignore"):  # a blow-up reads inf
-            if batch is None:
-                stepper, u = build(sys, part[0] * sys.dx), u0
+            if batched:  # one C-order row per lambda, so every stage is in C order too
+                stepper = build(sys, part[:, None] * sys.dx)
+                u = np.tile(row, (len(part), 1))
             else:
-                stepper = build(batch, part[:, None] * sys.dx)
-                # one C-order row per lambda, so every stage is in C order too
-                u = np.tile(u0 if physical else np.fft.rfft(u0), (len(part), 1))
+                stepper, u = build(sys, part[0] * sys.dx), u0
             try:  # a non-finite operator raised above, in the plan: not a rise
                 tvs = _stage_tvs(stepper, u, n_steps, sys.n).T.reshape(len(part), -1)
-                rises = [TvTrace(tuple(v)).max_rise for v in tvs]
+                rises = np.diff(tvs, axis=1).max(axis=1, initial=0.0)
             except NonFinite:
                 rises = np.inf if len(part) == 1 else np.concatenate(
-                    [max_tv_rises(build, sys, u0, [x], n_steps, physical) for x in part])
+                    [max_tv_rises(build, sys, u0, [x], n_steps) for x in part])
         yield start, np.where(part == 0.0, 0.0, rises)
 
 
 def max_tv_rises(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
-                 lams: Sequence[float], n_steps: int,
-                 physical: bool = False) -> np.ndarray:
-    """``max_tv_rise`` at every lambda, the lambdas stepped together in
-    batches of at most BATCH_ELEMENTS elements when L is a ``Circulant``:
-    on physical rows if ``physical``, else by stage gains on real-FFT
-    coefficients, one batched ``irfft`` per step.  Otherwise each lambda
-    runs alone.  A non-finite batch is re-run one lambda at a time."""
+                 lams: Sequence[float], n_steps: int) -> np.ndarray:
+    """``max_tv_rise`` at every lambda, in the form ``_rise_chunks`` takes
+    from sys; a non-finite batch is re-run one lambda at a time."""
     lams = np.asarray(lams, dtype=float)
-    chunks = _rise_chunks(build, sys, u0, lams, n_steps, physical)
+    chunks = _rise_chunks(build, sys, u0, lams, n_steps)
     return np.concatenate([np.empty(0)] + [rises for _, rises in chunks])
 
 
@@ -222,11 +216,11 @@ def prescan_bracket(build: StepperBuilder, sys: SemiDiscretization,
                     threshold: float = DEFAULT_THRESHOLD,
                     ) -> Optional[Tuple[float, float]]:
     """(grid point before, first grid point whose rise exceeds threshold)
-    on the pre-scan grid over (0, lambda_hi], or None; batches run in
-    chunks of at most BATCH_ELEMENTS, up to the one holding the crossing.
-    A rise is at least 0, so a negative or NaN threshold is a ValueError;
-    so are a lambda_hi that is not positive and finite, and fewer than one
-    step, under which every lambda reads as TVD."""
+    on the pre-scan grid over (0, lambda_hi], or None, scanning
+    ``spectral(sys) or sys`` up to the chunk holding the crossing.  A rise
+    is at least 0, so a negative or NaN threshold is a ValueError; so are
+    a lambda_hi that is not positive and finite, and fewer than one step,
+    under which every lambda reads as TVD."""
     if not threshold >= 0:
         raise ValueError(f"threshold must be nonnegative, got {threshold!r}")
     if not 0.0 < lambda_hi < np.inf:
@@ -234,7 +228,7 @@ def prescan_bracket(build: StepperBuilder, sys: SemiDiscretization,
     if not n_steps >= 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps!r}")
     grid = np.linspace(lambda_hi / PRESCAN_POINTS, lambda_hi, PRESCAN_POINTS)
-    for start, rises in _rise_chunks(build, sys, u0, grid, n_steps, physical=False):
+    for start, rises in _rise_chunks(build, spectral(sys) or sys, u0, grid, n_steps):
         above = np.flatnonzero(rises > threshold)
         if above.size:
             i = start + above[0]
@@ -256,17 +250,18 @@ def observed_tvd_lambda(
 
     A 50-point pre-scan over (0, lambda_hi] brackets the first threshold
     crossing (``prescan_bracket``); bisection then refines it to the
-    requested width, one lambda at a time.  If no grid point crosses,
-    lambda_hi itself is returned; if the very first grid point already
-    exceeds the threshold the bracket starts at 0.  A lambda_hi or width
-    that is not positive and finite, or fewer than one step, is a
-    ValueError, before any step."""
+    requested width, one lambda at a time, both on ``spectral(sys) or
+    sys``.  If no grid point crosses, lambda_hi itself is returned; if the
+    very first grid point already exceeds the threshold the bracket starts
+    at 0.  A lambda_hi or width that is not positive and finite, or fewer
+    than one step, is a ValueError, before any step."""
     _check_bracket(0.0, lambda_hi, width)
-    crossing = prescan_bracket(build, sys, u0, lambda_hi, n_steps, threshold)
+    scan = spectral(sys) or sys
+    crossing = prescan_bracket(build, scan, u0, lambda_hi, n_steps, threshold)
     if crossing is None:
         return ObservedCoefficient(float(lambda_hi), threshold, width)
     lo, hi = _bisect(
-        lambda mid: max_tv_rises(build, sys, u0, [mid], n_steps)[0] <= threshold,
+        lambda mid: max_tv_rises(build, scan, u0, [mid], n_steps)[0] <= threshold,
         *crossing, width)
     return ObservedCoefficient(float(0.5 * (lo + hi)), threshold, width)
 
@@ -278,11 +273,10 @@ def lambda_sweep(
     lambdas: Sequence[float],
     n_steps: int,
 ) -> List[SweepRecord]:
-    """One (lambda, max_rise, log10 rise) record per requested lambda; the
-    lambdas step as batches of physical rows, in chunks of at most
-    BATCH_ELEMENTS, whenever L is a ``Circulant``."""
+    """One (lambda, max_rise, log10 rise) record per requested lambda,
+    from ``max_tv_rises`` on sys as given."""
     lams = np.asarray(lambdas, dtype=float)
-    rises = max_tv_rises(build, sys, u0, lams, n_steps, physical=True)
+    rises = max_tv_rises(build, sys, u0, lams, n_steps)
     return [SweepRecord(float(lam), float(r), float(np.log10(max(r, LOG_FLOOR))))
             for lam, r in zip(lams, rises)]
 

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NegativeGap, NonFinite
-from .expm import Circulant, ExpCache, build_cache, quantize_gap
+from .expm import Circulant, ExpCache, Spectral, build_cache, quantize_gap
 from .methods import MethodRecord
 from .tableau import ABSCISSA_TOL, ShuOsherForm, abscissas_nondecreasing
 
@@ -54,7 +54,10 @@ class SemiDiscretization:
 
 def spectral(sys: SemiDiscretization) -> Optional[SemiDiscretization]:
     """The system on real-FFT coefficients, where L and N are
-    multiplications, or None unless both are Circulant."""
+    multiplications: sys itself if L is ``Spectral``, else None unless
+    both are Circulant."""
+    if isinstance(sys.L, Spectral):
+        return sys
     if not (isinstance(sys.L, Circulant) and isinstance(sys.N_linear, Circulant)):
         return None
     N = sys.N_linear.spectral()

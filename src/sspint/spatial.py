@@ -41,8 +41,8 @@ class Grid1D:
 
 
 def _upwind_column(grid: Grid1D, a: float) -> np.ndarray:
-    if a < 0:
-        raise ValueError("negative wavespeed not supported (downwinding out of scope)")
+    if not 0 <= a < np.inf:  # NaN fails too
+        raise ValueError(f"wavespeed must be finite and >= 0 (no downwinding), got {a!r}")
     col = np.zeros(grid.n)
     col[0] = -a / grid.dx
     col[1] = a / grid.dx

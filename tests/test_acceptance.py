@@ -16,6 +16,7 @@ from sspint.analysis import (
     VAN_DER_POL_REFERENCE,
     ifrk_builder,
     ifrk_general_builder,
+    lambda_sweep,
     max_tv_rise,
     observed_tvd_lambda,
     rk_builder,
@@ -68,7 +69,7 @@ def ex4_rises(method, stepper, lambdas, n=400, a=10.0, steps=25):
     rec = methods.get(method)
     build = {"ifrk": ifrk_builder, "rk": rk_builder,
              "ifrk-general": ifrk_general_builder}[stepper](rec)
-    return tuple(max_tv_rise(build, sys_, u0, lam, steps) for lam in lambdas)
+    return tuple(r.max_rise for r in lambda_sweep(build, sys_, u0, lambdas, steps))
 
 
 def first_crossing(lambdas, rises, threshold):

@@ -22,7 +22,9 @@ from sspint.analysis import (
     tv_trace,
 )
 from sspint.errors import NonFinite
-from sspint.integrators import rk_step, shu_osher_form
+from sspint.expm import Circulant
+from sspint.integrators import rk_step, shu_osher_form, spectral
+from sspint.ssp_radius import _bisect
 from sspint.spatial import (
     ADVECTION_BURGERS_SMOOTH,
     ADVECTION_BURGERS_STEP,
@@ -130,12 +132,13 @@ def test_prescan_rejects_a_bad_lambda_hi_before_stepping(lambda_hi):
 
 @pytest.mark.parametrize("problem", [LINEAR_ADVECTION_STEP, ADVECTION_BURGERS_STEP])
 def test_step_counts_are_checked_on_every_path(problem):
-    # linear advection takes the spectral path, which once stepped -3 steps
-    # as 0: observed_tvd_lambda returned lambda_hi and max_tv_rises [0.]
+    # linear advection's search takes the spectral path, which once stepped
+    # -3 steps as 0: observed_tvd_lambda returned lambda_hi and
+    # max_tv_rises [0.]; advection-Burgers steps physical rows
     sys_, u0 = make_problem(problem, a=1.0, n=64)
     build = ifrk_builder(methods.get("eSSPRK+(3,3)"))
     with pytest.raises(ValueError, match="n_steps must be nonnegative"):
-        max_tv_rises(build, sys_, u0, [1.5], -3)
+        max_tv_rises(build, spectral(sys_) or sys_, u0, [1.5], -3)
     with pytest.raises(ValueError, match="n_steps must be nonnegative"):
         tv_trace(build, sys_, u0, 1.5, -3)
     for n_steps in (0, -3):  # no step reads every lambda as TVD
@@ -214,7 +217,7 @@ def test_batched_spectral_rises_match_physical(builder, name, n, a, fracs):
     sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=a, n=n)
     lams = [f * (1.5 * rec.claimed_C + 0.75) for f in fracs]
     build = builder(rec)
-    fast = max_tv_rises(build, sys_, u0, lams, 3)
+    fast = max_tv_rises(build, spectral(sys_), u0, lams, 3)
     for lam, got in zip(lams, fast):
         want = max_tv_rise(build, sys_, u0, lam, 3)
         tol = 1e-12 * max(1.0, total_variation(u0) + want)
@@ -233,7 +236,7 @@ def test_spectral_build_runs_the_stage_loop_once(monkeypatch, builder):
                             lambda *args: calls.append(1) or loop(*args))
     rec = methods.get("eSSPRK+(5,4)")
     sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=10.0, n=64)
-    rises = max_tv_rises(builder(rec), sys_, u0, [0.5, 1.0, 2.5], 10)
+    rises = max_tv_rises(builder(rec), spectral(sys_), u0, [0.5, 1.0, 2.5], 10)
     assert calls == [1]
     assert np.isfinite(rises).all() and rises[2] > 1e-6
 
@@ -241,20 +244,23 @@ def test_spectral_build_runs_the_stage_loop_once(monkeypatch, builder):
 def test_batch_with_one_nonfinite_lambda():
     sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=0.0, n=64)
     build = ifrk_builder(methods.get("eSSPRK+(3,3)"))
-    rises = max_tv_rises(build, sys_, u0, [0.0, 0.4, 1e300, 1.3], 4)
+    spec = spectral(sys_)
+    rises = max_tv_rises(build, spec, u0, [0.0, 0.4, 1e300, 1.3], 4)
     assert max_tv_rise(build, sys_, u0, 1e300, 4) == np.inf
     assert rises[0] == 0.0 and rises[2] == np.inf
-    assert rises[1] == max_tv_rises(build, sys_, u0, [0.4], 4)[0]
-    assert rises[3] == max_tv_rises(build, sys_, u0, [1.3], 4)[0]
+    assert rises[1] == max_tv_rises(build, spec, u0, [0.4], 4)[0]
+    assert rises[3] == max_tv_rises(build, spec, u0, [1.3], 4)[0]
     assert rises[3] > 1e-6
 
 
 @pytest.mark.parametrize("problem", [LINEAR_ADVECTION_STEP, ADVECTION_BURGERS_STEP])
 def test_nonfinite_operator_is_an_error_not_a_rise(problem):
-    sys_, u0 = make_problem(problem, a=np.inf, n=64)
+    sys_, u0 = make_problem(problem, a=1.0, n=64)
+    sys_ = replace(sys_, L=Circulant(np.full(64, np.nan)))
     build = ifrk_builder(methods.get("eSSPRK+(3,3)"))
-    with pytest.raises(NonFinite):
-        max_tv_rises(build, sys_, u0, [0.1, 0.2], 3)
+    for scan in (sys_, spectral(sys_) or sys_):
+        with pytest.raises(NonFinite, match="operator"):
+            max_tv_rises(build, scan, u0, [0.1, 0.2], 3)
 
 
 def _per_lambda(build, sys_, u0, lam, n_steps):
@@ -276,12 +282,38 @@ def test_chunked_prescan_matches_single_chunk_and_physical(monkeypatch):
     for label, elements in (("chunks of 3", 3 * 64), ("one chunk", 10**9)):
         monkeypatch.setattr(analysis, "BATCH_ELEMENTS", elements)
         found[label] = observed_tvd_lambda(build, sys_, u0, 2.5, 5).lambda_obs
-    # without a linear explicit term there is no spectral system: one 1-D
-    # physical run per lambda
+    # without a linear explicit term there is no spectral system: batches
+    # of physical rows
     found["physical"] = observed_tvd_lambda(
         build, replace(sys_, N_linear=None), u0, 2.5, 5).lambda_obs
     assert len(set(found.values())) == 1, found
     assert 1.0 < found["physical"] < 2.5
+
+
+def test_nonlinear_circulant_search_runs_in_batches():
+    # advection-Burgers has a circulant L but no spectral system: its
+    # pre-scan steps batches of physical rows, and finds what a search of
+    # one tv_trace per lambda finds
+    sys_, u0 = make_problem(ADVECTION_BURGERS_STEP, a=10.0, n=64)
+    inner = ifrk_builder(methods.get("eSSPRK+(5,4)"))
+    shapes = []
+
+    def build(sys, dt):
+        shapes.append(np.shape(dt))
+        return inner(sys, dt)
+
+    hi, steps, threshold = 2.0, 10, 1e-4
+    got = observed_tvd_lambda(build, sys_, u0, hi, steps, threshold).lambda_obs
+    assert shapes[0][1:] == (1,) and shapes[0][0] > 1
+
+    def tvd(lam):
+        return _per_lambda(inner, sys_, u0, lam, steps) <= threshold
+
+    grid = np.linspace(hi / analysis.PRESCAN_POINTS, hi, analysis.PRESCAN_POINTS)
+    i = next(i for i, lam in enumerate(grid) if not tvd(lam))
+    assert i > 0
+    lo, up = _bisect(tvd, grid[i - 1], grid[i], analysis.BISECTION_WIDTH)
+    assert got == 0.5 * (lo + up)
 
 
 def test_wrapped_explicit_term_keeps_the_spectral_path():

@@ -17,6 +17,7 @@ from sspint.integrators import (
     rk_plan,
     rk_step,
     shu_osher_form,
+    spectral,
 )
 from sspint.methods import FAMILY_PLUS, MethodRecord
 from sspint.optimizer import OptimizationSpec, optimize, verify_certificate
@@ -31,6 +32,14 @@ def test_rk_step_scalar_hand_value():
     rec = methods.get("eSSPRK(3,3)")
     u = rk_step(rec, lambda v: v, np.array([1.0]), 0.1)
     assert u[0] == pytest.approx(1.1051666666666666, abs=1e-15)
+
+
+def test_spectral_of_a_spectral_system_is_itself():
+    # a second real-FFT slice of the symbol would halve it: a wrong operator
+    sys_, _ = make_problem(LINEAR_ADVECTION_STEP, a=1.0, n=64)
+    spec = spectral(sys_)
+    assert spectral(spec) is spec
+    assert spectral(dataclasses.replace(sys_, N_linear=None)) is None
 
 
 def test_rk_step_nonfinite_detection():

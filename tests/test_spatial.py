@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,16 @@ def test_upwind_matrix_structure():
 def test_upwind_matrix_rejects_negative_wavespeed():
     with pytest.raises(ValueError):
         upwind_matrix(Grid1D(8), -1.0)
+
+
+@pytest.mark.parametrize("a", [np.inf, np.nan])
+@pytest.mark.parametrize("problem", [LINEAR_ADVECTION_STEP, ADVECTION_BURGERS_STEP])
+def test_make_problem_rejects_a_nonfinite_wavespeed(problem, a):
+    # inf built a NaN operator, and NumPy warned in its fft
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="wavespeed must be finite"):
+            make_problem(problem, a=a, n=64)
 
 
 def test_upwind_matrix_is_first_order_derivative():
