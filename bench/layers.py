@@ -49,6 +49,9 @@ unless stated):
   table8-partial at their default config, in-process through ``cli.main``
   with stdout suppressed.
 - ``tv_trace``: ``tv_trace`` at lambda = 1.5, the stage TVs of one run.
+- ``total_variation_k4``: ``total_variation`` of one (9, 4, 1000) batch
+  of standard normal values (seed 0): the stages of one step of a
+  nine-stage method in a 4-lambda spectral chunk.
 - ``ifrk_step``: one integrating-factor step on physical values.
 - ``ifrk_step_spectral_k50``: one ``ifrk_step`` of the 50-lambda pre-scan
   batch on real-FFT coefficients (the stage loop a spectral build runs
@@ -191,6 +194,7 @@ def layers(quick, src):
     scan = sys_ if flag else spec
     batch = make_plan(rec, spec, lams[:, None] * sys_.dx)
     uh0 = np.broadcast_to(np.fft.rfft(u0), (50, N // 2 + 1))
+    tv_batch = np.random.default_rng(0).standard_normal((9, 4, N))
     out = {
         "prescan": _median_time(
             lambda: analysis.prescan_bracket(build, sys_, u0, hi, STEPS), k),
@@ -206,6 +210,8 @@ def layers(quick, src):
         "run_table8": _median_time(lambda: run("table8-partial"), k),
         "tv_trace": _median_time(
             lambda: analysis.tv_trace(build, sys_, u0, 1.5, STEPS), k),
+        "total_variation_k4": _median_time(
+            lambda: analysis.total_variation(tv_batch), k, 200),
         "ifrk_step": _median_time(lambda: ifrk_step(plan, sys_, u0), k, 200),
         "ifrk_step_spectral_k50": _median_time(
             lambda: ifrk_step(batch, spec, uh0), k, 20),

@@ -104,7 +104,17 @@ def total_variation(u: np.ndarray):
     Rows are summed in C order, so each row's sum is bitwise that of the
     row alone (NumPy sums a strided axis in another order)."""
     u = np.ascontiguousarray(u, dtype=float)
-    return np.abs(u - np.roll(u, 1, axis=-1)).sum(axis=-1)
+    return _total_variation(u, np.empty(u.shape))
+
+
+def _total_variation(u: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``total_variation`` of C-order float u through d, a C-order buffer
+    of u's shape: one subtraction over the flattened batch, whose first
+    difference in each row is then overwritten by the periodic one."""
+    flat, diffs = u.reshape(-1), d.reshape(-1, copy=False)
+    np.subtract(flat[1:], flat[:-1], out=diffs[1:])
+    np.subtract(u[..., :1], u[..., -1:], out=d[..., :1])
+    return np.abs(d, out=d).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -141,13 +151,18 @@ def tv_trace(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
         return TvTrace(tuple(_stage_tvs(build(sys, lam * sys.dx), u0, n_steps, sys.n)))
 
 
-def _stage_tvs(stepper: Stepper, u: np.ndarray, n_steps: int, n: int) -> np.ndarray:
+def _stage_tvs(stepper: Stepper, u: np.ndarray, n_steps: int, n: int,
+               threshold: Optional[float] = None) -> np.ndarray:
     """The TV of every stage of n_steps from u, in observation order, one
-    column per row of a (k, n) batch.  Complex u holds real-FFT
-    coefficients of n points, where L and N multiply: one step from ones
-    gives the stage gains G, stacked (s, *u.shape), so the stages of a step
-    from u are G * u, one multiply observed by one batched irfft and one
-    TV.  A negative n_steps is a ValueError on either path."""
+    column per row of a (k, n) batch.  Complex u is a (k, n // 2 + 1)
+    batch of real-FFT coefficients, where L and N multiply: one step from
+    ones gives the stage gains G, stacked (s, *u.shape), so the stages of a
+    step from u are G * u, one multiply observed by one batched irfft and
+    one TV, all into buffers allocated once per call.  Given a threshold,
+    that loop steps no row past the first whose rise so far exceeds it,
+    and a row it stops holds its last TV, so every row before the first
+    crossing runs every step.  A negative n_steps is a ValueError on
+    either path."""
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     if not np.iscomplexobj(u):
@@ -156,13 +171,35 @@ def _stage_tvs(stepper: Stepper, u: np.ndarray, n_steps: int, n: int) -> np.ndar
         return np.array(values)
     rows = []
     stepper(np.ones_like(u), rows.append)
-    G, values = np.stack(rows), [total_variation(np.fft.irfft(u, n))[None]]
-    for _ in range(n_steps):
-        V = G * u
+    G = np.stack(rows)
+    s, k, m = G.shape
+    # a batch of the first k rows is the C-order front of a flat buffer; a
+    # step reads u from one stage buffer and writes the other
+    stage_bufs, (x_buf, d_buf) = np.empty((2, G.size), G.dtype), np.empty((2, s * k * n))
+
+    def tv(W):
+        X = np.fft.irfft(W, n, out=x_buf[:W.size // m * n].reshape(W.shape[:-1] + (n,)))
+        return _total_variation(X, d_buf[:X.size].reshape(X.shape))
+
+    tvs, rise = np.empty((1 + n_steps * s, k)), np.zeros(k)
+    tvs[0] = tv(u)
+    for t in range(n_steps):
+        first, V = 1 + t * s, stage_bufs[t % 2, :s * k * m].reshape(s, k, m)
+        np.multiply(G, u, out=V)
         _check_finite(V, "a stage")
-        values.append(total_variation(np.fft.irfft(V, n)))
+        tvs[first:first + s, :k] = tv(V)
         u = V[-1]
-    return np.concatenate(values)
+        if threshold is None:
+            continue
+        rise = np.maximum(rise, np.diff(tvs[first - 1:first + s, :k], axis=0).max(axis=0))
+        crossed = np.flatnonzero(rise > threshold)
+        if crossed.size:
+            i = crossed[0]
+            tvs[first + s:, i:k] = tvs[first + s - 1, i:k]
+            G, u, rise, k = G[:, :i], u[:i], rise[:i], i
+            if not k:
+                break
+    return tvs
 
 
 def max_tv_rise(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
@@ -176,12 +213,14 @@ def max_tv_rise(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
 
 
 def _rise_chunks(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
-                 lams: np.ndarray, n_steps: int):
+                 lams: np.ndarray, n_steps: int, threshold: Optional[float] = None):
     """(start, rises) for consecutive chunks of lams, lazily; the one place
     that decides how lambdas run, by the form of sys.L.  A ``Spectral`` L
     steps a chunk of real-FFT rows by stage gains, any other ``Circulant``
     a chunk of physical rows, each of at most BATCH_ELEMENTS elements;
-    otherwise a chunk is one lambda on physical values."""
+    otherwise a chunk is one lambda on physical values.  A chunk that
+    turns non-finite is re-run one lambda at a time, each yielded as it
+    ends.  A threshold is passed to ``_stage_tvs``."""
     batched = isinstance(sys.L, Circulant)
     size = max(1, BATCH_ELEMENTS // sys.n) if batched else 1
     row = np.fft.rfft(u0) if isinstance(sys.L, Spectral) else u0
@@ -194,20 +233,27 @@ def _rise_chunks(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
             else:
                 stepper, u = build(sys, part[0] * sys.dx), u0
             try:  # a non-finite operator raised above, in the plan: not a rise
-                tvs = _stage_tvs(stepper, u, n_steps, sys.n).T.reshape(len(part), -1)
-                rises = np.diff(tvs, axis=1).max(axis=1, initial=0.0)
+                tvs = _stage_tvs(stepper, u, n_steps, sys.n, threshold)
+                rises = np.diff(tvs.T.reshape(len(part), -1), axis=1).max(axis=1, initial=0.0)
             except NonFinite:
-                rises = np.inf if len(part) == 1 else np.concatenate(
-                    [max_tv_rises(build, sys, u0, [x], n_steps) for x in part])
-        yield start, np.where(part == 0.0, 0.0, rises)
+                rises = np.inf if len(part) == 1 else None
+        if rises is None:
+            for j in range(len(part)):
+                for _, one in _rise_chunks(build, sys, u0, part[j:j + 1], n_steps, threshold):
+                    yield start + j, one
+        else:
+            yield start, np.where(part == 0.0, 0.0, rises)
 
 
 def max_tv_rises(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
-                 lams: Sequence[float], n_steps: int) -> np.ndarray:
+                 lams: Sequence[float], n_steps: int,
+                 threshold: Optional[float] = None) -> np.ndarray:
     """``max_tv_rise`` at every lambda, in the form ``_rise_chunks`` takes
-    from sys; a non-finite batch is re-run one lambda at a time."""
+    from sys.  Given a threshold, a spectral chunk stops stepping at its
+    first crossing: then only ``rise > threshold`` is exact, and only up to
+    the first lambda it holds for."""
     lams = np.asarray(lams, dtype=float)
-    chunks = _rise_chunks(build, sys, u0, lams, n_steps)
+    chunks = _rise_chunks(build, sys, u0, lams, n_steps, threshold)
     return np.concatenate([np.empty(0)] + [rises for _, rises in chunks])
 
 
@@ -217,10 +263,10 @@ def prescan_bracket(build: StepperBuilder, sys: SemiDiscretization,
                     ) -> Optional[Tuple[float, float]]:
     """(grid point before, first grid point whose rise exceeds threshold)
     on the pre-scan grid over (0, lambda_hi], or None, scanning
-    ``spectral(sys) or sys`` up to the chunk holding the crossing.  A rise
-    is at least 0, so a negative or NaN threshold is a ValueError; so are
-    a lambda_hi that is not positive and finite, and fewer than one step,
-    under which every lambda reads as TVD."""
+    ``spectral(sys) or sys`` up to the first crossing.  A rise is at least
+    0, so a negative or NaN threshold is a ValueError; so are a lambda_hi
+    that is not positive and finite, and fewer than one step, under which
+    every lambda reads as TVD."""
     if not threshold >= 0:
         raise ValueError(f"threshold must be nonnegative, got {threshold!r}")
     if not 0.0 < lambda_hi < np.inf:
@@ -228,7 +274,8 @@ def prescan_bracket(build: StepperBuilder, sys: SemiDiscretization,
     if not n_steps >= 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps!r}")
     grid = np.linspace(lambda_hi / PRESCAN_POINTS, lambda_hi, PRESCAN_POINTS)
-    for start, rises in _rise_chunks(build, spectral(sys) or sys, u0, grid, n_steps):
+    for start, rises in _rise_chunks(build, spectral(sys) or sys, u0, grid, n_steps,
+                                     threshold):
         above = np.flatnonzero(rises > threshold)
         if above.size:
             i = start + above[0]
@@ -251,17 +298,18 @@ def observed_tvd_lambda(
     A 50-point pre-scan over (0, lambda_hi] brackets the first threshold
     crossing (``prescan_bracket``); bisection then refines it to the
     requested width, one lambda at a time, both on ``spectral(sys) or
-    sys``.  If no grid point crosses, lambda_hi itself is returned; if the
-    very first grid point already exceeds the threshold the bracket starts
-    at 0.  A lambda_hi or width that is not positive and finite, or fewer
-    than one step, is a ValueError, before any step."""
+    sys``, where a spectral run stops once it crosses.  If no grid point
+    crosses, lambda_hi itself is returned; if the very first grid point
+    already exceeds the threshold the bracket starts at 0.  A lambda_hi or
+    width that is not positive and finite, or fewer than one step, is a
+    ValueError, before any step."""
     _check_bracket(0.0, lambda_hi, width)
     scan = spectral(sys) or sys
     crossing = prescan_bracket(build, scan, u0, lambda_hi, n_steps, threshold)
     if crossing is None:
         return ObservedCoefficient(float(lambda_hi), threshold, width)
     lo, hi = _bisect(
-        lambda mid: max_tv_rises(build, scan, u0, [mid], n_steps)[0] <= threshold,
+        lambda mid: max_tv_rises(build, scan, u0, [mid], n_steps, threshold)[0] <= threshold,
         *crossing, width)
     return ObservedCoefficient(float(0.5 * (lo + hi)), threshold, width)
 

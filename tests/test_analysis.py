@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sspint import analysis, cli, integrators, methods, spatial
 from sspint.analysis import (
@@ -45,6 +46,49 @@ def test_total_variation_of_a_batch_in_any_layout_equals_its_rows():
     for batch in (np.tile(u, (3, 1)), np.asfortranarray(np.tile(u, (3, 1))),
                   np.broadcast_to(u, (3, 50))):
         assert list(total_variation(batch)) == [total_variation(u)] * 3
+
+
+def _roll_total_variation(u):
+    """The periodic TV as np.roll computed it: the reference of
+    ``total_variation``."""
+    u = np.ascontiguousarray(u, dtype=float)
+    return np.abs(u - np.roll(u, 1, axis=-1)).sum(axis=-1)
+
+
+def _layouts(u):
+    """u in C order and as views of other layouts with the same values."""
+    yield u
+    yield np.asfortranarray(u)
+    yield np.ascontiguousarray(u.T).T  # transposed
+    wide = np.zeros(u.shape[:-1] + (2 * u.shape[-1],), u.dtype)
+    wide[..., ::2] = u
+    yield wide[..., ::2]  # strided
+    yield np.ascontiguousarray(u[..., ::-1])[..., ::-1]  # negative stride
+
+
+_TV_ELEMENTS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.one_of(st.tuples(st.integers(1, 40)),
+                    st.tuples(st.integers(1, 5), st.integers(1, 40))),
+    data=st.data(),
+    integer=st.booleans(),
+)
+def test_total_variation_is_bitwise_the_roll_expression(shape, data, integer):
+    # any layout, integer input (converted before subtracting) and rows
+    # holding NaN or inf
+    if integer:
+        u = data.draw(hnp.arrays(np.int64, shape, elements=st.integers(-2**62, 2**62)))
+    else:
+        u = data.draw(hnp.arrays(float, shape, elements=_TV_ELEMENTS))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, 1e308 - -1e308
+        want = _roll_total_variation(u).tobytes()
+        for view in _layouts(u):
+            assert total_variation(view).tobytes() == want
 
 
 def test_tv_trace_max_rise_clamped():
@@ -384,6 +428,226 @@ def test_lambda_sweep_blowups_read_inf():
     assert [r.max_rise for r in recs] == want
     assert want[1] == want[3] == np.inf
     assert np.isfinite(want[0]) and np.isfinite(want[2])
+
+
+def _reference_stage_tvs(stepper, u, n_steps, n, threshold=None):
+    """The spectral stage loop with fresh arrays at every step and the
+    roll TV: the reference of ``_stage_tvs`` on real-FFT rows.  It ignores
+    a threshold, so every rise it gives is the full one."""
+    rows = []
+    stepper(np.ones_like(u), rows.append)
+    G, values = np.stack(rows), [_roll_total_variation(np.fft.irfft(u, n))[None]]
+    for _ in range(n_steps):
+        V = G * u
+        integrators._check_finite(V, "a stage")
+        values.append(_roll_total_variation(np.fft.irfft(V, n)))
+        u = V[-1]
+    return np.concatenate(values)
+
+
+def _gain_stepper(G):
+    """A spectral stepper whose stages from u are G[i] * u."""
+
+    def stepper(u, obs):
+        for g in G:
+            obs(g * u)
+        return G[-1] * u
+
+    return stepper
+
+
+def _complex(rng, shape, scale=1.0):
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=st.integers(1, 6), k=st.integers(1, 5), n=st.integers(1, 40),
+       n_steps=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+def test_spectral_stage_loop_is_bitwise_the_reference(s, k, n, n_steps, seed):
+    # buffers reused at every step, against fresh arrays at every step
+    rng = np.random.default_rng(seed)
+    m = n // 2 + 1
+    G, u = _complex(rng, (s, k, m), 0.7), _complex(rng, (k, m))
+    want = _reference_stage_tvs(_gain_stepper(G), u, n_steps, n)
+    got = analysis._stage_tvs(_gain_stepper(G), u.copy(), n_steps, n)
+    assert got.shape == want.shape == (1 + n_steps * s, k)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=st.integers(1, 6), k=st.integers(1, 5), n=st.integers(2, 40),
+       n_steps=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       q=st.floats(0.0, 1.2))
+def test_a_row_the_loop_stops_holds_its_last_tv(s, k, n, n_steps, seed, q):
+    # every column is the reference up to the end of some step, then that
+    # step's last TV; a column before the first that crosses runs to the end
+    rng = np.random.default_rng(seed)
+    m = n // 2 + 1
+    G, u = _complex(rng, (s, k, m), 0.7), _complex(rng, (k, m))
+    want = _reference_stage_tvs(_gain_stepper(G), u, n_steps, n)
+    full_rises = np.diff(want, axis=0).max(axis=0, initial=0.0)
+    threshold = q * full_rises.max()
+    got = analysis._stage_tvs(_gain_stepper(G), u.copy(), n_steps, n, threshold)
+    assert got.shape == want.shape
+    crossed = np.flatnonzero(full_rises > threshold)
+    first = crossed[0] if crossed.size else k
+    for j in range(k):  # the steps column j ran, then its last TV held
+        ran = 1 + s * max(t for t in range(n_steps + 1)
+                          if got[:1 + s * t, j].tobytes() == want[:1 + s * t, j].tobytes())
+        assert (got[ran:, j] == got[ran - 1, j]).all()
+        assert j >= first or ran == len(want)
+    if crossed.size:
+        assert np.diff(got[:, first]).max() > threshold
+
+
+def test_spectral_stage_loop_calls_do_not_share_results():
+    rng = np.random.default_rng(0)
+    first_G, first_u = _complex(rng, (4, 3, 9)), _complex(rng, (3, 9))
+    first = analysis._stage_tvs(_gain_stepper(first_G), first_u, 5, 16)
+    kept = first.copy()
+    second = analysis._stage_tvs(_gain_stepper(_complex(rng, (4, 3, 9))),
+                                 _complex(rng, (3, 9)), 5, 16)
+    assert first.tobytes() == kept.tobytes() != second.tobytes()
+    assert first.tobytes() == _reference_stage_tvs(
+        _gain_stepper(first_G), first_u, 5, 16).tobytes()
+
+
+def _full_rise_search(build, sys_, u0, hi, n_steps, threshold):
+    """(pre-scan bracket, lambda_obs) of a search on full rises: every
+    pre-scan point stepped to the end, then ``_bisect`` on one lambda."""
+    scan = spectral(sys_) or sys_
+    grid = np.linspace(hi / analysis.PRESCAN_POINTS, hi, analysis.PRESCAN_POINTS)
+    above = np.flatnonzero(max_tv_rises(build, scan, u0, grid, n_steps) > threshold)
+    if not above.size:
+        return None, float(hi)
+    i = above[0]
+    bracket = (grid[i - 1] if i else 0.0, grid[i])
+    lo, up = _bisect(
+        lambda mid: max_tv_rises(build, scan, u0, [mid], n_steps)[0] <= threshold,
+        *bracket, analysis.BISECTION_WIDTH)
+    return bracket, float(0.5 * (lo + up))
+
+
+def _hex(bracket):
+    return None if bracket is None else [float(x).hex() for x in bracket]
+
+
+def _search_agrees(rec, sys_, u0, hi, n_steps, threshold):
+    build = (ifrk_builder if rec.nondecreasing else rk_builder)(rec)
+    bracket, lam = _full_rise_search(build, sys_, u0, hi, n_steps, threshold)
+    got = analysis.prescan_bracket(build, sys_, u0, hi, n_steps, threshold)
+    assert _hex(got) == _hex(bracket)
+    obs = observed_tvd_lambda(build, sys_, u0, hi, n_steps, threshold)
+    assert obs.lambda_obs.hex() == lam.hex()
+
+
+@pytest.mark.parametrize("a", [0.0, 1.0, 10.0, 20.0])
+def test_searches_that_stop_at_the_first_crossing_equal_full_rise_searches(a):
+    # every registry method: IF plans where the abscissas allow, else plain RK
+    sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=a, n=200)
+    for rec in methods.list_methods():
+        _search_agrees(rec, sys_, u0, 1.5 * rec.claimed_C + 0.75, 10,
+                       analysis.DEFAULT_THRESHOLD)
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(methods.method_names()), n=st.integers(8, 128),
+       a=st.floats(0.0, 20.0), hi=st.floats(0.05, 8.0), n_steps=st.integers(1, 8),
+       log_threshold=st.floats(-14.0, -2.0), rows_per_chunk=st.integers(1, 60))
+def test_stopping_search_equals_full_rise_search_on_any_grid(
+        name, n, a, hi, n_steps, log_threshold, rows_per_chunk):
+    sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=a, n=n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "BATCH_ELEMENTS", rows_per_chunk * n)
+        _search_agrees(methods.get(name), sys_, u0, hi, n_steps, 10.0**log_threshold)
+
+
+def test_a_crossing_probe_steps_fewer_rows_than_a_passing_one(monkeypatch):
+    # each spectral step is one irfft of its stage batch: count the rows
+    rows = []
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft",
+                        lambda a, *args, **kw: rows.append(a.size // a.shape[-1])
+                        or irfft(a, *args, **kw))
+    rec = methods.get("eSSPRK+(5,4)")
+    sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=10.0, n=200)
+    build, spec, steps = ifrk_builder(rec), spectral(sys_), 10
+
+    def stepped(lams, threshold=None):
+        rows.clear()
+        rises = max_tv_rises(build, spec, u0, lams, steps, threshold)
+        return rises, sum(rows)
+
+    threshold = analysis.DEFAULT_THRESHOLD
+    (passing,), passing_rows = stepped([0.5], threshold)
+    (crossing,), crossing_rows = stepped([3.0], threshold)
+    assert passing <= threshold < crossing
+    assert passing_rows == 1 + steps * rec.stages  # every step, one row each
+    assert crossing_rows < passing_rows
+    # a chunk stops its rows from the first crossing on, and the rises
+    # before it are the full ones
+    lams = [0.5, 0.6, 3.0, 0.7, 4.0]
+    full, full_rows = stepped(lams)
+    stopped, stopped_rows = stepped(lams, threshold)
+    assert stopped_rows < full_rows
+    assert list(stopped[:2]) == list(full[:2]) and stopped[2] > threshold
+    assert np.flatnonzero(stopped > threshold)[0] == 2
+
+
+def test_searches_stop_at_their_threshold_and_other_scans_never(monkeypatch):
+    # the pre-scan and every bisection probe may stop at the search's
+    # threshold; a sweep, max_tv_rise and tv_trace keep full rises
+    seen = []
+    loop = analysis._stage_tvs
+    monkeypatch.setattr(analysis, "_stage_tvs",
+                        lambda *args: seen.append(args[4:]) or loop(*args))
+    rec = methods.get("eSSPRK+(3,3)")
+    sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=1.0, n=64)
+    build = ifrk_builder(rec)
+    observed_tvd_lambda(build, sys_, u0, 2.0, 5, threshold=1e-9)
+    assert len(seen) > 1 and set(seen) == {(1e-9,)}
+    seen.clear()
+    lambda_sweep(build, sys_, u0, [0.5, 1.5], 5)
+    max_tv_rise(build, spectral(sys_), u0, 1.5, 5)
+    tv_trace(build, sys_, u0, 1.5, 5)
+    assert set(seen) <= {(None,), ()} and len(seen) == 3
+
+
+def test_lambda_sweep_rises_are_those_of_the_reference_loop(monkeypatch):
+    # no threshold: a spectral sweep steps every row to the end, bitwise
+    # as the loop with fresh arrays at every step
+    rec = methods.get("eSSPRK+(5,4)")
+    sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=10.0, n=200)
+    build, spec = ifrk_builder(rec), spectral(sys_)
+    lams = np.linspace(0.05, 3.0, 30)
+    got = [r.max_rise for r in lambda_sweep(build, spec, u0, lams, 10)]
+    monkeypatch.setattr(analysis, "_stage_tvs", _reference_stage_tvs)
+    want = [r.max_rise for r in lambda_sweep(build, spec, u0, lams, 10)]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert want[-1] > 1e-6
+
+
+def test_nonfinite_prescan_chunk_reruns_only_up_to_the_crossing():
+    # plain-RK eSSPRK(10,4) on advection-Burgers blows up from lambda ~ 0.56
+    # (ex4); its first 10-row chunk turns non-finite, and the pre-scan
+    # re-runs that chunk's lambdas one at a time only up to the first
+    # crossing, not all ten first
+    sys_, u0 = make_problem(ADVECTION_BURGERS_STEP, a=10.0, n=400)
+    inner = rk_builder(methods.get("eSSPRK(10,4)"))
+    shapes = []
+
+    def build(sys, dt):
+        shapes.append(np.shape(dt))
+        return inner(sys, dt)
+
+    hi, steps, threshold = 9.75, 25, 1e-4
+    lo, up = analysis.prescan_bracket(build, sys_, u0, hi, steps, threshold)
+    grid = np.linspace(hi / analysis.PRESCAN_POINTS, hi, analysis.PRESCAN_POINTS)
+    i = int(np.flatnonzero(grid == up)[0])
+    assert lo == grid[i - 1] and i < 9
+    assert shapes == [(10, 1)] + [(1, 1)] * (i + 1)
+    assert _per_lambda(inner, sys_, u0, up, steps) > threshold
+    assert all(_per_lambda(inner, sys_, u0, lam, steps) <= threshold for lam in grid[:i])
 
 
 def _bits(u) -> bytes:
