@@ -111,7 +111,7 @@ def _total_variation(u: np.ndarray, d: np.ndarray) -> np.ndarray:
     """``total_variation`` of C-order float u through d, a C-order buffer
     of u's shape: one subtraction over the flattened batch, whose first
     difference in each row is then overwritten by the periodic one."""
-    flat, diffs = u.reshape(-1), d.reshape(-1, copy=False)
+    flat, diffs = u.reshape(-1), d.reshape(-1)
     np.subtract(flat[1:], flat[:-1], out=diffs[1:])
     np.subtract(u[..., :1], u[..., -1:], out=d[..., :1])
     return np.abs(d, out=d).sum(axis=-1)
@@ -173,9 +173,9 @@ def _stage_tvs(stepper: Stepper, u: np.ndarray, n_steps: int, n: int,
     stepper(np.ones_like(u), rows.append)
     G = np.stack(rows)
     s, k, m = G.shape
-    # a batch of the first k rows is the C-order front of a flat buffer; a
-    # step reads u from one stage buffer and writes the other
-    stage_bufs, (x_buf, d_buf) = np.empty((2, G.size), G.dtype), np.empty((2, s * k * n))
+    # a batch of the first k rows is the C-order front of a flat buffer;
+    # NumPy copies the u that a step reads from the stage buffer it writes
+    stage_buf, (x_buf, d_buf) = np.empty(G.size, G.dtype), np.empty((2, s * k * n))
 
     def tv(W):
         X = np.fft.irfft(W, n, out=x_buf[:W.size // m * n].reshape(W.shape[:-1] + (n,)))
@@ -184,7 +184,7 @@ def _stage_tvs(stepper: Stepper, u: np.ndarray, n_steps: int, n: int,
     tvs, rise = np.empty((1 + n_steps * s, k)), np.zeros(k)
     tvs[0] = tv(u)
     for t in range(n_steps):
-        first, V = 1 + t * s, stage_bufs[t % 2, :s * k * m].reshape(s, k, m)
+        first, V = 1 + t * s, stage_buf[:s * k * m].reshape(s, k, m)
         np.multiply(G, u, out=V)
         _check_finite(V, "a stage")
         tvs[first:first + s, :k] = tv(V)
@@ -220,7 +220,10 @@ def _rise_chunks(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
     a chunk of physical rows, each of at most BATCH_ELEMENTS elements;
     otherwise a chunk is one lambda on physical values.  A chunk that
     turns non-finite is re-run one lambda at a time, each yielded as it
-    ends.  A threshold is passed to ``_stage_tvs``."""
+    ends.  Given a threshold, as a search gives it, a spectral chunk
+    stops stepping at its first crossing (``_stage_tvs``): then only
+    ``rise > threshold`` is exact, and only up to the first lambda it
+    holds for."""
     batched = isinstance(sys.L, Circulant)
     size = max(1, BATCH_ELEMENTS // sys.n) if batched else 1
     row = np.fft.rfft(u0) if isinstance(sys.L, Spectral) else u0
@@ -246,14 +249,11 @@ def _rise_chunks(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
 
 
 def max_tv_rises(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
-                 lams: Sequence[float], n_steps: int,
-                 threshold: Optional[float] = None) -> np.ndarray:
+                 lams: Sequence[float], n_steps: int) -> np.ndarray:
     """``max_tv_rise`` at every lambda, in the form ``_rise_chunks`` takes
-    from sys.  Given a threshold, a spectral chunk stops stepping at its
-    first crossing: then only ``rise > threshold`` is exact, and only up to
-    the first lambda it holds for."""
+    from sys."""
     lams = np.asarray(lams, dtype=float)
-    chunks = _rise_chunks(build, sys, u0, lams, n_steps, threshold)
+    chunks = _rise_chunks(build, sys, u0, lams, n_steps)
     return np.concatenate([np.empty(0)] + [rises for _, rises in chunks])
 
 
@@ -309,7 +309,8 @@ def observed_tvd_lambda(
     if crossing is None:
         return ObservedCoefficient(float(lambda_hi), threshold, width)
     lo, hi = _bisect(
-        lambda mid: max_tv_rises(build, scan, u0, [mid], n_steps, threshold)[0] <= threshold,
+        lambda mid: next(_rise_chunks(build, scan, u0, np.array([mid]), n_steps,
+                                      threshold))[1][0] <= threshold,
         *crossing, width)
     return ObservedCoefficient(float(0.5 * (lo + hi)), threshold, width)
 
