@@ -41,9 +41,7 @@ unless stated):
 - ``observed_tvd_lambda``: the full search (pre-scan plus bisection).
 - ``rises_spectral_k4``: one 4-lambda batch of that pre-scan (its first
   four grid points) on real-FFT coefficients, as ``prescan_bracket`` runs
-  it: ``max_tv_rises`` of those lambdas on the ``spectral`` system (on
-  the physical one, for a package whose ``max_tv_rises`` still takes a
-  ``physical`` flag and derives the spectral system itself).
+  it: ``max_tv_rises`` of those lambdas on the ``spectral`` system.
 - ``run_ex1``, ``run_ex4``, ``run_fig1``, ``run_table6``, ``run_table7``
   and ``run_table8``: ``sspint run`` of ex1, ex4, fig1, table6, table7 and
   table8-partial at their default config, in-process through ``cli.main``
@@ -103,7 +101,6 @@ unless stated):
 import argparse
 import contextlib
 import glob
-import inspect
 import io
 import json
 import os
@@ -189,9 +186,6 @@ def layers(quick, src):
     plan = make_plan(rec, sys_, 1.5 * sys_.dx)
     spec = integrators.spectral(sys_)
     lams = np.linspace(hi / 50, hi, 50)
-    # a package with the ``physical`` flag derives the spectral system itself
-    flag = "physical" in inspect.signature(analysis.max_tv_rises).parameters
-    scan = sys_ if flag else spec
     batch = make_plan(rec, spec, lams[:, None] * sys_.dx)
     uh0 = np.broadcast_to(np.fft.rfft(u0), (50, N // 2 + 1))
     tv_batch = np.random.default_rng(0).standard_normal((9, 4, N))
@@ -201,7 +195,7 @@ def layers(quick, src):
         "observed_tvd_lambda": _median_time(
             lambda: analysis.observed_tvd_lambda(build, sys_, u0, hi, STEPS), k),
         "rises_spectral_k4": _median_time(
-            lambda: analysis.max_tv_rises(build, scan, u0, lams[:4], STEPS), k, 20),
+            lambda: analysis.max_tv_rises(build, spec, u0, lams[:4], STEPS), k, 20),
         "run_ex1": _median_time(lambda: run("ex1"), k),
         "run_ex4": _median_time(lambda: run("ex4"), k),
         "run_fig1": _median_time(lambda: run("fig1"), k),

@@ -158,47 +158,44 @@ def _stage_tvs(stepper: Stepper, u: np.ndarray, n_steps: int, n: int,
     batch of real-FFT coefficients, where L and N multiply: one step from
     ones gives the stage gains G, stacked (s, *u.shape), so the stages of a
     step from u are G * u, one multiply observed by one batched irfft and
-    one TV, all into buffers allocated once per call.  Given a threshold,
-    that loop steps no row past the first whose rise so far exceeds it,
-    and a row it stops holds its last TV, so every row before the first
-    crossing runs every step.  A negative n_steps is a ValueError on
-    either path."""
+    one TV, into (s, k, .) buffers allocated once per call; a non-finite TV
+    there raises ``NonFinite``.  Given a threshold, the TVs end with the
+    step in which row 0's rise first exceeds it; on physical values the
+    steps after it are no-ops.  A negative n_steps is a ValueError."""
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     if not np.iscomplexobj(u):
-        values = []
-        integrate(stepper, u, n_steps, lambda v: values.append(total_variation(v)))
+        values, begun = [], 0  # where the last step's TVs begin in values
+
+        def idle_once_crossed(v, obs):
+            nonlocal begun
+            if begun:  # row 0 over the last step, from the TV it started at
+                row_0 = [np.ravel(tv)[0] for tv in values[begun - 1:]]
+                if np.diff(row_0).max() > threshold:
+                    return v
+            begun = len(values)
+            return stepper(v, obs)
+
+        integrate(stepper if threshold is None else idle_once_crossed, u, n_steps,
+                  lambda v: values.append(total_variation(v)))
         return np.array(values)
     rows = []
     stepper(np.ones_like(u), rows.append)
     G = np.stack(rows)
-    s, k, m = G.shape
-    # a batch of the first k rows is the C-order front of a flat buffer;
+    s = len(G)
     # NumPy copies the u that a step reads from the stage buffer it writes
-    stage_buf, (x_buf, d_buf) = np.empty(G.size, G.dtype), np.empty((2, s * k * n))
-
-    def tv(W):
-        X = np.fft.irfft(W, n, out=x_buf[:W.size // m * n].reshape(W.shape[:-1] + (n,)))
-        return _total_variation(X, d_buf[:X.size].reshape(X.shape))
-
-    tvs, rise = np.empty((1 + n_steps * s, k)), np.zeros(k)
-    tvs[0] = tv(u)
+    V, X = np.empty_like(G), np.empty(G.shape[:-1] + (n,))
+    D = np.empty_like(X)
+    tvs = np.empty((1 + n_steps * s,) + u.shape[:-1])
+    tvs[0] = _total_variation(np.fft.irfft(u, n, out=X[0]), D[0])
     for t in range(n_steps):
-        first, V = 1 + t * s, stage_buf[:s * k * m].reshape(s, k, m)
+        first = 1 + t * s
         np.multiply(G, u, out=V)
-        _check_finite(V, "a stage")
-        tvs[first:first + s, :k] = tv(V)
+        tvs[first:first + s] = _total_variation(np.fft.irfft(V, n, out=X), D)
+        _check_finite(tvs[first:first + s], "a stage")
         u = V[-1]
-        if threshold is None:
-            continue
-        rise = np.maximum(rise, np.diff(tvs[first - 1:first + s, :k], axis=0).max(axis=0))
-        crossed = np.flatnonzero(rise > threshold)
-        if crossed.size:
-            i = crossed[0]
-            tvs[first + s:, i:k] = tvs[first + s - 1, i:k]
-            G, u, rise, k = G[:, :i], u[:i], rise[:i], i
-            if not k:
-                break
+        if threshold is not None and np.diff(tvs[first - 1:first + s, 0]).max() > threshold:
+            return tvs[:first + s]
     return tvs
 
 
@@ -207,8 +204,6 @@ def max_tv_rise(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
     """Maximal TV increase over consecutive observed stages (including
     step boundaries), clamped at 0; a non-finite run counts as +inf, and a
     non-finite operator raises.  ``max_tv_rises`` of one lambda."""
-    if lam == 0.0:
-        return 0.0
     return float(max_tv_rises(build, sys, u0, [lam], n_steps)[0])
 
 
@@ -220,10 +215,9 @@ def _rise_chunks(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
     a chunk of physical rows, each of at most BATCH_ELEMENTS elements;
     otherwise a chunk is one lambda on physical values.  A chunk that
     turns non-finite is re-run one lambda at a time, each yielded as it
-    ends.  Given a threshold, as a search gives it, a spectral chunk
-    stops stepping at its first crossing (``_stage_tvs``): then only
-    ``rise > threshold`` is exact, and only up to the first lambda it
-    holds for."""
+    ends.  Given a threshold, as a search gives it, a chunk whose first
+    lambda crosses ends with that step (``_stage_tvs``); the rises of
+    every other chunk are exact."""
     batched = isinstance(sys.L, Circulant)
     size = max(1, BATCH_ELEMENTS // sys.n) if batched else 1
     row = np.fft.rfft(u0) if isinstance(sys.L, Spectral) else u0
@@ -237,7 +231,7 @@ def _rise_chunks(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
                 stepper, u = build(sys, part[0] * sys.dx), u0
             try:  # a non-finite operator raised above, in the plan: not a rise
                 tvs = _stage_tvs(stepper, u, n_steps, sys.n, threshold)
-                rises = np.diff(tvs.T.reshape(len(part), -1), axis=1).max(axis=1, initial=0.0)
+                rises = np.diff(tvs.reshape(len(tvs), -1), axis=0).max(axis=0, initial=0.0)
             except NonFinite:
                 rises = np.inf if len(part) == 1 else None
         if rises is None:
@@ -298,11 +292,11 @@ def observed_tvd_lambda(
     A 50-point pre-scan over (0, lambda_hi] brackets the first threshold
     crossing (``prescan_bracket``); bisection then refines it to the
     requested width, one lambda at a time, both on ``spectral(sys) or
-    sys``, where a spectral run stops once it crosses.  If no grid point
-    crosses, lambda_hi itself is returned; if the very first grid point
-    already exceeds the threshold the bracket starts at 0.  A lambda_hi or
-    width that is not positive and finite, or fewer than one step, is a
-    ValueError, before any step."""
+    sys``, where a run ends with the step in which its first lambda
+    crosses.  If no grid point crosses, lambda_hi itself is returned; if
+    the very first grid point already exceeds the threshold the bracket
+    starts at 0.  A lambda_hi or width that is not positive and finite, or
+    fewer than one step, is a ValueError, before any step."""
     _check_bracket(0.0, lambda_hi, width)
     scan = spectral(sys) or sys
     crossing = prescan_bracket(build, scan, u0, lambda_hi, n_steps, threshold)

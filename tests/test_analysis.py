@@ -103,6 +103,15 @@ def test_max_tv_rise_zero_lambda():
     assert max_tv_rise(build, sys_, u0, 0.0, 10) == 0.0
 
 
+def test_max_tv_rise_at_zero_lambda_still_builds_its_plan():
+    # a NaN operator raises at lambda = 0 as at any other lambda
+    sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=1.0, n=64)
+    sys_ = replace(sys_, L=Circulant(np.full(64, np.nan)))
+    build = ifrk_builder(methods.get("eSSPRK+(3,3)"))
+    with pytest.raises(NonFinite, match="operator"):
+        max_tv_rise(build, sys_, u0, 0.0, 3)
+
+
 def test_max_tv_rise_nonfinite_is_infinite():
     sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=1.0, n=64)
 
@@ -474,30 +483,70 @@ def test_spectral_stage_loop_is_bitwise_the_reference(s, k, n, n_steps, seed):
     assert got.tobytes() == want.tobytes()
 
 
+def _crossing_step(tvs, s, threshold):
+    """The first step at whose end column 0's rise over tvs exceeds the
+    threshold, or the last step when none does."""
+    n_steps = (len(tvs) - 1) // s
+    return next((t for t in range(1, n_steps + 1)
+                 if np.diff(tvs[:1 + s * t, 0]).max() > threshold), n_steps)
+
+
+_STOP_CASES = dict(s=st.integers(1, 6), k=st.integers(1, 5), n=st.integers(2, 40),
+                   n_steps=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+                   q=st.floats(0.0, 1.2))
+
+
 @settings(max_examples=60, deadline=None)
-@given(s=st.integers(1, 6), k=st.integers(1, 5), n=st.integers(2, 40),
-       n_steps=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
-       q=st.floats(0.0, 1.2))
-def test_a_row_the_loop_stops_holds_its_last_tv(s, k, n, n_steps, seed, q):
-    # every column is the reference up to the end of some step, then that
-    # step's last TV; a column before the first that crosses runs to the end
+@given(**_STOP_CASES)
+def test_a_loop_with_a_threshold_ends_with_the_step_row_0_crosses_in(
+        s, k, n, n_steps, seed, q):
+    # the reference's first 1 + s t rows, t the first step at whose end
+    # column 0's rise exceeds the threshold, or every step when none does
     rng = np.random.default_rng(seed)
     m = n // 2 + 1
     G, u = _complex(rng, (s, k, m), 0.7), _complex(rng, (k, m))
     want = _reference_stage_tvs(_gain_stepper(G), u, n_steps, n)
-    full_rises = np.diff(want, axis=0).max(axis=0, initial=0.0)
-    threshold = q * full_rises.max()
+    threshold = q * np.diff(want[:, 0]).max()
+    t = _crossing_step(want, s, threshold)
     got = analysis._stage_tvs(_gain_stepper(G), u.copy(), n_steps, n, threshold)
-    assert got.shape == want.shape
-    crossed = np.flatnonzero(full_rises > threshold)
-    first = crossed[0] if crossed.size else k
-    for j in range(k):  # the steps column j ran, then its last TV held
-        ran = 1 + s * max(t for t in range(n_steps + 1)
-                          if got[:1 + s * t, j].tobytes() == want[:1 + s * t, j].tobytes())
-        assert (got[ran:, j] == got[ran - 1, j]).all()
-        assert j >= first or ran == len(want)
-    if crossed.size:
-        assert np.diff(got[:, first]).max() > threshold
+    assert got.shape == (1 + s * t, k)
+    assert got.tobytes() == want[:1 + s * t].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_STOP_CASES)
+def test_physical_rows_with_a_threshold_end_with_the_step_row_0_crosses_in(
+        s, k, n, n_steps, seed, q):
+    # the same rule on physical rows, which call their stepper only t times
+    rng = np.random.default_rng(seed)
+    G, u = 0.7 * rng.standard_normal((s, k, n)), rng.standard_normal((k, n))
+    stepper, calls = _gain_stepper(G), []
+    want = analysis._stage_tvs(stepper, u, n_steps, n)
+    threshold = q * np.diff(want[:, 0]).max()
+    t = _crossing_step(want, s, threshold)
+    got = analysis._stage_tvs(lambda v, obs: calls.append(1) or stepper(v, obs),
+                              u, n_steps, n, threshold)
+    assert len(calls) == t
+    assert got.tobytes() == want[:1 + s * t].tobytes()
+
+
+def test_a_stage_whose_irfft_overflows_is_nonfinite():
+    # finite coefficients of 1e308 whose irfft overflows: their TVs are NaN,
+    # which a pre-scan would read as TVD
+    u = np.full((1, 9), 1e308 + 0j)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFinite, match="a stage"):
+        analysis._stage_tvs(_gain_stepper(np.ones((1, 1, 9), complex)), u, 2, 16)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
+def test_a_nonfinite_coefficient_in_one_stage_is_nonfinite(bad):
+    rng = np.random.default_rng(0)
+    G, u = _complex(rng, (4, 3, 9), 0.7), _complex(rng, (3, 9))
+    G[2, 1, 4] = bad
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFinite, match="a stage"):
+        analysis._stage_tvs(_gain_stepper(G), u, 3, 16)
 
 
 def test_spectral_stage_loop_calls_do_not_share_results():
@@ -554,6 +603,14 @@ def test_searches_that_stop_at_the_first_crossing_equal_full_rise_searches(a):
                        analysis.DEFAULT_THRESHOLD)
 
 
+@pytest.mark.parametrize("name", ["eSSPRK+(3,3)", "eSSPRK+(5,4)", "eSSPRK(10,4)"])
+def test_burgers_searches_that_stop_at_the_first_crossing_equal_full_rise_searches(name):
+    # physical rows, plain RK eSSPRK(10,4) blowing up inside its pre-scan
+    rec = methods.get(name)
+    sys_, u0 = make_problem(ADVECTION_BURGERS_STEP, a=10.0, n=64)
+    _search_agrees(rec, sys_, u0, 1.5 * rec.claimed_C + 0.75, 10, 1e-4)
+
+
 @settings(max_examples=25, deadline=None)
 @given(name=st.sampled_from(methods.method_names()), n=st.integers(8, 128),
        a=st.floats(0.0, 20.0), hi=st.floats(0.05, 8.0), n_steps=st.integers(1, 8),
@@ -589,14 +646,48 @@ def test_a_crossing_probe_steps_fewer_rows_than_a_passing_one(monkeypatch):
     assert passing <= threshold < crossing
     assert passing_rows == 1 + steps * rec.stages  # every step, one row each
     assert crossing_rows < passing_rows
-    # a chunk stops its rows from the first crossing on, and the rises
-    # before it are the full ones
+    # a chunk whose first lambda crosses ends with that step; one whose
+    # first lambda passes steps every row to the end, with full rises
+    lams = [3.0, 0.5, 4.0]
+    full, full_rows = stepped(lams)
+    stopped, stopped_rows = stepped(lams, threshold)
+    assert full_rows == len(lams) * passing_rows
+    assert stopped_rows < full_rows and stopped[0] > threshold
     lams = [0.5, 0.6, 3.0, 0.7, 4.0]
     full, full_rows = stepped(lams)
     stopped, stopped_rows = stepped(lams, threshold)
-    assert stopped_rows < full_rows
-    assert list(stopped[:2]) == list(full[:2]) and stopped[2] > threshold
-    assert np.flatnonzero(stopped > threshold)[0] == 2
+    assert stopped_rows == full_rows == len(lams) * passing_rows
+    assert stopped.tobytes() == full.tobytes() and stopped[2] > threshold
+
+
+def test_physical_rows_stop_with_the_step_their_first_row_crosses_in():
+    # advection-Burgers has no spectral form, so its chunks step physical
+    # rows; the steps after the one in which row 0 crosses are no-ops.
+    # Here 0.5 crosses in the fourth step, 0.3 in the first, 0.1 never
+    rec = methods.get("eSSPRK+(5,4)")
+    sys_, u0 = make_problem(ADVECTION_BURGERS_SMOOTH, a=1.0, n=64)
+    inner, steps, threshold = ifrk_builder(rec), 10, 3e-3
+    calls = []
+
+    def build(sys, dt):
+        stepper = inner(sys, dt)
+        return lambda u, obs: calls.append(1) or stepper(u, obs)
+
+    def rises(lams, threshold=None):
+        calls.clear()
+        chunks = analysis._rise_chunks(build, sys_, u0, np.array(lams), steps, threshold)
+        return next(chunks)[1]
+
+    (rise,) = rises([0.5], threshold)
+    assert len(calls) == 4
+    full = tv_trace(inner, sys_, u0, 0.5, steps).values
+    assert rise == np.diff(full[:1 + 4 * rec.stages]).max() > threshold
+    assert np.diff(full[:1 + 3 * rec.stages]).max() <= threshold
+    rises([0.5, 0.1], threshold)
+    assert len(calls) == 4
+    stopped = rises([0.1, 0.3], threshold)
+    assert len(calls) == steps and stopped[0] <= threshold < stopped[1]
+    assert stopped.tobytes() == rises([0.1, 0.3]).tobytes()
 
 
 def test_searches_stop_at_their_threshold_and_other_scans_never(monkeypatch):
