@@ -73,7 +73,7 @@ unless stated):
 - ``van_der_pol_rk_step``: one ``rk_step`` of eSSPRK(10,4) on the van der
   Pol right-hand side at dt = 1e-5 (the step of ex1's reference solve,
   which no longer calls it), its plan included.
-- ``van_der_pol_reference``: that whole solve, ``cli.van_der_pol_reference``
+- ``van_der_pol_reference``: that whole solve, ``analysis.van_der_pol_reference``
   (50 000 steps to T = 0.5).  ``run_ex1`` reads its pinned value,
   ``analysis.VAN_DER_POL_REFERENCE``, instead.
 - ``make_plan_batch``: ``make_plan`` of eSSPRK+(6,4) for the first
@@ -249,7 +249,7 @@ def burgers_layers(k):
     exponentials and one SSP radius."""
     import numpy as np
 
-    from sspint import analysis, cli, methods, spatial
+    from sspint import analysis, methods, spatial
     from sspint.expm import expm
     from sspint.integrators import (ifrk_step, make_general_plan, make_plan, rk_step,
                                     shu_osher_form)
@@ -286,7 +286,7 @@ def burgers_layers(k):
         "van_der_pol_rk_step": _median_time(
             lambda: rk_step(vdp, spatial.van_der_pol_full, np.array([2.0, 0.0]), 1e-5),
             k, 2000),
-        "van_der_pol_reference": _median_time(cli.van_der_pol_reference, k),
+        "van_der_pol_reference": _median_time(analysis.van_der_pol_reference, k),
         "make_plan_batch": _median_time(
             lambda: make_plan(plus64, sys_, lams * sys_.dx), k, 20),
         "make_plan_general_dense": _median_time(

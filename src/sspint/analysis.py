@@ -2,12 +2,11 @@
 convergence-slope estimation, and the van der Pol convergence test.
 
 A "stepper builder" is a callable ``build(sys, dt)`` returning a one-step
-map ``stepper(u, obs)``; this keeps the measurement layer independent of
-whether the step is plain Runge-Kutta or integrating-factor.  When
-``sys.L`` is a ``Circulant``, a builder also steps a batch with a column
-of step sizes, one row per step size, and ``max_tv_rises`` runs lambdas
-in such batches: real-FFT rows when sys is ``spectral``, else physical.
-"""
+map ``stepper(u, obs)``; the builders here return ``step`` of a plan made
+for (sys, dt), plain Runge-Kutta or integrating-factor.  When ``sys.L`` is
+a ``Circulant``, a builder also steps a batch with a column of step sizes,
+one row per step size, and ``max_tv_rises`` runs lambdas in such batches:
+real-FFT rows when sys is ``spectral``, else physical."""
 
 from __future__ import annotations
 
@@ -25,7 +24,7 @@ from .integrators import (
     SemiDiscretization,
     Stepper,
     _check_finite,
-    ifrk_step,
+    _state,
     integrate,
     make_general_plan,
     make_plan,
@@ -64,23 +63,9 @@ BATCH_ELEMENTS = 4096
 StepperBuilder = Callable[[SemiDiscretization, float], Stepper]
 
 
-def _plan_builder(plan_for, rhs=None) -> StepperBuilder:
-    """A builder stepping ``plan_for(sys, dt)``, made once per (sys, dt):
-    an integrating-factor plan through ``ifrk_step`` or, given the
-    right-hand side ``rhs(sys)``, a plain-RK plan through ``step``."""
-
-    def build(sys: SemiDiscretization, dt: float):
-        plan = plan_for(sys, dt)
-        if rhs is None:
-            return partial(ifrk_step, plan, sys)
-        return partial(step, plan, rhs(sys))
-
-    return build
-
-
 def ifrk_builder(method: MethodRecord) -> StepperBuilder:
     """Stepper builder for the integrating-factor form of a method."""
-    return _plan_builder(lambda sys, dt: make_plan(method, sys, dt))
+    return lambda sys, dt: partial(step, make_plan(method, sys, dt), sys.N)
 
 
 def ifrk_general_builder(method: MethodRecord) -> StepperBuilder:
@@ -88,15 +73,14 @@ def ifrk_general_builder(method: MethodRecord) -> StepperBuilder:
     restriction: the path for small dense systems and for
     decreasing-abscissa counterexamples."""
     so, c = shu_osher_form(method), method.tableau.c
-    return _plan_builder(lambda sys, dt: make_general_plan(so, c, sys, dt))
+    return lambda sys, dt: partial(step, make_general_plan(so, c, sys, dt), sys.N)
 
 
 def rk_builder(method: MethodRecord) -> StepperBuilder:
     """Stepper builder applying the method as a plain Runge-Kutta scheme
     to the combined right-hand side L u + N(u)."""
     so = shu_osher_form(method)
-    return _plan_builder(lambda sys, dt: rk_plan(so, dt),
-                         lambda sys: lambda u: sys.L @ u + sys.N(u))
+    return lambda sys, dt: partial(step, rk_plan(so, dt), lambda u: sys.L @ u + sys.N(u))
 
 
 def total_variation(u: np.ndarray):
@@ -154,31 +138,32 @@ def tv_trace(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
 def _stage_tvs(stepper: Stepper, u: np.ndarray, n_steps: int, n: int,
                threshold: Optional[float] = None) -> np.ndarray:
     """The TV of every stage of n_steps from u, in observation order, one
-    column per row of a (k, n) batch.  Complex u is a (k, n // 2 + 1)
-    batch of real-FFT coefficients, where L and N multiply: one step from
-    ones gives the stage gains G, stacked (s, *u.shape), so the stages of a
-    step from u are G * u, one multiply observed by one batched irfft and
-    one TV, into (s, k, .) buffers allocated once per call; a non-finite TV
-    there raises ``NonFinite``.  Given a threshold, the TVs end with the
-    step in which row 0's rise first exceeds it; on physical values the
-    steps after it are no-ops.  A negative n_steps is a ValueError."""
+    column per row of a (k, n) batch; a non-finite TV raises ``NonFinite``.
+    Complex u is a (k, n // 2 + 1) batch of real-FFT coefficients, where L
+    and N multiply: one step from ones gives the stage gains G, stacked
+    (s, *u.shape), so the stages of a step from u are G * u, one multiply
+    observed by one batched irfft and one TV, into (s, k, .) buffers
+    allocated once per call.  Given a threshold, the TVs end with the step
+    in which row 0's rise first exceeds it, and no later step runs, on
+    either form.  A negative n_steps is a ValueError."""
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     if not np.iscomplexobj(u):
-        values, begun = [], 0  # where the last step's TVs begin in values
+        u, values = _state(u), []
 
-        def idle_once_crossed(v, obs):
-            nonlocal begun
-            if begun:  # row 0 over the last step, from the TV it started at
-                row_0 = [np.ravel(tv)[0] for tv in values[begun - 1:]]
-                if np.diff(row_0).max() > threshold:
-                    return v
-            begun = len(values)
-            return stepper(v, obs)
+        def observe(v):
+            values.append(total_variation(v))
 
-        integrate(stepper if threshold is None else idle_once_crossed, u, n_steps,
-                  lambda v: values.append(total_variation(v)))
-        return np.array(values)
+        observe(u)
+        for _ in range(n_steps):
+            first = len(values)
+            u = stepper(u, observe)
+            if threshold is not None and np.diff(  # row 0 over this step
+                    [np.ravel(tv)[0] for tv in values[first - 1:]]).max() > threshold:
+                break
+        tvs = np.array(values)
+        _check_finite(tvs, "a stage")
+        return tvs
     rows = []
     stepper(np.ones_like(u), rows.append)
     G = np.stack(rows)

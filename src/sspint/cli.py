@@ -20,7 +20,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from . import analysis, methods, spatial
-from .analysis import van_der_pol_errors, van_der_pol_reference  # noqa: F401 (re-export)
+from .analysis import van_der_pol_errors
 from .errors import ConfigError, NonFinite, SspError
 from .integrators import integrate
 from .optimizer import OptimizationSpec, optimize
@@ -436,6 +436,8 @@ def cmd_methods(args) -> int:
 
 
 def cmd_radius(args) -> int:
+    if args.methods is not None:
+        _check_values({"methods": args.methods})
     rows = []
     for rec in _records(args.methods or ",".join(methods.method_names())):
         r = ssp_radius(rec.tableau).radius

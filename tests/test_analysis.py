@@ -1,5 +1,7 @@
 import re
+import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -549,6 +551,34 @@ def test_a_nonfinite_coefficient_in_one_stage_is_nonfinite(bad):
         analysis._stage_tvs(_gain_stepper(G), u, 3, 16)
 
 
+def _scaled_stage_stepper(scale, v, obs):
+    """A one-stage stepper observing v * scale and returning v."""
+    obs(v * scale)
+    return v
+
+
+@pytest.mark.parametrize("threshold", [None, 1e-10])
+def test_a_physical_stage_whose_tv_overflows_is_nonfinite(threshold):
+    # finite stages of 1e308 whose TV overflows, as on real-FFT rows
+    u = np.tile([0.0, 1.0], 4)
+    with np.errstate(over="ignore"), pytest.raises(NonFinite, match="a stage"):
+        analysis._stage_tvs(partial(_scaled_stage_stepper, 1e308), u, 3, 8, threshold)
+
+
+def test_a_physical_tv_overflow_reads_as_an_infinite_rise():
+    # the lambda whose TV overflows reads inf, not NaN; the other keeps its rise
+    sys_, _ = make_problem(LINEAR_ADVECTION_STEP, a=1.0, n=64)
+    u0 = np.tile([0.0, 1.0], 32)
+
+    def build(sys, dt):
+        return partial(_scaled_stage_stepper, np.where(dt > 0.7 * sys.dx, 1e308, 1.0))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert max_tv_rises(build, sys_, u0, [0.5, 1.0], 3).tolist() == [0.0, np.inf]
+        assert max_tv_rise(build, sys_, u0, 1.0, 3) == np.inf
+
+
 def test_spectral_stage_loop_calls_do_not_share_results():
     rng = np.random.default_rng(0)
     first_G, first_u = _complex(rng, (4, 3, 9)), _complex(rng, (3, 9))
@@ -816,12 +846,10 @@ def test_two_float_steps_treat_an_overflowing_rhs_as_rk_step_does(u0):
 
 def test_van_der_pol_reference_is_pinned():
     # the ex1 reference, bitwise as rk_step computed it, and the constant
-    # run ex1 reads in its place; sspint.cli re-exports the solve
-    # (perfbench looks it up there)
+    # run ex1 reads in its place
     u = analysis.van_der_pol_reference()
     assert [float(v).hex() for v in u] == ["0x1.d674c41aa053cp+0", "-0x1.11ad0ec0f45fep-1"]
     assert _bits(u) == _bits(analysis.VAN_DER_POL_REFERENCE)
-    assert cli.van_der_pol_reference is analysis.van_der_pol_reference
     assert cli.van_der_pol_errors is analysis.van_der_pol_errors
 
 

@@ -111,6 +111,19 @@ def test_cli_radius_csv(tmp_path):
     assert float(C) == pytest.approx(0.75, abs=1e-3)
 
 
+@pytest.mark.parametrize("names", [",", ""])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_cli_radius_rejects_a_method_list_with_no_names(tmp_path, capsys, names, to_file):
+    # a list with no names is a usage error, for the table and the CSV alike
+    out = tmp_path / "r.csv"
+    argv = ["radius", "--methods", names] + (["--out", str(out)] if to_file else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: methods must list"), err
+
+
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus=1\n")
