@@ -82,6 +82,8 @@ unless stated):
 - ``make_plan_general_dense``: ``make_general_plan`` of eSSPRK(5,4) on
   ex1's dense 2x2 van der Pol operator (splitting a) at dt = 0.02, its
   Pade-13 exponentials included.
+- ``ifrk_step_vdp``: one ``ifrk_step`` of that plan from ex1's initial
+  state (2, 0), the plan built outside the timer.
 - ``expm``: ``expm`` of that operator times 0.02.
 - ``ssp_radius``: ``ssp_radius`` of eSSPRK+(6,4).
 - ``optimize_<s>_<p>``: ``optimize`` of (3,2), (3,3), (4,3) and (5,3) with
@@ -245,8 +247,8 @@ def layers(quick, src):
 def burgers_layers(k):
     """The WENO5 right-hand side, one Burgers step, ex4's sweep of
     eSSPRK+(5,4), one plain-RK step of an ex4 batch, one step of the van der
-    Pol reference solve and the whole solve, the plans of ex4 and ex1, their
-    exponentials and one SSP radius."""
+    Pol reference solve and the whole solve, the plans of ex4 and ex1, one
+    step of ex1's plan, their exponentials and one SSP radius."""
     import numpy as np
 
     from sspint import analysis, methods, spatial
@@ -266,7 +268,8 @@ def burgers_layers(k):
     lams = np.linspace(*BURGERS_LAMBDAS)[:10, None]
     classic54 = methods.get("eSSPRK(5,4)")
     so54 = shu_osher_form(classic54)
-    vdp_sys, _ = spatial.make_problem(spatial.VAN_DER_POL, splitting="a")
+    vdp_sys, vdp_u0 = spatial.make_problem(spatial.VAN_DER_POL, splitting="a")
+    vdp_plan = make_general_plan(so54, classic54.tableau.c, vdp_sys, 0.02)
     rk_batch = analysis.rk_builder(vdp)(sys_, lams * sys_.dx)
     u0_batch = np.tile(u0, (len(lams), 1))
     out = {
@@ -291,6 +294,7 @@ def burgers_layers(k):
             lambda: make_plan(plus64, sys_, lams * sys_.dx), k, 20),
         "make_plan_general_dense": _median_time(
             lambda: make_general_plan(so54, classic54.tableau.c, vdp_sys, 0.02), k, 200),
+        "ifrk_step_vdp": _median_time(lambda: ifrk_step(vdp_plan, vdp_sys, vdp_u0), k, 2000),
         "expm": _median_time(lambda: expm(0.02 * vdp_sys.L), k, 2000),
         "ssp_radius": _median_time(lambda: ssp_radius(plus64.tableau), k, 20),
     }

@@ -323,8 +323,8 @@ def convergence_slope(errors: Sequence[Tuple[float, float]]) -> float:
         raise ValueError("need at least 3 (dt, error) points")
     dts = np.array([e[0] for e in errors], dtype=float)
     errs = np.array([e[1] for e in errors], dtype=float)
-    if np.any(dts <= 0) or np.any(errs <= 0):
-        raise ValueError("dt and error values must be positive")
+    if not ((dts > 0).all() and (errs > 0).all() and np.isfinite([dts, errs]).all()):
+        raise ValueError("dt and error values must be positive and finite")
     slope, _ = np.polyfit(np.log(dts), np.log(errs), 1)
     return float(slope)
 

@@ -9,7 +9,7 @@ coefficients, where it is a multiplication.  ``ExpCache`` precomputes one
 exponential per abscissa gap an integrating-factor plan applies, so a
 constant-step run pays for each exponential exactly once; a column of step
 sizes gives one exponential per row, for a batch of step sizes at once.
-The plan (``sspint.integrators``) decides the gaps and their sign.
+The plan (``sspint.integrators``) decides the gaps (sign and quantum).
 """
 
 from __future__ import annotations
@@ -135,9 +135,10 @@ class Spectral(Circulant):
 
 
 class ExpCache:
-    """Exponentials e^(g * dt * L) keyed by quantized abscissa gap g, for
-    L a ``Circulant`` or a dense array; dt may be a column of step sizes
-    when L is a ``Circulant``."""
+    """Exponentials e^(g * dt * L) for L a ``Circulant`` or a dense array,
+    dt a step size or, for a ``Circulant``, a column of them, keyed by gap
+    g exactly as given: plans quantize their gaps first, and any other
+    lookup, however close to a key, is an ``SspError``."""
 
     def __init__(self, L, dt: float, gaps):
         self.circulant = isinstance(L, Circulant)
@@ -145,17 +146,16 @@ class ExpCache:
             L = np.asarray(L, dtype=float)
         if not np.isfinite(L.symbol if self.circulant else L).all():
             raise NonFinite("operator contains NaN or Inf")
-        self.L = L
-        self.dt = np.asarray(dt, dtype=float)
-        self.gaps = sorted({quantize_gap(g) for g in gaps})
+        dt = np.asarray(dt, dtype=float)
+        self.gaps = sorted(set(gaps))
         self._entries = {
-            g: L.exp(g * self.dt) if self.circulant else expm(g * self.dt * L)
+            g: L.exp(g * dt) if self.circulant else expm(g * dt * L)
             for g in self.gaps
         }
 
     def _entry(self, g: float):
         try:
-            return self._entries[quantize_gap(g)]
+            return self._entries[g]
         except KeyError:
             raise SspError(f"abscissa gap {g!r} was not planned in this cache "
                            f"(planned gaps: {self.gaps})") from None
@@ -171,6 +171,6 @@ class ExpCache:
 
 
 def build_cache(L, dt: float, gaps) -> ExpCache:
-    """The cache of an integrating-factor plan (``make_plan`` or
-    ``make_general_plan``): one exponential per nonzero gap its rows apply."""
+    """A plan's cache (``make_plan``, ``make_general_plan``): one exponential
+    per nonzero gap its rows apply, keyed by the plan's quantized gaps."""
     return ExpCache(L, dt, gaps)

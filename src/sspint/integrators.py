@@ -69,25 +69,23 @@ class StepPlan:
     """An integrating-factor method bound to an operator and step size
     (a plain Runge-Kutta method bound to a step size, see ``rk_plan``).
 
-    ``rows[i-1]`` holds Shu-Osher row i as (gap, terms) pairs: its
-    nonzero (j, alpha_ij, beta_ij) grouped by the quantized abscissa gap
-    ceff_i - ceff_j, in order of first appearance, where stage i (1-based)
-    sits at Butcher abscissa c_{i+1} and the output row acts at 1.
-    ``explicit[j]`` says whether any row uses N of stage j.  The cache
-    holds the exponentials of exactly the nonzero gaps the rows use, and
-    is None when every gap is 0."""
+    ``rows[i-1]`` holds Shu-Osher row i as (gap, terms) pairs: its nonzero
+    (j, alpha_ij, dt beta_ij), None where beta_ij = 0, grouped by the
+    quantized gap ceff_i - ceff_j in order of first appearance; stage i
+    (1-based) sits at abscissa c_{i+1}, the output row at 1.  ``explicit[j]``
+    says whether any row uses N of stage j.  The cache, keyed by the nonzero
+    gaps the rows use, is None when every gap is 0."""
 
     rows: tuple
     explicit: tuple
-    dt: np.ndarray
     cache: Optional[ExpCache]
 
 
 def _step_plan(so: ShuOsherForm, c, dt, L=None, tol: float = 0.0) -> StepPlan:
-    """The one place gaps are decided: a gap no lower than -tol counts as
-    0, and ``build_cache(L, dt, gaps)`` gets exactly the nonzero gaps the
-    rows use.  dt is a step size or a column of them, each nonnegative and
-    finite."""
+    """The one place gaps and dt beta are decided: a gap no lower than -tol
+    counts as 0, each is quantized, and ``build_cache(L, dt, gaps)`` gets
+    the nonzero gaps the rows use as its keys.  dt is a step size or a
+    column of them, each nonnegative and finite."""
     dt = np.asarray(dt, dtype=float)
     ok = np.isfinite(dt) & (dt >= 0)
     if not ok.all():
@@ -99,10 +97,10 @@ def _step_plan(so: ShuOsherForm, c, dt, L=None, tol: float = 0.0) -> StepPlan:
         for j, a, b in terms:
             g = ceff[i] - ceff[j]
             g = quantize_gap(0.0 if -tol <= g < 0 else g)
-            groups.setdefault(g, []).append((j, a, b))
+            groups.setdefault(g, []).append((j, a, dt * b if b != 0.0 else None))
         rows.append(tuple((g, tuple(t)) for g, t in groups.items()))
     gaps = {g for row in rows for g, _ in row} - {0.0}
-    return StepPlan(tuple(rows), so.explicit, dt, build_cache(L, dt, gaps) if gaps else None)
+    return StepPlan(tuple(rows), so.explicit, build_cache(L, dt, gaps) if gaps else None)
 
 
 def shu_osher_form(method: MethodRecord | ShuOsherForm) -> ShuOsherForm:
@@ -148,22 +146,21 @@ def _check_finite(u: np.ndarray, what: str):
 
 def step(plan: StepPlan, N: Callable[[np.ndarray], np.ndarray], u: np.ndarray,
          obs: Optional[StageObserver] = None) -> np.ndarray:
-    """One step of a plan, the one Shu-Osher stage loop: each row applies
-    the exponential of every nonzero gap to the sum of that gap's terms
-    alpha u^(j) + dt beta N(u^(j)), and adds the sum at gap 0 as it is.
-    N is evaluated once per stage whose explicit term the plan uses, when
-    the stage is formed."""
-    dt = plan.dt
+    """One step of a plan, the one Shu-Osher stage loop: each row sums its
+    groups from 0.0, applying the exponential of every nonzero gap to the
+    sum of that gap's terms alpha u^(j) + (dt beta) N(u^(j)), and adding
+    the sum at gap 0 as it is.  N is evaluated once per stage whose
+    explicit term the plan uses, when the stage is formed."""
     u = _state(u)
     stages, slopes = [u], [N(u) if plan.explicit[0] else None]
     for i, groups in enumerate(plan.rows, 1):
-        acc = np.zeros_like(u)
+        acc = 0.0
         for g, terms in groups:
             w = None
-            for j, a, b in terms:
+            for j, a, db in terms:
                 term = a * stages[j]
-                if b != 0.0:
-                    term = term + dt * b * slopes[j]
+                if db is not None:
+                    term = term + db * slopes[j]
                 w = term if w is None else w + term
             acc = acc + (w if g == 0.0 else plan.cache.apply(g, w))
         _check_finite(acc, f"stage {i}")

@@ -251,6 +251,13 @@ def test_convergence_slope():
         convergence_slope([(0.1, 0.01), (0.05, 0.0025)])
     with pytest.raises(ValueError):
         convergence_slope([(d, -(d**2)) for d in dts])
+    # a NaN or infinite error once read as a slope of nan, and a NaN dt
+    # reached LAPACK, which printed to stderr and raised LinAlgError
+    for bad in (np.nan, np.inf):
+        for points in ([(0.1, bad), (0.2, 1.0), (0.3, 2.0)],
+                       [(bad, 0.01), (0.2, 1.0), (0.3, 2.0)]):
+            with pytest.raises(ValueError, match="positive and finite"):
+                convergence_slope(points)
 
 
 _NONDECREASING = [r.name for r in methods.list_methods() if r.nondecreasing]
@@ -282,8 +289,8 @@ def test_batched_spectral_rises_match_physical(builder, name, n, a, fracs):
 @pytest.mark.parametrize("builder", [ifrk_builder, rk_builder, ifrk_general_builder])
 def test_spectral_build_runs_the_stage_loop_once(monkeypatch, builder):
     # the loop forms the stage gains once per build; every step after it
-    # is one multiplication.  Plain RK steps through the name analysis
-    # binds, the IF builders through ifrk_step and integrators' own
+    # is one multiplication.  Every builder steps the name analysis binds;
+    # integrators' own is patched too, so no other route goes uncounted
     calls = []
     loop = integrators.step
     for module in (integrators, analysis):

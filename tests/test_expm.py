@@ -143,6 +143,19 @@ def test_cache_unplanned_gap_is_typed_error():
             lookup(0.75)
 
 
+def test_cache_looks_up_its_gaps_exactly_as_given():
+    # quantizing gaps is the plan's; a gap 4e-15 from a planned one was
+    # once snapped onto it here
+    cache = ExpCache(upwind_operator(Grid1D(8), 1.0), 0.1, [0.25])
+    u = np.arange(8.0)
+    for lookup in (lambda g: cache.apply(g, u), cache.matrix):
+        lookup(0.25)
+        with pytest.raises(SspError, match="not planned"):
+            lookup(0.25 + 4e-15)
+    assert cache.gaps == [0.25]
+    assert not hasattr(cache, "L") and not hasattr(cache, "dt")
+
+
 def test_cache_dense_fallback():
     L = np.array([[0.0, 1.0], [-1.0, 1.0]])
     cache = ExpCache(L, 0.1, [0.5, 1.0])

@@ -10,6 +10,7 @@ from sspint.errors import NegativeGap, NonFinite
 from sspint.expm import ExpCache, build_cache, expm
 from sspint.integrators import (
     SemiDiscretization,
+    StepPlan,
     ifrk_step,
     integrate,
     make_general_plan,
@@ -175,6 +176,36 @@ def test_plan_caches_only_the_gaps_its_rows_use():
     assert counts["eSSPRK+(9,2)"] == 3
     assert counts["eSSPRK(5,4)"] == 10  # general plan: decreasing abscissas
     assert sum(counts.values()) == 83
+
+
+@pytest.mark.parametrize("dt", [0.02, np.array([[0.01], [0.03]])])
+def test_plan_terms_carry_dt_times_beta(dt):
+    # the plan multiplies dt * beta once, so the stage loop only combines;
+    # a zero beta is None, and a column of step sizes gives a column
+    assert "dt" not in {f.name for f in dataclasses.fields(StepPlan)}
+    sys_, _ = make_problem(LINEAR_ADVECTION_STEP, a=1.0, n=64)
+    plus, classic, rk = (methods.get(name)
+                         for name in ("eSSPRK+(5,4)", "eSSPRK(3,3)", "eSSPRK(10,4)"))
+    plans = [(make_plan(plus, sys_, dt), shu_osher_form(plus)),
+             (make_general_plan(shu_osher_form(classic), classic.tableau.c, sys_, dt),
+              shu_osher_form(classic)),
+             (rk_plan(rk, dt), shu_osher_form(rk))]
+    zeros = 0
+    for plan, so in plans:
+        assert len(plan.rows) == len(so.terms)
+        for row, terms in zip(plan.rows, so.terms):
+            held = {j: (a, db) for _, group in row for j, a, db in group}
+            assert len(held) == sum(len(group) for _, group in row) == len(terms)
+            for j, a, b in terms:
+                assert held[j][0] == a
+                if b == 0.0:
+                    assert held[j][1] is None
+                    zeros += 1
+                else:
+                    db = held[j][1]
+                    assert np.shape(db) == np.shape(dt)
+                    assert np.array_equal(db, np.asarray(dt) * b)
+    assert zeros > 0
 
 
 def test_ifrk_telescoping_linear_only():
