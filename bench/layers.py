@@ -90,6 +90,9 @@ unless stated):
   non-decreasing abscissas, 10 restarts, seed 0, with the certified C.
 - ``optimize_6_4``: ``optimize`` of (6,4) with non-decreasing abscissas,
   2 restarts, seed 0, with the certified C.
+- ``linear_bound_10_4``: ``ssp_radius.linear_bound(10, 4)``, R_lin over the
+  462 bases of the widest paper-grid cell; skipped where sspint has no
+  ``linear_bound``, and then left out of ``vs_parent``.
 - ``order_jacobian_10_4``: one Jacobian of the order conditions of the
   classic (10,4) search (``optimizer._problem``), at the first start of
   seed 0 (``_start`` with r = 0.1).
@@ -103,6 +106,7 @@ unless stated):
 import argparse
 import contextlib
 import glob
+import importlib
 import io
 import json
 import os
@@ -231,6 +235,10 @@ def layers(quick, src):
             lambda: found.append(optimize(spec).claimed_C), k)
         out[f"optimize_{s}_{p}"]["C"] = found[-1]
 
+    radius = importlib.import_module("sspint.ssp_radius")  # the package's name is a function
+    if hasattr(radius, "linear_bound"):
+        out["linear_bound_10_4"] = _median_time(lambda: radius.linear_bound(10, 4), k, 20)
+
     jacobian = _problem(OptimizationSpec(10, 4, require_nondecreasing=False))[2][0]["jac"]
     x = np.append(_start(np.random.default_rng(0), 10), 0.1)
     out["order_jacobian_10_4"] = _median_time(lambda: jacobian(x), k, 200)
@@ -327,7 +335,7 @@ def alternating(src, against, label):
     runs[label]["vs_parent"] = {
         layer: {"ratio": m["median_s"] / runs["parent"]["layers"][layer]["median_s"],
                 "identical_code_ratio": again[layer]["median_s"] / m["median_s"]}
-        for layer, m in runs[label]["layers"].items()}
+        for layer, m in runs[label]["layers"].items() if layer in runs["parent"]["layers"]}
     return runs
 
 

@@ -9,9 +9,13 @@ and, if requested, abscissa ordering, solved by SLSQP with exact Jacobians
 The order conditions' Jacobian is one complex step (Squire and Trapp, SIAM
 Review 40(1), 1998) over a batch of all n + 1 rows, and the monotonicity
 Jacobian reuses the inverse of the x just evaluated.
-Each start's tableau is re-certified by the radius computation and
-``methods.verify_certificate`` (re-exported here); a start with a non-finite
-entry fails, and the best certified start wins.
+Only a start that can win is certified: one probe of absolute monotonicity
+(``ssp_radius.exceeds``) tells whether its radius passes the best so far, and
+only then is it re-certified by the radius computation and
+``methods.verify_certificate`` (re-exported here).  A start with a non-finite
+entry, or whose callbacks meet a singular I + rS, fails; the best certified
+start wins.  Restarts stop once a start certifies within _BOUND_GAP of the
+linear bound R_lin(s, p), which no method can pass (``ssp_radius.linear_bound``).
 """
 
 from __future__ import annotations
@@ -24,11 +28,13 @@ from scipy.optimize import minimize
 from .errors import ConfigError, NotFound, SingularTransform
 from .methods import (FAMILY_CLASSIC, FAMILY_PLUS, CertificateReport,  # re-exported
                       MethodRecord, verify_certificate)
-from .ssp_radius import ssp_radius
+from .ssp_radius import exceeds, linear_bound, ssp_radius
 from .tableau import _ORDER_CONDITIONS, _ROW_SUM_TOL, ButcherTableau
 
 _BOUND = 2.0
 _R0 = 0.1
+#: a search whose best certified C is this close to R_lin(s, p) is optimal.
+_BOUND_GAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -120,8 +126,10 @@ def _problem(spec: OptimizationSpec):
     return (lambda x: -x[-1]), (lambda x: grad), constraints, bounds
 
 
-def _certified(spec: OptimizationSpec, theta: np.ndarray) -> MethodRecord | None:
-    """The record of this tableau if it certifies, else None."""
+def _certified(spec: OptimizationSpec, theta: np.ndarray,
+               above: float | None = None) -> MethodRecord | None:
+    """The record of this tableau if it certifies, with a radius above
+    ``above`` when one is given (a radius ``ssp_radius`` returned), else None."""
     s = spec.stages
     S = np.zeros((s + 1, s + 1))
     S[np.tril_indices(s + 1, -1)] = theta
@@ -133,6 +141,8 @@ def _certified(spec: OptimizationSpec, theta: np.ndarray) -> MethodRecord | None
     t = ButcherTableau.from_arrays(A, b, order=spec.order,
                                    name=f"opt{'+' * plus}({spec.stages},{spec.order})")
     try:
+        if above is not None and not exceeds(t, above):
+            return None
         rec = MethodRecord(
             tableau=t,
             shu_osher=None,
@@ -148,22 +158,29 @@ def _certified(spec: OptimizationSpec, theta: np.ndarray) -> MethodRecord | None
 def optimize(spec: OptimizationSpec) -> MethodRecord:
     """Maximize the SSP coefficient over s-stage order-p explicit methods.
 
-    Runs one constrained solve per start and raises NotFound if no start
-    certifies.  The returned record's claimed coefficient is the radius
-    re-certified from the final tableau alone, never the raw search value;
-    ties go to the earliest start.
+    Runs one constrained solve per start, until a start certifies within
+    _BOUND_GAP of R_lin(s, p), and raises NotFound if no start certifies.
+    The returned record's claimed coefficient is the radius re-certified
+    from the final tableau alone, never the raw search value; ties go to
+    the earliest start.
     """
     fun, jac, constraints, bounds = _problem(spec)
     rng = np.random.default_rng(spec.seed)
+    bound = linear_bound(spec.stages, spec.order)
     best = None
     for _ in range(spec.restarts):
         x0 = np.append(_start(rng, spec.stages), _R0)
-        sol = minimize(fun, x0, jac=jac, method="SLSQP", bounds=bounds,
-                       constraints=constraints,
-                       options={"maxiter": 500, "ftol": 1e-12})
-        rec = _certified(spec, sol.x[:-1])
-        if rec is not None and (best is None or rec.claimed_C > best.claimed_C):
+        try:
+            sol = minimize(fun, x0, jac=jac, method="SLSQP", bounds=bounds,
+                           constraints=constraints,
+                           options={"maxiter": 500, "ftol": 1e-12})
+        except np.linalg.LinAlgError:  # LAPACK called an iterate's I + rS singular
+            continue
+        rec = _certified(spec, sol.x[:-1], None if best is None else best.claimed_C)
+        if rec is not None:
             best = rec
+            if best.claimed_C >= bound - _BOUND_GAP:
+                break
     if best is None:
         raise NotFound(
             f"no {spec.stages}-stage order-{spec.order} tableau certified "

@@ -1,7 +1,10 @@
-"""SSP coefficient (radius of absolute monotonicity) and linear stability."""
+"""SSP coefficient (radius of absolute monotonicity), its linear upper
+bound, and linear stability."""
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -85,11 +88,50 @@ def _bisect(holds, lo: float, hi: float, width: float):
     return lo, hi
 
 
+def exceeds(t: ButcherTableau, C: float, width: float = 1e-10) -> bool:
+    """Whether ssp_radius(t, width).radius > C, from one probe, for a C that
+    ssp_radius returned at this width for a tableau of as many stages.
+
+    Bisection from [0, 2s] visits only multiples of its final spacing h,
+    and returns the largest one at which absolute monotonicity holds (2s if
+    it holds there).  So, the predicate being monotone in r, the radius
+    passes such a C exactly when the predicate holds at C + h."""
+    hi = h = 2.0 * t.stages
+    while h > width:  # the spacing at which _bisect stops
+        h *= 0.5
+    return C < hi and is_absolutely_monotonic(t, C + h)
+
+
 def ssp_radius(t: ButcherTableau, width: float = 1e-10) -> RadiusResult:
     """SSP coefficient by bisection on absolute monotonicity over [0, 2s]."""
     hi = 2.0 * t.stages
     holds = partial(is_absolutely_monotonic, t)
     return RadiusResult(hi if holds(hi) else _bisect(holds, 0.0, hi, width)[0], width)
+
+
+def linear_bound(s: int, p: int) -> float:
+    """R_lin(s, p): the largest r at which some gamma >= 0 solves
+    sum_j gamma_j C(j, k) r^-k = 1/k! for k = 0..p, j = 0..s, i.e. at which
+    a degree-s polynomial matching exp to order p is absolutely monotonic
+    on [-r, 0].  It bounds the SSP coefficient of every s-stage order-p
+    explicit method (Kraaijevanger, Numer. Math. 48, 1986).
+
+    A feasible system has a nonnegative basic solution, so every one of the
+    C(s+1, p+1) column subsets is solved, all in one batch (their matrices
+    [C(j, k)] are Vandermonde-like, never singular), and r is bisected on
+    [0, s] to width 1e-12; the upper end of the bracket is returned."""
+    if not 1 <= p <= s:
+        raise ValueError(f"need 1 <= p <= s, got s = {s!r}, p = {p!r}")
+    k = np.arange(p + 1)
+    bases = np.array(list(itertools.combinations(range(s + 1), p + 1)))
+    binomial = np.array([[math.comb(j, i) for j in range(s + 1)] for i in k], float)
+    inverse = np.linalg.solve(binomial[:, bases].transpose(1, 0, 2), np.eye(p + 1))
+    factorials = np.array([math.factorial(i) for i in k], float)
+
+    def feasible(r):  # [C(j, k)] gamma = (r^k / k!)_k: the r^-k moved to the right
+        return bool((inverse @ (r ** k / factorials)).min(axis=1).max() >= -NONNEG_TOL)
+
+    return float(s) if feasible(float(s)) else _bisect(feasible, 0.0, float(s), 1e-12)[1]
 
 
 def observed_l2_cfl(

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -7,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sspint import cli
+from sspint import cli, methods
 from sspint.cli import (
     config_hash,
     main,
@@ -306,6 +307,39 @@ def test_cli_optimize_writes_certificate(tmp_path, capsys):
     assert rc == 0
     data = json.loads(out.read_text())
     assert data["claimed_C"] >= 1.0 - 1e-3
+
+
+def test_cli_optimize_reports_the_linear_bound_and_gap(tmp_path, capsys):
+    out = tmp_path / "opt.json"
+    argv = ["optimize", "--stages", "4", "--order", "3", "--nondecreasing",
+            "--restarts", "2", "--out", str(out)]
+    assert main(argv) == 0
+    data = json.loads(out.read_text())
+    assert data["R_lin"] == pytest.approx(2.0, abs=1e-9)
+    assert data["gap"] == data["R_lin"] - data["claimed_C"] > 0.1
+    printed = capsys.readouterr().out
+    assert f"R_lin = 2.000000, gap = {data['gap']:.3g}" in printed
+    assert "fell short" not in printed  # R_lin need not be attained at order 3
+
+
+def test_cli_optimize_says_when_a_second_order_search_falls_short(monkeypatch, capsys):
+    short = dataclasses.replace(methods.generate_second_order(3), claimed_C=1.5)
+    monkeypatch.setattr(cli, "optimize", lambda spec: short)
+    assert main(["optimize", "--stages", "3", "--order", "2", "--nondecreasing"]) == 0
+    assert "fell short of the known optimum C = R_lin = 2.000000" in capsys.readouterr().out
+
+
+def test_cli_optimize_with_no_certified_start_exits_1_without_traceback(monkeypatch,
+                                                                        capsys):
+    def singular(M):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    assert main(["optimize", "--stages", "3", "--order", "2", "--restarts", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: no 3-stage order-2 tableau certified "
+                            "after 2 restarts\n")
 
 
 def test_cli_optimize_seed_six_certifies(capsys):

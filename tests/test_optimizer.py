@@ -6,6 +6,7 @@ import pytest
 from sspint import methods, optimizer
 from sspint.methods import FAMILY_PLUS, MethodRecord
 from sspint.optimizer import OptimizationSpec, optimize, verify_certificate
+from sspint.ssp_radius import linear_bound
 from sspint.tableau import _ORDER_CONDITIONS, ButcherTableau
 
 
@@ -148,6 +149,70 @@ def test_a_start_with_a_nonfinite_entry_is_uncertified(monkeypatch):
     rec = optimize(spec)
     assert len(calls) == 2 and rec.claimed_C >= 2.0 - 1e-3
     assert verify_certificate(rec).ok
+
+
+def _recorded_solves(monkeypatch):
+    """The list that every later SLSQP solve of the optimizer appends to."""
+    real, solves = optimizer.minimize, []
+
+    def recording(*args, **kwargs):
+        solves.append(real(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(optimizer, "minimize", recording)
+    return solves
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("stages, order, nondecreasing", [
+    (3, 2, True), (3, 3, True), (4, 3, True), (6, 4, True), (5, 4, False)])
+def test_pruned_certification_matches_full_certification(stages, order, nondecreasing,
+                                                         seed, monkeypatch):
+    spec = OptimizationSpec(stages, order, require_nondecreasing=nondecreasing, seed=seed)
+    solves = _recorded_solves(monkeypatch)
+    rec = optimize(spec)
+    want = None  # the reference: every start certified in full, the best strictly wins
+    for sol in solves:
+        full = optimizer._certified(spec, sol.x[:-1])
+        if full is not None and (want is None or full.claimed_C > want.claimed_C):
+            want = full
+    assert rec.tableau.A.tobytes() == want.tableau.A.tobytes()
+    assert rec.tableau.b.tobytes() == want.tableau.b.tobytes()
+    assert rec.claimed_C.hex() == want.claimed_C.hex()
+
+
+def test_only_a_start_that_can_win_is_certified_in_full(monkeypatch):
+    solves = _recorded_solves(monkeypatch)
+    real, radii = optimizer.ssp_radius, []
+    monkeypatch.setattr(optimizer, "ssp_radius", lambda t: radii.append(t) or real(t))
+    optimize(OptimizationSpec(4, 3))
+    assert len(solves) == 10 and 1 <= len(radii) < 10
+
+
+@pytest.mark.parametrize("stages, order, nondecreasing, bound", [
+    (3, 2, True, 2.0), (3, 3, False, 1.0)])
+def test_a_search_that_reaches_the_linear_bound_stops(stages, order, nondecreasing, bound,
+                                                      monkeypatch):
+    solves = _recorded_solves(monkeypatch)
+    rec = optimize(OptimizationSpec(stages, order, require_nondecreasing=nondecreasing))
+    assert linear_bound(stages, order) == pytest.approx(bound, abs=1e-9)
+    assert len(solves) == 1 and rec.claimed_C >= linear_bound(stages, order) - 1e-9
+
+
+def test_a_start_whose_inverse_raises_is_uncertified(monkeypatch):
+    # LAPACK may call I + rS singular in an SLSQP callback; that start fails
+    real_inv, real_minimize, starts = np.linalg.inv, optimizer.minimize, []
+    monkeypatch.setattr(optimizer, "minimize",
+                        lambda *a, **k: starts.append(None) or real_minimize(*a, **k))
+
+    def inv(M):
+        if len(starts) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_inv(M)
+
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    rec = optimize(OptimizationSpec(3, 2, restarts=2))
+    assert len(starts) == 2 and rec.claimed_C >= 2.0 - 1e-3 and verify_certificate(rec).ok
 
 
 def test_optimize_is_deterministic():

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sspint import methods
@@ -18,7 +18,9 @@ from sspint.ssp_radius import (
     _parseval_norms,
     _polynomial_coefficients,
     canonical_form,
+    exceeds,
     is_absolutely_monotonic,
+    linear_bound,
     observed_l2_cfl,
     ssp_radius,
     stability_polynomial,
@@ -228,6 +230,71 @@ def test_feasibility_is_an_interval():
     r = ssp_radius(t).radius
     for ri in np.linspace(0.0, r, 20):
         assert is_absolutely_monotonic(t, ri)
+
+
+def _random_tableau(rng, s, signed):
+    A = np.tril(rng.uniform(-0.2 if signed else 0.0, 1.0, (s, s)), -1)
+    w = rng.uniform(-0.2 if signed else 0.05, 1.0, s)
+    return ButcherTableau(A=A, b=np.append(w[:-1], 1.0 - w[:-1].sum()), c=A.sum(axis=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1), signed=st.booleans())
+def test_exceeds_agrees_with_the_full_radius(s, seed, signed):
+    # three random tableaux and a copy of the first nudged by 1e-9, so that
+    # some radii lie a few bisection steps apart
+    rng = np.random.default_rng(seed)
+    ts = [_random_tableau(rng, s, signed) for _ in range(3)]
+    A = ts[0].A * (1.0 + 1e-9)
+    ts.append(ButcherTableau(A=A, b=ts[0].b, c=A.sum(axis=1)))
+    try:
+        radii = [ssp_radius(t).radius for t in ts]
+        got = [[exceeds(t, C) for C in radii] for t in ts]
+    except SingularTransform:
+        assume(False)
+    assert got == [[R > C for C in radii] for R in radii]
+
+
+@pytest.mark.parametrize("width", [1e-10, 1e-3])
+def test_exceeds_reads_the_pinned_registry_radii(width):
+    # a radius never exceeds itself, and exceeds the grid point one
+    # bisection step below it (the grid of [0, 2s] halved down to the width)
+    for name in ("eSSPRK(3,3)", "eSSPRK+(4,3)", "eSSPRK+(6,4)", "eSSPRK(4,3)"):
+        t = methods.get(name).tableau
+        h = 2.0 * t.stages
+        while h > width:
+            h *= 0.5
+        C = ssp_radius(t, width).radius
+        assert not exceeds(t, C, width), name
+        assert exceeds(t, C - h, width), name
+
+
+@pytest.mark.parametrize("s", range(2, 11))
+def test_linear_bound_of_second_order_is_s_minus_one(s):
+    assert linear_bound(s, 2) == pytest.approx(s - 1, abs=1e-5)
+
+
+#: R_lin(s, p) from a linear program (Kraaijevanger, 1986; Ketcheson, 2009).
+LINEAR_BOUNDS = {
+    3: dict(zip(range(3, 11), (1, 2, 2.65063, 3.51839, 4.28791, 5.10715, 6, 6.78529))),
+    4: dict(zip(range(5, 11), (2, 2.65063, 3.51839, 4.28791, 5.10715, 6))),
+}
+
+
+@pytest.mark.parametrize("p, s", [(p, s) for p in LINEAR_BOUNDS for s in LINEAR_BOUNDS[p]])
+def test_linear_bound_matches_the_linear_program(p, s):
+    assert linear_bound(s, p) == pytest.approx(LINEAR_BOUNDS[p][s], abs=1e-5)
+
+
+def test_no_registry_method_passes_the_linear_bound():
+    for rec in methods.list_methods():
+        assert rec.claimed_C <= linear_bound(rec.stages, rec.order) + 1e-8, rec.name
+
+
+@pytest.mark.parametrize("s, p", [(3, 0), (3, 4), (0, 1)])
+def test_linear_bound_rejects_an_order_outside_one_to_s(s, p):
+    with pytest.raises(ValueError):
+        linear_bound(s, p)
 
 
 def test_stability_polynomial_third_order():
