@@ -23,7 +23,7 @@ from . import analysis, methods, spatial
 from .analysis import van_der_pol_errors
 from .errors import ConfigError, NonFinite, SspError
 from .integrators import integrate
-from .optimizer import OptimizationSpec, optimize
+from .optimizer import BOUND_GAP, OptimizationSpec, optimize
 from .ssp_radius import linear_bound, observed_l2_cfl, ssp_radius
 from .tableau import order_residuals
 
@@ -49,9 +49,6 @@ _PROBLEMS = {
     "burgers-step": spatial.ADVECTION_BURGERS_STEP,
     "burgers-smooth": spatial.ADVECTION_BURGERS_SMOOTH,
 }
-
-#: a certified C further than this below R_lin(s, p) is reported as a gap.
-_GAP_TOL = 1e-6
 
 #: stepper name -> stepper builder of a method record.
 _BUILDERS = {
@@ -470,7 +467,7 @@ def cmd_optimize(args) -> int:
     gap = bound - rec.claimed_C
     print(f"{rec.name}: C = {rec.claimed_C:.6f}")
     print(f"  R_lin = {bound:.6f}, gap = {gap:.3g}")
-    if gap > _GAP_TOL and spec.order <= 2:  # R_lin is attained: C = s - 1 at order 2
+    if gap > BOUND_GAP and spec.order <= 2:  # R_lin is attained: C = s - 1 at order 2
         print(f"  the search fell short of the known optimum C = R_lin = {bound:.6f}")
     for name, ok, detail in report.checks:
         print(f"  {name}: {'ok' if ok else 'FAILED'} ({detail})")

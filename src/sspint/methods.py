@@ -109,6 +109,19 @@ def _record(name, order, alpha, beta, claimed_C, family, citation):
     )
 
 
+def _canonical_record(name, r, v, P, citation):
+    """A fourth-order plus-family record with C = r, entered as its
+    canonical Shu-Osher data at r: v = (I + rS)^(-1) e and the nonzero
+    entries {(i, j): P_ij} of P = r (I + rS)^(-1) S."""
+    Pm = np.zeros((len(v), len(v)))
+    for ij, x in P.items():
+        Pm[ij] = x
+    so = ShuOsherForm.canonical(np.array(v), Pm, r)
+    t = shu_osher_to_butcher(so, name=name, order=4)
+    return MethodRecord(tableau=t, shu_osher=so, claimed_C=r, family=FAMILY_PLUS,
+                        citation=citation)
+
+
 def generate_second_order(s: int) -> MethodRecord:
     """Second-order family with C = s - 1 and equally spaced, increasing
     abscissas: A_ij = 1/(s-1) for j < i, b = e/s."""
@@ -284,75 +297,26 @@ def _build_registry():
         )
     )
 
-    r54 = 1.346586417284006
-    a54, b54 = {}, {}
-    a54[(1, 0)] = 1.0
-    b54[(1, 0)] = 0.612607832029627 / r54
-    a54[(2, 0)] = 0.568702484115635
-    a54[(2, 1)] = 0.431297515884365
-    b54[(2, 1)] = a54[(2, 1)] / r54
-    a54[(3, 0)] = 0.589791736452092
-    a54[(3, 2)] = 0.410208263547908
-    b54[(3, 2)] = a54[(3, 2)] / r54
-    a54[(4, 0)] = 0.213474206786188
-    a54[(4, 3)] = 0.786525793213812
-    b54[(4, 3)] = a54[(4, 3)] / r54
-    a54[(5, 0)] = 0.270147144537063 + 0.029337521506634
-    b54[(5, 0)] = 0.029337521506634 / r54
-    a54[(5, 1)] = 0.239419175840559
-    b54[(5, 1)] = a54[(5, 1)] / r54
-    a54[(5, 3)] = 0.227000995504038
-    b54[(5, 3)] = a54[(5, 3)] / r54
-    a54[(5, 4)] = 0.234095162611706
-    b54[(5, 4)] = a54[(5, 4)] / r54
-    recs.append(
-        _record(
-            "eSSPRK+(5,4)",
-            4,
-            a54,
-            b54,
-            r54,
-            FAMILY_PLUS,
-            "five-stage fourth-order method with non-decreasing abscissas",
-        )
-    )
-
-    r64 = 2.273802749301517
-    a64, b64 = {}, {}
-    a64[(1, 0)] = 1.0
-    b64[(1, 0)] = 1.0 / r64
-    a64[(2, 0)] = 0.486695314011133
-    a64[(2, 1)] = 0.513304685988867
-    b64[(2, 1)] = a64[(2, 1)] / r64
-    a64[(3, 0)] = 0.387273961537322
-    a64[(3, 2)] = 0.612726038462678
-    b64[(3, 2)] = a64[(3, 2)] / r64
-    a64[(4, 0)] = 0.419340376206590 + 0.048271190433595
-    b64[(4, 0)] = 0.048271190433595 / r64
-    a64[(4, 3)] = 0.532388433359815
-    b64[(4, 3)] = a64[(4, 3)] / r64
-    a64[(5, 4)] = 1.0
-    b64[(5, 4)] = 1.0 / r64
-    a64[(6, 0)] = 0.122021674306995
-    a64[(6, 1)] = 0.104714614292281
-    b64[(6, 1)] = a64[(6, 1)] / r64
-    a64[(6, 2)] = 0.316675962670361
-    b64[(6, 2)] = a64[(6, 2)] / r64
-    a64[(6, 4)] = 0.057551178672633
-    b64[(6, 4)] = a64[(6, 4)] / r64
-    a64[(6, 5)] = 0.399036570057730
-    b64[(6, 5)] = a64[(6, 5)] / r64
-    recs.append(
-        _record(
-            "eSSPRK+(6,4)",
-            4,
-            a64,
-            b64,
-            r64,
-            FAMILY_PLUS,
-            "six-stage fourth-order method with non-decreasing abscissas",
-        )
-    )
+    # --- printed in canonical Shu-Osher form at r = C: v and P ------------
+    recs.append(_canonical_record(
+        "eSSPRK+(5,4)", 1.346586417284006,
+        [1.0, 1 - 0.612607832029627, 0.568702484115635, 0.589791736452092,
+         0.213474206786188, 0.270147144537063],
+        {(1, 0): 0.612607832029627, (2, 1): 0.431297515884365,
+         (3, 2): 0.410208263547908, (4, 3): 0.786525793213812,
+         (5, 0): 0.029337521506634, (5, 1): 0.239419175840559,
+         (5, 3): 0.227000995504038, (5, 4): 0.234095162611706},
+        "five-stage fourth-order method with non-decreasing abscissas"))
+    recs.append(_canonical_record(
+        "eSSPRK+(6,4)", 2.273802749301517,
+        [1.0, 0.0, 0.486695314011133, 0.387273961537322, 0.419340376206590, 0.0,
+         0.122021674306995],
+        {(1, 0): 1.0, (2, 1): 0.513304685988867,
+         (3, 2): 0.612726038462678, (4, 0): 0.048271190433595,
+         (4, 3): 0.532388433359815, (5, 4): 1.0,
+         (6, 1): 0.104714614292281, (6, 2): 0.316675962670361,
+         (6, 4): 0.057551178672633, (6, 5): 0.399036570057730},
+        "six-stage fourth-order method with non-decreasing abscissas"))
 
     return {rec.name: rec for rec in recs}
 

@@ -70,8 +70,10 @@ def is_absolutely_monotonic(t: ButcherTableau, r: float, tol: float = NONNEG_TOL
 
 
 def _check_bracket(lo: float, hi: float, width: float):
-    """A ValueError unless lo < hi are finite and width is positive and finite."""
-    if not (0.0 < width < np.inf and np.isfinite([lo, hi]).all() and lo < hi):
+    """A ValueError unless lo < hi are finite and width is finite and at
+    least the float spacing at max(|lo|, |hi|), so that bisection stops."""
+    if not (np.isfinite([lo, hi]).all() and lo < hi
+            and np.spacing(max(abs(lo), abs(hi))) <= width < np.inf):
         raise ValueError(f"bad bisection bracket ({lo!r}, {hi!r}) or width {width!r}")
 
 
@@ -97,6 +99,7 @@ def exceeds(t: ButcherTableau, C: float, width: float = 1e-10) -> bool:
     it holds there).  So, the predicate being monotone in r, the radius
     passes such a C exactly when the predicate holds at C + h."""
     hi = h = 2.0 * t.stages
+    _check_bracket(0.0, hi, width)  # the widths ssp_radius rejects
     while h > width:  # the spacing at which _bisect stops
         h *= 0.5
     return C < hi and is_absolutely_monotonic(t, C + h)

@@ -16,7 +16,6 @@ Two equivalent representations are used throughout:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -107,11 +106,6 @@ class ButcherTableau:
             "c": [float(x) for x in self.c],
         }
 
-    def dump_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "ButcherTableau":
         return cls.from_arrays(
@@ -121,11 +115,6 @@ class ButcherTableau:
             name=data.get("name", ""),
             order=int(data.get("order", 1)),
         )
-
-    @classmethod
-    def load_json(cls, path) -> "ButcherTableau":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 @dataclass(frozen=True)
@@ -193,6 +182,14 @@ class ShuOsherForm:
         for (i, j), val in beta_entries.items():
             beta[i, j] = parse_coefficient(val)
         return cls(alpha=alpha, beta=beta)
+
+    @classmethod
+    def canonical(cls, v, P, r: float) -> "ShuOsherForm":
+        """The canonical form at r > 0: alpha is the strictly lower part of
+        P with v added to column 0, beta that of P / r."""
+        alpha = np.tril(P, -1)
+        alpha[1:, 0] += v[1:]
+        return cls(alpha=alpha, beta=np.tril(P / r, -1))
 
 
 @dataclass(frozen=True)
@@ -278,13 +275,16 @@ def shu_osher_to_butcher(so: ShuOsherForm, name: str = "", order: int = 1) -> Bu
 
 
 def butcher_to_canonical_shu_osher(t: ButcherTableau, r: float) -> ShuOsherForm:
-    """Canonical Shu-Osher form at parameter r: alpha is the strictly lower
-    part of P = r (I + rS)^(-1) S with v = (I + rS)^(-1) e added to column
-    0, beta that of P / r, or of S = [[A, 0], [b^T, 0]] at r = 0, where P
-    vanishes.  For r up to the SSP radius the pair is nonnegative."""
+    """Canonical Shu-Osher form at parameter r (``ShuOsherForm.canonical``
+    of v = (I + rS)^(-1) e and P = r (I + rS)^(-1) S), or at r = 0, where P
+    vanishes, v below the diagonal of alpha's column 0 and beta the
+    strictly lower part of S = [[A, 0], [b^T, 0]].  For r up to the SSP
+    radius the pair is nonnegative."""
     from .ssp_radius import canonical_form  # local import to avoid a cycle
 
     can = canonical_form(t, r)
-    alpha = np.tril(can.P if r else np.zeros_like(can.P), -1)
+    if r:
+        return ShuOsherForm.canonical(can.v, can.P, r)
+    alpha = np.zeros_like(can.P)
     alpha[1:, 0] += can.v[1:]
-    return ShuOsherForm(alpha=alpha, beta=np.tril(can.P / r if r else can.S, -1))
+    return ShuOsherForm(alpha=alpha, beta=np.tril(can.S, -1))

@@ -157,12 +157,13 @@ def test_threshold_must_be_nonnegative(threshold):
 
 
 @pytest.mark.parametrize("lambda_hi, width", [
-    (2.0, 0.0), (2.0, -1.0), (2.0, np.nan),
+    (2.0, 0.0), (2.0, -1.0), (2.0, np.nan), (2.0, 1e-300),
     (np.nan, 1e-3), (np.inf, 1e-3), (0.0, 1e-3), (-1.0, 1e-3),
 ])
 def test_observed_tvd_rejects_a_bad_bracket_before_stepping(lambda_hi, width):
-    # a width of 0 or less never returned, NaN returned the pre-scan
-    # midpoint, and a NaN or infinite lambda_hi returned lambda_obs = nan
+    # a width of 0 or less, or finer than the float spacing at lambda_hi,
+    # never returned, NaN returned the pre-scan midpoint, and a NaN or
+    # infinite lambda_hi returned lambda_obs = nan
     sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=1.0, n=64)
 
     def build(sys, dt):

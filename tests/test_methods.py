@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -86,3 +87,40 @@ def test_registry_self_check_names_a_corrupted_record(monkeypatch):
     with pytest.raises(AssertionError, match=r"eSSPRK\(5,4\): .*absolute_monotonicity"):
         methods._registry()
     assert methods._REGISTRY is None
+
+
+#: per record, the SHA-256 of its A, b, c, alpha and beta bytes and of
+#: claimed_C.hex(), as the registry built them before eSSPRK+(5,4) and
+#: (6,4) were entered in canonical form
+_REGISTRY_DIGESTS = {
+    "eSSPRK(10,4)": "a4614264d035b8198262acdc9c356e65e3768427c1eb39305131f5017d8f336d",
+    "eSSPRK(2,2)": "2791105f1464c2048f514940cbbac71ac3bb758f565635b3ccc90d9a11edce9d",
+    "eSSPRK(3,3)": "482eef6bf835adcdbd1969bef3311ebf7834517c82b34f13a600ca91f965a8a2",
+    "eSSPRK(4,3)": "d4979048390d4aaac13f528fc68ba9698163a4fb8f65a7c9ce0eb087527c8f35",
+    "eSSPRK(5,4)": "32e371a3e32cca7ae9f5b20b7e6eeb2d4e1f806a35e4a75f4e6e34dc5e732e8d",
+    "eSSPRK+(10,2)": "0f7ced139bd7f669ea32742a78d6c00607e9fa8509aae1323118c132485319ef",
+    "eSSPRK+(2,2)": "2791105f1464c2048f514940cbbac71ac3bb758f565635b3ccc90d9a11edce9d",
+    "eSSPRK+(3,2)": "fd591876bb5b8b950b86f2cd1fd24a6b3faf73ab304f014dd2b6f6c0500196eb",
+    "eSSPRK+(3,3)": "b21da18ba8b23eb6975084cf76106b8a543714ade19f4e51c1766e4f43822753",
+    "eSSPRK+(4,2)": "40881c4215d87d60626eace9615011c1240fe99f9cc7f6e4baf271c3d6f5e02e",
+    "eSSPRK+(4,3)": "6d7190ba6a636c34cac166862a2a780ea9620c5d0af83dc5a24207fc327c8a23",
+    "eSSPRK+(5,2)": "62cf89343b7809e8054bbd166893e3597b28697fa5a43aa2c0058eec0abd0700",
+    "eSSPRK+(5,4)": "038c61bf3bb3675ed41aa658a03afb680fbde8442c32ad43c65eb86a25f7d03c",
+    "eSSPRK+(6,2)": "aa6367361fceb9b2dfcef1236a7f44ca5dbfe30130f9743536b6e21178891a97",
+    "eSSPRK+(6,4)": "afd4b9954a252691e2feebb6c6182c779475d5b0e8b1364e3c4ed2671285d5ca",
+    "eSSPRK+(7,2)": "7bfaea2414ade5639f7ab5e44f9e93691531c0a3700f9068c9cad7452f944157",
+    "eSSPRK+(8,2)": "29ae31c67e84669dae81957ad5e3133745d5124e751233617540cceea29e3e68",
+    "eSSPRK+(9,2)": "c00e4ddf85ac3685f119043d6aec9aab7ba421b2bd20505a8ab45c5d36eaafa9",
+    "eSSPRK+(9,3)": "39c8c8e713612fb3b6d226f27f226d3007d1deabd95e349ed84d0f98df14b02d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REGISTRY_DIGESTS))
+def test_registry_record_keeps_its_bits(name):
+    rec = methods.get(name)
+    h = hashlib.sha256()
+    for x in (rec.tableau.A, rec.tableau.b, rec.tableau.c,
+              rec.shu_osher_form.alpha, rec.shu_osher_form.beta):
+        h.update(x.tobytes())
+    h.update(rec.claimed_C.hex().encode())
+    assert h.hexdigest() == _REGISTRY_DIGESTS[name]

@@ -151,6 +151,18 @@ def test_a_start_with_a_nonfinite_entry_is_uncertified(monkeypatch):
     assert verify_certificate(rec).ok
 
 
+def test_a_start_with_sum_b_unmet_is_uncertified(monkeypatch):
+    # ButcherTableau's sum(b) = 1 rule is the one that judges a start
+    spec = OptimizationSpec(3, 2)
+    solves = _recorded_solves(monkeypatch)
+    optimize(spec)
+    theta = solves[0].x[:-1]
+    assert optimizer._certified(spec, theta) is not None
+    theta = theta.copy()
+    theta[-1] += 1e-12  # b_3 raised: sum(b) = 1 + 1e-12, every order residual below 1e-10
+    assert optimizer._certified(spec, theta) is None
+
+
 def _recorded_solves(monkeypatch):
     """The list that every later SLSQP solve of the optimizer appends to."""
     real, solves = optimizer.minimize, []

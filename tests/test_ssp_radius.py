@@ -199,10 +199,11 @@ def test_ssp_radius_probes_build_no_other_form(monkeypatch):
     assert [f.name for f in dataclasses.fields(rr)] == ["radius", "bisection_width"]
 
 
-@pytest.mark.parametrize("width", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("width", [0.0, -1.0, np.nan, 1e-300])
 def test_ssp_radius_rejects_a_width_that_cannot_bisect(width, monkeypatch):
-    # a width of 0 or less never closed the bracket and NaN never opened it;
-    # the guard turns a runaway bisection into a failure instead of a hang
+    # a width of 0 or less never closed the bracket and NaN never opened it,
+    # nor did 1e-300, finer than the float spacing at 2s; the guard turns a
+    # runaway bisection into a failure instead of a hang
     probes = []
     radius_module = importlib.import_module("sspint.ssp_radius")
     probe = radius_module.is_absolutely_monotonic
@@ -267,6 +268,14 @@ def test_exceeds_reads_the_pinned_registry_radii(width):
         C = ssp_radius(t, width).radius
         assert not exceeds(t, C, width), name
         assert exceeds(t, C - h, width), name
+
+
+@pytest.mark.parametrize("width", [0.0, np.nan, 1e-300])
+def test_exceeds_rejects_the_widths_ssp_radius_rejects(width):
+    # at width 0 the radius of eSSPRK+(4,3) read as exceeding itself
+    t = methods.get("eSSPRK+(4,3)").tableau
+    with pytest.raises(ValueError, match="width"):
+        exceeds(t, ssp_radius(t).radius, width)
 
 
 @pytest.mark.parametrize("s", range(2, 11))
