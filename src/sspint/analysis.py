@@ -332,12 +332,10 @@ def convergence_slope(errors: Sequence[Tuple[float, float]]) -> float:
 def _rk2_steps(so: ShuOsherForm, rhs: Callable[[float, float], Tuple[float, float]],
                u0, dt: float, n_steps: int) -> Tuple[float, float]:
     """n_steps of ``rk_step(so, F, u, dt)``, F(u) = rhs(u[0], u[1]), on two
-    Python floats: the plan loop's products and sums in its order (a zero
-    alpha gives 0.0 where the loop's 0 * u^(j) adds to the same bits), so
-    its bits and its ``NonFinite``, without NumPy's per-call cost on
-    2-vectors.  An OverflowError of rhs (Python's float power, where
-    NumPy's gives inf) makes that slope NaN, so the first stage using it
-    raises as there."""
+    Python floats: the plan loop's products and sums in its order, so its
+    bits and its ``NonFinite``, without NumPy's per-call cost on 2-vectors.
+    An OverflowError of rhs (Python's float power, where NumPy's gives inf)
+    makes that slope NaN, so the first stage using it raises as there."""
     rows = [None] + [[(j, a, dt * b if b != 0.0 else None) for j, a, b in terms]
                      for terms in so.terms]
     explicit = so.explicit
@@ -348,11 +346,8 @@ def _rk2_steps(so: ShuOsherForm, rhs: Callable[[float, float], Tuple[float, floa
             if i:  # stage 0 is the state itself
                 x = y = 0.0
                 for j, a, db in terms:
-                    if a != 0.0:
-                        sx, sy = stages[j]
-                        tx, ty = a * sx, a * sy
-                    else:
-                        tx = ty = 0.0
+                    sx, sy = stages[j]
+                    tx, ty = a * sx, a * sy
                     if db is not None:
                         fx, fy = slopes[j]
                         tx, ty = tx + db * fx, ty + db * fy

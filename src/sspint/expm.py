@@ -115,9 +115,6 @@ class Circulant:
         """e^(tau * L) of the same kind; a column tau gives one symbol per row."""
         return type(self)(np.exp(tau * self.symbol))
 
-    def dense(self) -> np.ndarray:
-        return circulant_matrix(np.fft.ifft(self.symbol).real)
-
     def spectral(self) -> "Spectral":
         """This operator on the coefficients of ``np.fft.rfft``."""
         return Spectral(self.symbol[: len(self.symbol) // 2 + 1])
@@ -129,9 +126,6 @@ class Spectral(Circulant):
 
     def __matmul__(self, u: np.ndarray) -> np.ndarray:
         return self.symbol * u
-
-    def dense(self) -> np.ndarray:
-        return np.diag(self.symbol)
 
 
 class ExpCache:
@@ -153,21 +147,14 @@ class ExpCache:
             for g in self.gaps
         }
 
-    def _entry(self, g: float):
+    def apply(self, g: float, u: np.ndarray) -> np.ndarray:
+        """Apply e^(g * dt * L) to a vector (a batch of rows for a dt column)."""
         try:
-            return self._entries[g]
+            E = self._entries[g]
         except KeyError:
             raise SspError(f"abscissa gap {g!r} was not planned in this cache "
                            f"(planned gaps: {self.gaps})") from None
-
-    def matrix(self, g: float) -> np.ndarray:
-        """The cached exponential as a dense matrix."""
-        E = self._entry(g)
-        return E.dense() if self.circulant else E
-
-    def apply(self, g: float, u: np.ndarray) -> np.ndarray:
-        """Apply e^(g * dt * L) to a vector (a batch of rows for a dt column)."""
-        return self._entry(g) @ u
+        return E @ u
 
 
 def build_cache(L, dt: float, gaps) -> ExpCache:

@@ -43,9 +43,11 @@ class Grid1D:
 def _upwind_column(grid: Grid1D, a: float) -> np.ndarray:
     if not 0 <= a < np.inf:  # NaN fails too
         raise ValueError(f"wavespeed must be finite and >= 0 (no downwinding), got {a!r}")
+    rate = float(a) / grid.dx  # a Python float: an overflow is inf, not a warning
+    if 2.0 * rate == np.inf:  # the largest entry of its DFT symbol
+        raise NonFinite(f"wavespeed {a!r} over dx = 1/{grid.n} overflows")
     col = np.zeros(grid.n)
-    col[0] = -a / grid.dx
-    col[1] = a / grid.dx
+    col[0], col[1] = -rate, rate
     return col
 
 

@@ -169,8 +169,6 @@ def observed_l2_cfl(
     gamma = _polynomial_coefficients(t)
 
     def stable(lam: float) -> bool:
-        if lam <= 0.0:
-            return True
         if mu is not None:
             with np.errstate(over="ignore"):  # an overflow is an unstable step
                 norms = _parseval_norms(gamma, mu, lam, u0, n_steps)

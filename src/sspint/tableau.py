@@ -125,8 +125,9 @@ class ShuOsherForm:
     beta: np.ndarray
 
     def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=float)
-        beta = np.asarray(self.beta, dtype=float)
+        # copies, so freezing them below leaves the caller's arrays writeable
+        alpha = np.array(self.alpha, dtype=float)
+        beta = np.array(self.beta, dtype=float)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
@@ -141,6 +142,8 @@ class ShuOsherForm:
         rows = alpha[1:].sum(axis=1)
         if np.max(np.abs(rows - 1.0)) > 1e-12:
             raise ValueError("each alpha row must sum to 1 (consistency)")
+        alpha.setflags(write=False)
+        beta.setflags(write=False)
 
     @property
     def stages(self) -> int:

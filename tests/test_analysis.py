@@ -436,6 +436,23 @@ def test_lambda_sweep_matches_per_lambda_bitwise(stepper, name, problem, n, a,
         float(np.log10(max(w, analysis.LOG_FLOOR))) for w in want]
 
 
+def test_lambda_scan_on_a_dense_operator_matches_the_circulant_one():
+    # a dense L runs one lambda at a time on physical values, through the
+    # Pade-13 exponential: the only path of a non-circulant L
+    sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=10.0, n=64)
+    grid = spatial.Grid1D(64)
+    N = spatial.upwind_matrix(grid, 1.0)
+    dense = replace(sys_, L=spatial.upwind_matrix(grid, 10.0), N=N.__matmul__,
+                    N_linear=None)
+    build = ifrk_builder(methods.get("eSSPRK+(5,4)"))
+    lams = np.linspace(0.5, 3.0, 6)
+    want = max_tv_rises(build, sys_, u0, lams, 5)
+    assert np.abs(max_tv_rises(build, dense, u0, lams, 5) - want).max() <= 1e-12
+    recs = lambda_sweep(build, dense, u0, lams, 5)
+    assert [r.lam for r in recs] == list(lams)
+    assert np.abs(np.array([r.max_rise for r in recs]) - want).max() <= 1e-12
+
+
 def test_lambda_sweep_blowups_read_inf():
     # eSSPRK(10,4) as plain RK blows up on advection-Burgers past
     # lambda ~ 0.56 (ex4); a chunk holding a blow-up is re-run per lambda

@@ -187,6 +187,7 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     (None, ["methods", "list", "eSSPRK+(3,3)"]),
     (None, ["methods", "list", "--out", "FILE/list.txt"]),
     (None, ["methods", "verify", "eSSPRK+(3,3)", "--out", "FILE/verify.txt"]),
+    (None, ["sweep", "--method", "eSSPRK+(3,3)", "--problem", "bogus"]),
 ])
 def test_cli_bad_values_exit_one_with_one_line(tmp_path, capsys, monkeypatch,
                                                config, argv):
@@ -362,6 +363,27 @@ _EX1_TOLERANCES = {"ex1_errors.csv": (1e-12, 1e-6), "ex1_slopes.csv": (1e-6, 0.0
 def _csv_rows(text):
     rows = [line for line in text.splitlines() if line and not line.startswith("# ")]
     return list(csv.reader(io.StringIO("\n".join(rows))))
+
+
+def test_cli_nonfinite_state_exits_two_with_one_line(tmp_path, capsys):
+    # a / dx overflows: NumPy's fft warned before the error line
+    argv = ["run", "table6", "--methods", "eSSPRK+(3,3)", "--a", "1e308", "--n", "64",
+            "--steps", "2", "--out", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: non-finite state: "), err
+
+
+def test_cli_run_table8_with_the_optimized_method(tmp_path, capsys):
+    argv = ["run", "table8-partial", "--with-opt", "true", "--n", "64", "--steps", "50",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    rows = _csv_rows((tmp_path / "table8_partial.csv").read_text())
+    values = {(q, m): float(v) for q, m, v in rows[1:]}
+    assert abs(values["opt_radius", "opt+(5,3)"] - 2.63506) <= 1e-4
+    assert 0.0 < values["l2_cfl", "opt+(5,3)"] <= 0.4
 
 
 def test_cli_run_ex1_stays_inside_the_benchmark_tolerances(tmp_path, capsys):

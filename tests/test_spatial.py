@@ -50,6 +50,19 @@ def test_make_problem_rejects_a_nonfinite_wavespeed(problem, a):
             make_problem(problem, a=a, n=64)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: make_problem(LINEAR_ADVECTION_STEP, a=1e308, n=64),
+    lambda: upwind_matrix(Grid1D(64), 1e308),
+], ids=["make_problem", "upwind_matrix"])
+def test_a_wavespeed_whose_upwind_symbol_overflows_is_nonfinite(build):
+    # a finite a with a / dx = inf: its fft warned, and the dense matrix
+    # held +-inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="overflows"):
+            build()
+
+
 def test_upwind_matrix_is_first_order_derivative():
     g = Grid1D(256)
     u = np.sin(2 * np.pi * g.x)

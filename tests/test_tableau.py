@@ -96,6 +96,20 @@ def test_tableau_freezes_copies_not_the_callers_arrays():
     assert t.A[1, 0] == 1.0
 
 
+def test_shu_osher_form_freezes_copies_not_the_callers_arrays():
+    # a registry form was writeable: one assignment changed every later get
+    so = methods.get("eSSPRK(3,3)").shu_osher
+    for M in (so.alpha, so.beta):
+        with pytest.raises(ValueError):
+            M[1, 0] = 0.5
+    assert methods.get("eSSPRK(3,3)").shu_osher.alpha[1, 0] == 1.0
+    alpha, beta = np.array(so.alpha), np.array(so.beta)
+    so2 = ShuOsherForm(alpha=alpha, beta=beta)
+    assert alpha.flags.writeable and beta.flags.writeable
+    alpha[1, 0] = 0.5
+    assert so2.alpha[1, 0] == 1.0
+
+
 @pytest.mark.parametrize("name", ["eSSPRK(3,3)", "eSSPRK+(6,4)", "eSSPRK(10,4)"])
 def test_stacked_is_one_read_only_matrix_per_tableau(name):
     t = methods.get(name).tableau
