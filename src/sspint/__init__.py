@@ -1,5 +1,7 @@
 """SSP Runge-Kutta and integrating-factor time-integration toolkit."""
 
+__version__ = "0.1.0"
+
 from .errors import (
     ConfigError,
     NegativeGap,

@@ -52,7 +52,7 @@ LOG_FLOOR = 1e-300
 
 #: end time of the van der Pol convergence runs (ex1).
 VAN_DER_POL_T = 0.5
-#: ex1's reference: van_der_pol_reference() at dt = 1e-5, T = VAN_DER_POL_T, from (2, 0).
+#: ex1's reference: van_der_pol_reference(), 50 000 steps to VAN_DER_POL_T from (2, 0).
 VAN_DER_POL_REFERENCE = (float.fromhex("0x1.d674c41aa053cp+0"),
                          float.fromhex("-0x1.11ad0ec0f45fep-1"))
 
@@ -269,29 +269,29 @@ def observed_tvd_lambda(
     lambda_hi: float,
     n_steps: int,
     threshold: float = DEFAULT_THRESHOLD,
-    width: float = BISECTION_WIDTH,
 ) -> ObservedCoefficient:
     """Largest lambda at which the maximal stage TV rise stays below the
     detection threshold.
 
     A 50-point pre-scan over (0, lambda_hi] brackets the first threshold
-    crossing (``prescan_bracket``); bisection then refines it to the
-    requested width, one lambda at a time, both on ``spectral(sys) or
+    crossing (``prescan_bracket``); bisection then refines it to
+    BISECTION_WIDTH, one lambda at a time, both on ``spectral(sys) or
     sys``, where a run ends with the step in which its first lambda
     crosses.  If no grid point crosses, lambda_hi itself is returned; if
     the very first grid point already exceeds the threshold the bracket
-    starts at 0.  A lambda_hi or width that is not positive and finite, or
-    fewer than one step, is a ValueError, before any step."""
-    _check_bracket(0.0, lambda_hi, width)
+    starts at 0.  A lambda_hi that is not positive and finite or whose
+    float spacing exceeds BISECTION_WIDTH, or fewer than one step, is a
+    ValueError, before any step."""
+    _check_bracket(0.0, lambda_hi, BISECTION_WIDTH)
     scan = spectral(sys) or sys
     crossing = prescan_bracket(build, scan, u0, lambda_hi, n_steps, threshold)
     if crossing is None:
-        return ObservedCoefficient(float(lambda_hi), threshold, width)
+        return ObservedCoefficient(float(lambda_hi), threshold, BISECTION_WIDTH)
     lo, hi = _bisect(
         lambda mid: next(_rise_chunks(build, scan, u0, np.array([mid]), n_steps,
                                       threshold))[1][0] <= threshold,
-        *crossing, width)
-    return ObservedCoefficient(float(0.5 * (lo + hi)), threshold, width)
+        *crossing, BISECTION_WIDTH)
+    return ObservedCoefficient(float(0.5 * (lo + hi)), threshold, BISECTION_WIDTH)
 
 
 def lambda_sweep(
@@ -363,32 +363,25 @@ def _rk2_steps(so: ShuOsherForm, rhs: Callable[[float, float], Tuple[float, floa
     return x, y
 
 
-def van_der_pol_reference(dt: float = 1e-5, T: float = VAN_DER_POL_T) -> np.ndarray:
-    """High-resolution plain Runge-Kutta reference solution at time T:
-    eSSPRK(10,4) from (2, 0), n = max(1, round(T / dt)) steps of T / n,
-    stepped on two floats (``_rk2_steps``)."""
-    n = _steps_to(T, dt)
-    so = shu_osher_form(methods.get("eSSPRK(10,4)"))
-    return np.array(_rk2_steps(so, spatial.van_der_pol_rhs, (2.0, 0.0), T / n, n))
+def van_der_pol_reference() -> np.ndarray:
+    """High-resolution plain Runge-Kutta reference solution at time
+    VAN_DER_POL_T: eSSPRK(10,4) from (2, 0), 50 000 steps of
+    VAN_DER_POL_T / 50 000 = 1e-5, stepped on two floats (``_rk2_steps``)."""
+    so, n = shu_osher_form(methods.get("eSSPRK(10,4)")), 50_000
+    return np.array(_rk2_steps(so, spatial.van_der_pol_rhs, (2.0, 0.0), VAN_DER_POL_T / n, n))
 
 
-def _steps_to(T: float, dt: float) -> int:
-    """n = max(1, round(T / dt)), the step count of a step size dt that
-    is positive and finite."""
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    return max(1, round(T / dt))
-
-
-def van_der_pol_errors(rec, splitting: str, dts, uref, T: float = VAN_DER_POL_T):
-    """(dt, max-norm error) pairs; each dt is adjusted to T / n, with the
-    reference's step count n = max(1, round(T / dt))."""
+def van_der_pol_errors(rec, splitting: str, dts, uref):
+    """(dt, max-norm error) pairs at time T = VAN_DER_POL_T; each dt, which
+    must be positive and finite, is adjusted to T / n, n = max(1, round(T / dt))."""
     sys_, u0 = spatial.make_problem(spatial.VAN_DER_POL, splitting=splitting)
     build = ifrk_general_builder(rec)
     out = []
     for dt in dts:
-        n = _steps_to(T, dt)
-        dta = T / n
+        if not (math.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {dt!r}")
+        n = max(1, round(VAN_DER_POL_T / dt))
+        dta = VAN_DER_POL_T / n
         u = integrate(build(sys_, dta), u0, n)
         out.append((dta, float(np.abs(u - uref).max())))
     return out

@@ -19,20 +19,13 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from . import analysis, methods, spatial
+from . import __version__ as VERSION, analysis, methods, spatial
 from .analysis import van_der_pol_errors
 from .errors import ConfigError, NonFinite, SspError
 from .integrators import integrate
 from .optimizer import BOUND_GAP, OptimizationSpec, optimize
 from .ssp_radius import linear_bound, observed_l2_cfl, ssp_radius
 from .tableau import order_residuals
-
-try:
-    from importlib.metadata import version as _pkg_version
-
-    VERSION = _pkg_version("sspint")
-except Exception:  # pragma: no cover - not installed
-    VERSION = "0.0.0"
 
 _TABLE6_METHODS = (
     "eSSPRK+(2,2)",
@@ -71,6 +64,9 @@ def _writing(path: str):
 
 
 def atomic_write_text(path: str, text: str):
+    """Write text to path through a temp file in its directory, renamed
+    over path, with the mode open(path, "w") gives: 0o666 less the umask
+    (mkstemp makes the temp file 0o600)."""
     directory = os.path.dirname(os.path.abspath(path))
     with _writing(path):
         os.makedirs(directory, exist_ok=True)
@@ -78,6 +74,9 @@ def atomic_write_text(path: str, text: str):
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
+            umask = os.umask(0)  # reading the umask means setting it
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

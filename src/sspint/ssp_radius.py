@@ -17,6 +17,8 @@ from .tableau import ButcherTableau
 #: componentwise nonnegativity tolerance; absorbs the representation error
 #: of printed decimal coefficients without admitting infeasible r.
 NONNEG_TOL = 1e-12
+#: bisection width of ``ssp_radius``, and so the grid ``exceeds`` probes on.
+RADIUS_WIDTH = 1e-10
 
 #: condition-number estimate beyond which (I + rS) is treated as singular.
 _COND_LIMIT = 1e14
@@ -62,19 +64,20 @@ def canonical_form(t: ButcherTableau, r: float) -> CanonicalShuOsher:
     return CanonicalShuOsher(r=r, v=R @ np.ones(S.shape[0]), P=r * (R @ S), S=S)
 
 
-def is_absolutely_monotonic(t: ButcherTableau, r: float, tol: float = NONNEG_TOL) -> bool:
+def is_absolutely_monotonic(t: ButcherTableau, r: float) -> bool:
     """True iff (I + rS)^(-1) e >= 0 and r (I + rS)^(-1) S >= 0
-    componentwise (within tol), with no canonical form built."""
+    componentwise (within NONNEG_TOL), with no canonical form built."""
     S, R = t.stacked, _inverse(t, r)
-    return bool((R @ np.ones(S.shape[0])).min() >= -tol and (r * (R @ S)).min() >= -tol)
+    e = np.ones(S.shape[0])
+    return bool((R @ e).min() >= -NONNEG_TOL and (r * (R @ S)).min() >= -NONNEG_TOL)
 
 
 def _check_bracket(lo: float, hi: float, width: float):
-    """A ValueError unless lo < hi are finite and width is finite and at
-    least the float spacing at max(|lo|, |hi|), so that bisection stops."""
+    """A ValueError unless lo < hi are finite and width is at least the
+    float spacing at max(|lo|, |hi|), so that bisection stops."""
     if not (np.isfinite([lo, hi]).all() and lo < hi
-            and np.spacing(max(abs(lo), abs(hi))) <= width < np.inf):
-        raise ValueError(f"bad bisection bracket ({lo!r}, {hi!r}) or width {width!r}")
+            and np.spacing(max(abs(lo), abs(hi))) <= width):
+        raise ValueError(f"bad bisection bracket ({lo!r}, {hi!r}) for width {width!r}")
 
 
 def _bisect(holds, lo: float, hi: float, width: float):
@@ -90,26 +93,25 @@ def _bisect(holds, lo: float, hi: float, width: float):
     return lo, hi
 
 
-def exceeds(t: ButcherTableau, C: float, width: float = 1e-10) -> bool:
-    """Whether ssp_radius(t, width).radius > C, from one probe, for a C that
-    ssp_radius returned at this width for a tableau of as many stages.
+def exceeds(t: ButcherTableau, C: float) -> bool:
+    """Whether ssp_radius(t).radius > C, from one probe, for a C that
+    ssp_radius returned for a tableau of as many stages.
 
     Bisection from [0, 2s] visits only multiples of its final spacing h,
     and returns the largest one at which absolute monotonicity holds (2s if
     it holds there).  So, the predicate being monotone in r, the radius
     passes such a C exactly when the predicate holds at C + h."""
     hi = h = 2.0 * t.stages
-    _check_bracket(0.0, hi, width)  # the widths ssp_radius rejects
-    while h > width:  # the spacing at which _bisect stops
+    while h > RADIUS_WIDTH:  # the spacing at which _bisect stops
         h *= 0.5
     return C < hi and is_absolutely_monotonic(t, C + h)
 
 
-def ssp_radius(t: ButcherTableau, width: float = 1e-10) -> RadiusResult:
+def ssp_radius(t: ButcherTableau) -> RadiusResult:
     """SSP coefficient by bisection on absolute monotonicity over [0, 2s]."""
-    hi = 2.0 * t.stages
-    holds = partial(is_absolutely_monotonic, t)
-    return RadiusResult(hi if holds(hi) else _bisect(holds, 0.0, hi, width)[0], width)
+    hi, holds = 2.0 * t.stages, partial(is_absolutely_monotonic, t)
+    return RadiusResult(hi if holds(hi) else _bisect(holds, 0.0, hi, RADIUS_WIDTH)[0],
+                        RADIUS_WIDTH)
 
 
 def linear_bound(s: int, p: int) -> float:

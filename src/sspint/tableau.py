@@ -166,13 +166,13 @@ class ShuOsherForm:
         nonzero column j of beta."""
         return tuple(bool(x) for x in self.beta.any(axis=0))
 
-    def is_ssp_admissible(self, tol: float = 1e-12) -> bool:
+    def is_ssp_admissible(self) -> bool:
         """True when all coefficients are nonnegative and beta vanishes
-        wherever alpha does."""
-        if self.alpha.min() < -tol or self.beta.min() < -tol:
+        wherever alpha does, each to within 1e-12."""
+        if self.alpha.min() < -1e-12 or self.beta.min() < -1e-12:
             return False
-        zero_alpha = np.abs(self.alpha) <= tol
-        return bool(np.all(np.abs(self.beta[zero_alpha]) <= tol))
+        zero_alpha = np.abs(self.alpha) <= 1e-12
+        return bool(np.all(np.abs(self.beta[zero_alpha]) <= 1e-12))
 
     @classmethod
     def from_entries(cls, stages: int, alpha_entries: dict, beta_entries: dict):

@@ -156,21 +156,17 @@ def test_threshold_must_be_nonnegative(threshold):
         analysis.prescan_bracket(build, sys_, u0, 2.0, 3, threshold)
 
 
-@pytest.mark.parametrize("lambda_hi, width", [
-    (2.0, 0.0), (2.0, -1.0), (2.0, np.nan), (2.0, 1e-300),
-    (np.nan, 1e-3), (np.inf, 1e-3), (0.0, 1e-3), (-1.0, 1e-3),
-])
-def test_observed_tvd_rejects_a_bad_bracket_before_stepping(lambda_hi, width):
-    # a width of 0 or less, or finer than the float spacing at lambda_hi,
-    # never returned, NaN returned the pre-scan midpoint, and a NaN or
-    # infinite lambda_hi returned lambda_obs = nan
+@pytest.mark.parametrize("lambda_hi", [np.nan, np.inf, 0.0, -1.0, 1e13])
+def test_observed_tvd_rejects_a_bad_bracket_before_stepping(lambda_hi):
+    # a NaN or infinite lambda_hi returned lambda_obs = nan; at 1e13 the
+    # float spacing (0.002) exceeds BISECTION_WIDTH, so bisection cannot stop
     sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=1.0, n=64)
 
     def build(sys, dt):
         raise AssertionError("stepped before the bracket was checked")
 
     with pytest.raises(ValueError, match="bracket"):
-        observed_tvd_lambda(build, sys_, u0, lambda_hi, 3, width=width)
+        observed_tvd_lambda(build, sys_, u0, lambda_hi, 3)
 
 
 @pytest.mark.parametrize("lambda_hi", [np.nan, np.inf, -1.0, 0.0])
@@ -876,18 +872,6 @@ def test_van_der_pol_reference_is_pinned():
     assert [float(v).hex() for v in u] == ["0x1.d674c41aa053cp+0", "-0x1.11ad0ec0f45fep-1"]
     assert _bits(u) == _bits(analysis.VAN_DER_POL_REFERENCE)
     assert cli.van_der_pol_errors is analysis.van_der_pol_errors
-
-
-def test_van_der_pol_reference_lands_on_T():
-    # n = max(1, round(T / dt)) steps of T / n; a dt that does not divide T
-    # once ended at another time, and a negative one returned (2, 0)
-    so = shu_osher_form(methods.get("eSSPRK(10,4)"))
-    for dt, T, n in ((0.3, 0.5, 2), (2.0, 0.5, 1)):
-        want = analysis._rk2_steps(so, spatial.van_der_pol_rhs, (2.0, 0.0), T / n, n)
-        assert _bits(analysis.van_der_pol_reference(dt, T)) == _bits(want)
-    for dt in (-0.1, 0.0, np.nan, np.inf):
-        with pytest.raises(ValueError):
-            analysis.van_der_pol_reference(dt)
 
 
 def test_van_der_pol_errors_share_the_reference_step_rule():

@@ -3,12 +3,15 @@ import dataclasses
 import io
 import json
 import os
+import re
+import stat
 import warnings
 
 import numpy as np
 import pytest
 
-from sspint import cli, methods
+import sspint
+from sspint import analysis, cli, methods, spatial
 from sspint.cli import (
     config_hash,
     main,
@@ -64,6 +67,40 @@ def test_write_csv_atomic_with_metadata(tmp_path):
     assert not any(f.endswith(".tmp") for f in os.listdir(path.parent))
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_write_csv_gives_the_mode_open_gives(tmp_path, umask, mode):
+    # the temp file of mkstemp is 0o600, and os.replace kept that mode
+    old = os.umask(umask)
+    try:
+        path = write_csv(str(tmp_path / "out.csv"), ("x",), [(1,)], {})
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(path).st_mode) == mode
+
+
+def test_atomic_write_over_a_directory_names_it_and_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "dir"
+    target.mkdir()
+    with pytest.raises(ConfigError, match=re.escape(str(target))):
+        cli.atomic_write_text(str(target), "text\n")
+    assert os.listdir(tmp_path) == ["dir"] and os.listdir(target) == []
+
+
+def test_the_version_is_written_once_and_stamped_on_every_csv(tmp_path, capsys):
+    # importlib.metadata finds no version in a checkout, which stamped 0.0.0
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(os.path.dirname(__file__), "..", "pyproject.toml"), "rb") as fh:
+        pyproject = tomllib.load(fh)
+    assert "version" not in pyproject["project"]
+    assert pyproject["project"]["dynamic"] == ["version"]
+    assert pyproject["tool"]["setuptools"]["dynamic"] == {
+        "version": {"attr": "sspint.__version__"}}
+    assert main(["run", "table7", "--n", "8", "--steps", "1", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "table7.csv").read_text().splitlines()
+    assert f"# version={sspint.__version__}" in lines
+
+
 def test_cli_methods_list_and_verify(capsys):
     assert main(["methods", "list"]) == 0
     assert "eSSPRK+(6,4)" in capsys.readouterr().out
@@ -110,6 +147,22 @@ def test_cli_radius_csv(tmp_path):
     name, C, Ceff = next(csv.reader(io.StringIO(lines[1])))
     assert name == "eSSPRK+(3,3)"
     assert float(C) == pytest.approx(0.75, abs=1e-3)
+
+
+def test_cli_radius_prints_its_table(capsys):
+    assert main(["radius", "--methods", "eSSPRK(3,3),eSSPRK+(9,3)"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{'name':<16} {'C':>10} {'C_eff':>10}",
+        f"{'eSSPRK(3,3)':<16} {'1.0000':>10} {'0.3333':>10}",
+        f"{'eSSPRK+(9,3)':<16} {'6.0000':>10} {'0.6667':>10}",
+    ]
+
+
+def test_cli_methods_export_requires_out(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["methods", "export", "eSSPRK+(3,3)"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: methods export requires --out"]
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("names", [",", ""])
@@ -188,6 +241,9 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     (None, ["methods", "list", "--out", "FILE/list.txt"]),
     (None, ["methods", "verify", "eSSPRK+(3,3)", "--out", "FILE/verify.txt"]),
     (None, ["sweep", "--method", "eSSPRK+(3,3)", "--problem", "bogus"]),
+    (None, ["run", "table6", "--config", "FILE/x.cfg"]),
+    (None, ["run", "fig1", "--lambdas", "0:1"]),
+    (None, ["run", "ex4", "--a", "x"]),
 ])
 def test_cli_bad_values_exit_one_with_one_line(tmp_path, capsys, monkeypatch,
                                                config, argv):
@@ -401,3 +457,24 @@ def test_cli_run_ex1_stays_inside_the_benchmark_tolerances(tmp_path, capsys):
         for g, w in zip(got[1:], ref[1:]):
             value, recorded = float(g[3]), float(w[3])
             assert abs(value - recorded) <= abs_tol + rel_tol * abs(recorded), (g, w)
+
+
+def test_cli_run_ex4_writes_one_sweep_per_method(tmp_path, capsys):
+    argv = ["run", "ex4", "--n", "64", "--steps", "2", "--lambdas", "0.1,0.5",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    files = {"ex4_eSSPRKp_5_4.csv": "eSSPRK+(5,4)", "ex4_eSSPRKp_6_4.csv": "eSSPRK+(6,4)",
+             "ex4_eSSPRK_10_4.csv": "eSSPRK(10,4)"}
+    assert sorted(os.listdir(tmp_path)) == sorted(files)
+    for name, method in files.items():
+        text = (tmp_path / name).read_text()
+        rows = _csv_rows(text)
+        assert rows[0] == ["lambda", "max_rise", "log10_rise"] and len(rows) == 3
+        meta = {"experiment=ex4", f"method={method}", "a=10.0", "n=64", "steps=2"}
+        assert meta <= {line[2:] for line in text.splitlines() if line.startswith("# ")}
+    # eSSPRK(10,4)'s abscissas decrease, so ex4 steps it as plain Runge-Kutta
+    sys_, u0 = spatial.make_problem(spatial.ADVECTION_BURGERS_STEP, a=10.0, n=64)
+    want = analysis.lambda_sweep(analysis.rk_builder(methods.get("eSSPRK(10,4)")),
+                                 sys_, u0, [0.1, 0.5], 2)
+    rows = _csv_rows((tmp_path / "ex4_eSSPRK_10_4.csv").read_text())[1:]
+    assert [float(r[1]).hex() for r in rows] == [w.max_rise.hex() for w in want]

@@ -54,6 +54,22 @@ def test_tableau_rejects_inconsistent_c():
         ButcherTableau.from_arrays(A, [0.5, 0.5], c=[0.0, 0.5])
 
 
+def test_tableau_rejects_a_non_square_A():
+    with pytest.raises(ValueError, match=r"A must be 2x2, got \(2, 3\)"):
+        ButcherTableau(A=np.zeros((2, 3)), b=[0.5, 0.5], c=[0.0, 0.0])
+
+
+@pytest.mark.parametrize("alpha, beta, message", [
+    (np.zeros((3, 3)), np.zeros((2, 2)), "equal shape"),
+    ([[0, 0, 0], [0.5, 0.5, 0], [0, 1, 0]], np.zeros((3, 3)), "strictly lower"),
+    ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 0, 0], [1, 0, 0], [0, 0, 0.5]],
+     "strictly lower"),
+], ids=["unequal-shapes", "alpha-diagonal", "beta-diagonal"])
+def test_shu_osher_form_rejects_a_malformed_pair(alpha, beta, message):
+    with pytest.raises(ValueError, match=message):
+        ShuOsherForm(alpha=alpha, beta=beta)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_tableau_rejects_nonfinite_entries(bad):
     cases = [([[0, 0], [bad, 0]], [0.5, 0.5], [0, bad]),
