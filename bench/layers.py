@@ -59,6 +59,10 @@ unless stated):
   seed 0) on the dense matrix and on the circulant operator.
 - ``weno5_rhs`` / ``weno5_rhs_k10``: ``weno5_burgers_rhs`` at n = 400 on
   one row and on a 10-row batch.
+- ``circulant_apply_k10``: the n = 400 upwind exponential (a = 10) of the
+  first 10-row batch of ex4's sweep (lambda = 0.05 to 0.5, one step size
+  per row) applied to a 10-row batch, the product every physical
+  Burgers stage makes.
 - ``burgers_ifrk_step``: one integrating-factor step of eSSPRK+(5,4) on
   the n = 400 advection-Burgers step (a = 10, lambda = 1).
 - ``lambda_sweep_burgers``: ex4's default sweep of eSSPRK+(5,4): 40
@@ -253,10 +257,11 @@ def layers(quick, src):
 
 
 def burgers_layers(k):
-    """The WENO5 right-hand side, one Burgers step, ex4's sweep of
-    eSSPRK+(5,4), one plain-RK step of an ex4 batch, one step of the van der
-    Pol reference solve and the whole solve, the plans of ex4 and ex1, one
-    step of ex1's plan, their exponentials and one SSP radius."""
+    """The WENO5 right-hand side, a batched circulant product, one Burgers
+    step, ex4's sweep of eSSPRK+(5,4), one plain-RK step of an ex4 batch,
+    one step of the van der Pol reference solve and the whole solve, the
+    plans of ex4 and ex1, one step of ex1's plan, their exponentials and
+    one SSP radius."""
     import numpy as np
 
     from sspint import analysis, methods, spatial
@@ -279,11 +284,13 @@ def burgers_layers(k):
     vdp_sys, vdp_u0 = spatial.make_problem(spatial.VAN_DER_POL, splitting="a")
     vdp_plan = make_general_plan(so54, classic54.tableau.c, vdp_sys, 0.02)
     rk_batch = analysis.rk_builder(vdp)(sys_, lams * sys_.dx)
+    exp_batch = sys_.L.exp(lams * sys_.dx)
     u0_batch = np.tile(u0, (len(lams), 1))
     out = {
         "weno5_rhs": _median_time(lambda: spatial.weno5_burgers_rhs(grid, u0), k, 200),
         "weno5_rhs_k10": _median_time(
             lambda: spatial.weno5_burgers_rhs(grid, rows), k, 50),
+        "circulant_apply_k10": _median_time(lambda: exp_batch @ rows, k, 200),
         "burgers_ifrk_step": _median_time(lambda: ifrk_step(plan, sys_, u0), k, 50),
         "lambda_sweep_burgers": _median_time(
             lambda: analysis.lambda_sweep(analysis.ifrk_builder(rec), sys_, u0,

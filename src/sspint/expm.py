@@ -3,13 +3,14 @@ exponential cache.
 
 ``expm`` implements scaling-and-squaring with the degree-13 diagonal Pade
 approximant.  ``Circulant`` holds a periodic convolution operator (the 1D
-upwind operators) by its DFT symbol: it applies by FFT and its exponentials
-stay circulant.  ``Spectral`` is the same operator acting on real-FFT
-coefficients, where it is a multiplication.  ``ExpCache`` precomputes one
-exponential per abscissa gap an integrating-factor plan applies, so a
-constant-step run pays for each exponential exactly once; a column of step
-sizes gives one exponential per row, for a batch of step sizes at once.
-The plan (``sspint.integrators``) decides the gaps (sign and quantum).
+upwind operators) by its DFT symbol: it applies to real values by real
+FFT and its exponentials stay circulant.  ``Spectral`` is the same
+operator acting on real-FFT coefficients, where it is a multiplication.
+``ExpCache`` precomputes one exponential per abscissa gap an
+integrating-factor plan applies, so a constant-step run pays for each
+exponential exactly once; a column of step sizes gives one exponential
+per row, for a batch of step sizes at once.  The plan
+(``sspint.integrators``) decides the gaps (sign and quantum).
 """
 
 from __future__ import annotations
@@ -102,14 +103,25 @@ class Circulant:
 
     @classmethod
     def from_column(cls, col) -> "Circulant":
+        """The operator whose matrix has first column col, a real vector:
+        the real-FFT product reads only half of the symbol."""
+        if np.iscomplexobj(col):
+            raise TypeError("a Circulant's column must be real")
         return cls(np.fft.fft(col))
 
     @property
     def shape(self):
-        return (len(self.symbol), len(self.symbol))
+        n = self.symbol.shape[-1]  # a batched exponential has one symbol per row
+        return (n, n)
 
     def __matmul__(self, u: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(self.symbol * np.fft.fft(u)).real
+        """The product with real values u (a batch of rows along the last
+        axis): the symbol's first n//2 + 1 entries times ``rfft(u)``."""
+        if np.iscomplexobj(u):
+            raise TypeError("a Circulant applies to real values; use spectral() "
+                            "for real-FFT coefficients")
+        n = self.symbol.shape[-1]
+        return np.fft.irfft(self.symbol[..., : n // 2 + 1] * np.fft.rfft(u), n)
 
     def exp(self, tau) -> "Circulant":
         """e^(tau * L) of the same kind; a column tau gives one symbol per row."""

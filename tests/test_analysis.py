@@ -414,6 +414,11 @@ _SWEEP_BUILDERS = {"ifrk": ifrk_builder, "rk": rk_builder,
 # another order than the 1-D run: a rise differing by 2e-15
 @example(stepper="ifrk", name="eSSPRK+(3,3)", problem=ADVECTION_BURGERS_SMOOTH,
          n=50, a=1.0, lams=[0.5, 1.0], blowup_at=2, rows_per_chunk=2)
+# ex4's problem at its n = 400: batches of real-FFT products and WENO5 rows
+@example(stepper="ifrk", name="eSSPRK+(5,4)", problem=ADVECTION_BURGERS_STEP,
+         n=400, a=10.0, lams=[0.05, 0.5, 1.0, 2.0], blowup_at=6, rows_per_chunk=3)
+@example(stepper="rk", name="eSSPRK+(5,4)", problem=ADVECTION_BURGERS_STEP,
+         n=400, a=10.0, lams=[0.05, 0.5, 1.0, 2.0], blowup_at=6, rows_per_chunk=3)
 def test_lambda_sweep_matches_per_lambda_bitwise(stepper, name, problem, n, a,
                                                  lams, blowup_at, rows_per_chunk):
     # batches of physical rows against one 1-D run per lambda: bitwise

@@ -140,6 +140,48 @@ def test_circulant_matches_dense_reference(n, seed, dt):
                            atol=1e-10 * scale * np.abs(u).sum())
 
 
+@pytest.mark.parametrize("n", [8, 9, 13, 400, 401])
+def test_real_fft_product_matches_the_dense_circulant(n):
+    # odd n takes irfft's odd-length branch; a batch of rows and a batched
+    # exponential (one step size per row) give each row's 1-D product bitwise
+    rng = np.random.default_rng(n)
+    col = rng.standard_normal(n)
+    U = rng.standard_normal((10, n))
+    op = Circulant.from_column(col)
+    M = circulant_matrix(col)
+    tol = 1e-12 * np.abs(col).sum() * np.abs(U).max()
+    assert np.abs(op @ U[0] - M @ U[0]).max() <= tol
+    batch = op @ U
+    assert batch.shape == U.shape
+    assert np.abs(batch - U @ M.T).max() <= tol
+    for row, got in zip(U, batch):
+        assert np.array_equal(op @ row, got)
+    L = upwind_operator(Grid1D(n), 10.0)
+    taus = np.linspace(0.05, 0.5, 10)[:, None] / n
+    for tau, row, got in zip(taus[:, 0], U, L.exp(taus) @ U):
+        assert np.array_equal(L.exp(tau) @ row, got)
+
+
+def test_a_batched_exponential_has_the_shape_of_its_operator():
+    L = upwind_operator(Grid1D(400), 10.0)
+    E = L.exp(np.linspace(0.05, 0.5, 10)[:, None] / 400)
+    assert E.symbol.shape == (10, 400)
+    assert L.shape == E.shape == (400, 400)
+
+
+def test_a_circulant_rejects_complex_values():
+    # the complex product kept only the real part of a complex u; complex
+    # values are real-FFT coefficients, which spectral() acts on
+    op = upwind_operator(Grid1D(16), 1.0)
+    u = np.arange(16.0)
+    with pytest.raises(TypeError, match=r"spectral\(\)"):
+        op @ (u + 1j)
+    with pytest.raises(TypeError, match=r"spectral\(\)"):
+        ExpCache(op, 0.1, [1.0]).apply(1.0, np.fft.fft(u))
+    with pytest.raises(TypeError, match="must be real"):
+        Circulant.from_column(u + 1j)
+
+
 def test_cache_unplanned_gap_is_typed_error():
     cache = ExpCache(np.eye(3), 0.1, [0.5])
     with pytest.raises(SspError, match="0.75"):
