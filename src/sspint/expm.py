@@ -3,9 +3,9 @@ exponential cache.
 
 ``expm`` implements scaling-and-squaring with the degree-13 diagonal Pade
 approximant.  ``Circulant`` holds a periodic convolution operator (the 1D
-upwind operators) by its DFT symbol: it applies to real values by real
-FFT and its exponentials stay circulant.  ``Spectral`` is the same
-operator acting on real-FFT coefficients, where it is a multiplication.
+upwind operators) by the half of its DFT symbol that real FFTs read: it
+applies to real values by real FFT and its exponentials stay circulant.
+``Spectral`` is the same operator on real-FFT coefficients, where it multiplies.
 ``ExpCache`` precomputes one exponential per abscissa gap an
 integrating-factor plan applies, so a constant-step run pays for each
 exponential exactly once; a column of step sizes gives one exponential
@@ -96,40 +96,39 @@ def circulant_matrix(col) -> np.ndarray:
 
 
 class Circulant:
-    """A periodic convolution operator held by its DFT symbol."""
+    """A periodic convolution operator on n points, held by the first
+    n//2 + 1 entries of its DFT symbol (the rest are their conjugates),
+    the half its real-FFT product reads; a batched exponential holds one
+    half per row."""
 
-    def __init__(self, symbol):
+    def __init__(self, symbol, n: int):
         self.symbol = np.asarray(symbol)
+        self.n = n
+        self.shape = (n, n)
 
     @classmethod
     def from_column(cls, col) -> "Circulant":
-        """The operator whose matrix has first column col, a real vector:
-        the real-FFT product reads only half of the symbol."""
+        """The operator whose matrix has first column col, a real vector."""
         if np.iscomplexobj(col):
             raise TypeError("a Circulant's column must be real")
-        return cls(np.fft.fft(col))
-
-    @property
-    def shape(self):
-        n = self.symbol.shape[-1]  # a batched exponential has one symbol per row
-        return (n, n)
+        n = len(col)
+        return cls(np.fft.fft(col)[: n // 2 + 1], n)
 
     def __matmul__(self, u: np.ndarray) -> np.ndarray:
         """The product with real values u (a batch of rows along the last
-        axis): the symbol's first n//2 + 1 entries times ``rfft(u)``."""
+        axis): ``irfft(symbol * rfft(u), n)``."""
         if np.iscomplexobj(u):
             raise TypeError("a Circulant applies to real values; use spectral() "
                             "for real-FFT coefficients")
-        n = self.symbol.shape[-1]
-        return np.fft.irfft(self.symbol[..., : n // 2 + 1] * np.fft.rfft(u), n)
+        return np.fft.irfft(self.symbol * np.fft.rfft(u), self.n)
 
     def exp(self, tau) -> "Circulant":
         """e^(tau * L) of the same kind; a column tau gives one symbol per row."""
-        return type(self)(np.exp(tau * self.symbol))
+        return type(self)(np.exp(tau * self.symbol), self.n)
 
     def spectral(self) -> "Spectral":
         """This operator on the coefficients of ``np.fft.rfft``."""
-        return Spectral(self.symbol[: len(self.symbol) // 2 + 1])
+        return Spectral(self.symbol, self.n)
 
 
 class Spectral(Circulant):

@@ -188,22 +188,23 @@ def observed_l2_cfl(
 
 
 def _circulant_symbol(M):
-    """The DFT symbol of a circulant M: an ``expm.Circulant``, or a dense
-    array equal to the circulant of its first column, compared a block of
-    rows at a time; None for any other M."""
+    """The ``expm.Circulant`` symbol of a circulant M: an ``expm.Circulant``
+    (a ``Spectral`` too), or a dense array equal to the circulant of its
+    first column, compared a block of rows at a time; None for any other M."""
     if isinstance(M, Circulant):
         return M.symbol
     C, rows = circulant_view(M[:, 0]), 1 + _BLOCK // M.shape[0]
     same = all(np.array_equal(M[i:i + rows], C[i:i + rows]) for i in range(0, len(C), rows))
-    return np.fft.fft(C[:, 0]) if same else None
+    return Circulant.from_column(C[:, 0]).symbol if same else None
 
 
 def _parseval_norms(gamma, mu, lam, u, n_steps):
-    """||R(lam M)^m u|| for m = 1..n_steps and the circulant M of DFT
-    symbol mu, a block of steps at a time, by Parseval:
-    ||R(lam M)^m u||^2 = (1/n) sum_k |R(lam mu_k)|^(2m) |fft(u)_k|^2."""
+    """||R(lam M)^m u|| for m = 1..n_steps and the circulant M of half
+    symbol mu, a block of steps at a time, by Parseval over v = rfft(u),
+    (1/n) sum_k w_k |R(lam mu_k)|^(2m) |v_k|^2, w_k = 2 at interior k (for n - k)."""
     a = np.abs(_horner(gamma, lambda w: lam * mu * w, 1.0)) ** 2
-    p = np.abs(np.fft.fft(u)) ** 2 / len(u)
+    p = np.abs(np.fft.rfft(u)) ** 2 / len(u)
+    p[1:(len(u) + 1) // 2] *= 2.0
     for m in np.array_split(np.arange(1, n_steps + 1), 1 + n_steps * len(u) // _BLOCK):
         yield np.sqrt(a ** m[:, None] @ p)
 

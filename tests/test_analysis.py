@@ -108,7 +108,7 @@ def test_max_tv_rise_zero_lambda():
 def test_max_tv_rise_at_zero_lambda_still_builds_its_plan():
     # a NaN operator raises at lambda = 0 as at any other lambda
     sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=1.0, n=64)
-    sys_ = replace(sys_, L=Circulant(np.full(64, np.nan)))
+    sys_ = replace(sys_, L=Circulant(np.full(33, np.nan), 64))
     build = ifrk_builder(methods.get("eSSPRK+(3,3)"))
     with pytest.raises(NonFinite, match="operator"):
         max_tv_rise(build, sys_, u0, 0.0, 3)
@@ -315,7 +315,7 @@ def test_batch_with_one_nonfinite_lambda():
 @pytest.mark.parametrize("problem", [LINEAR_ADVECTION_STEP, ADVECTION_BURGERS_STEP])
 def test_nonfinite_operator_is_an_error_not_a_rise(problem):
     sys_, u0 = make_problem(problem, a=1.0, n=64)
-    sys_ = replace(sys_, L=Circulant(np.full(64, np.nan)))
+    sys_ = replace(sys_, L=Circulant(np.full(33, np.nan), 64))
     build = ifrk_builder(methods.get("eSSPRK+(3,3)"))
     for scan in (sys_, spectral(sys_) or sys_):
         with pytest.raises(NonFinite, match="operator"):

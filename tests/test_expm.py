@@ -165,8 +165,21 @@ def test_real_fft_product_matches_the_dense_circulant(n):
 def test_a_batched_exponential_has_the_shape_of_its_operator():
     L = upwind_operator(Grid1D(400), 10.0)
     E = L.exp(np.linspace(0.05, 0.5, 10)[:, None] / 400)
-    assert E.symbol.shape == (10, 400)
+    assert E.symbol.shape == (10, 201)
     assert L.shape == E.shape == (400, 400)
+
+
+def test_the_spectral_form_keeps_the_rows_and_shape_of_its_operator():
+    # each row of a batched exponential is one step size's half symbol,
+    # and the shape is the operator's, not the half symbol's length
+    L = upwind_operator(Grid1D(400), 10.0)
+    assert L.spectral().shape == L.shape == (400, 400)
+    taus = np.linspace(0.05, 0.5, 10)[:, None] / 400
+    S = L.exp(taus).spectral()
+    assert S.symbol.shape == (10, 201)
+    assert S.shape == (400, 400)
+    for tau, row in zip(taus[:, 0], S.symbol):
+        assert np.array_equal(row, L.exp(tau).spectral().symbol)
 
 
 def test_a_circulant_rejects_complex_values():
