@@ -89,6 +89,14 @@ unless stated):
 - ``ifrk_step_vdp``: one ``ifrk_step`` of that plan from ex1's initial
   state (2, 0), the plan built outside the timer.
 - ``expm``: ``expm`` of that operator times 0.02.
+- ``expm_stack``: the exponentials of every gap of that plan,
+  ``build_cache`` of the operator at dt = 0.02 with the plan's gaps: one
+  ``expm`` of the gap stack where ``expm`` takes stacks, one per gap
+  before.
+- ``van_der_pol_errors_5dt``: ``analysis.van_der_pol_errors`` of
+  eSSPRK(10,4), splitting a, at ex1's five default step sizes (0.02 to
+  0.1) against ``analysis.VAN_DER_POL_REFERENCE``: one (method,
+  splitting) of ``run_ex1``.
 - ``ssp_radius``: ``ssp_radius`` of eSSPRK+(6,4).
 - ``optimize_<s>_<p>``: ``optimize`` of (3,2), (3,3), (4,3) and (5,3) with
   non-decreasing abscissas, 10 restarts, seed 0, with the certified C.
@@ -134,6 +142,8 @@ BURGERS_LAMBDAS = (0.05, 2.0, 40)
 #: TV-rise threshold of ``observed_tvd_lambda_burgers``: above the WENO
 #: roundoff, under which the first pre-scan point already crosses.
 BURGERS_THRESHOLD = 1e-4
+#: ex1's default step sizes.
+EX1_DTS = (0.02, 0.04, 0.06, 0.08, 0.10)
 #: rotating rounds of ``--against``: a multiple of its 3 children, so
 #: each runs first, second and third equally often.
 ROUNDS = 6
@@ -260,12 +270,12 @@ def burgers_layers(k):
     """The WENO5 right-hand side, a batched circulant product, one Burgers
     step, ex4's sweep of eSSPRK+(5,4), one plain-RK step of an ex4 batch,
     one step of the van der Pol reference solve and the whole solve, the
-    plans of ex4 and ex1, one step of ex1's plan, their exponentials and
-    one SSP radius."""
+    plans of ex4 and ex1, one step of ex1's plan, their exponentials, one
+    (method, splitting) of ex1 and one SSP radius."""
     import numpy as np
 
     from sspint import analysis, methods, spatial
-    from sspint.expm import expm
+    from sspint.expm import build_cache, expm
     from sspint.integrators import (ifrk_step, make_general_plan, make_plan, rk_step,
                                     shu_osher_form)
     from sspint.ssp_radius import ssp_radius
@@ -286,6 +296,7 @@ def burgers_layers(k):
     rk_batch = analysis.rk_builder(vdp)(sys_, lams * sys_.dx)
     exp_batch = sys_.L.exp(lams * sys_.dx)
     u0_batch = np.tile(u0, (len(lams), 1))
+    vdp_ref = np.array(analysis.VAN_DER_POL_REFERENCE)
     out = {
         "weno5_rhs": _median_time(lambda: spatial.weno5_burgers_rhs(grid, u0), k, 200),
         "weno5_rhs_k10": _median_time(
@@ -311,6 +322,10 @@ def burgers_layers(k):
             lambda: make_general_plan(so54, classic54.tableau.c, vdp_sys, 0.02), k, 200),
         "ifrk_step_vdp": _median_time(lambda: ifrk_step(vdp_plan, vdp_sys, vdp_u0), k, 2000),
         "expm": _median_time(lambda: expm(0.02 * vdp_sys.L), k, 2000),
+        "expm_stack": _median_time(
+            lambda: build_cache(vdp_sys.L, 0.02, vdp_plan.cache.gaps), k, 200),
+        "van_der_pol_errors_5dt": _median_time(
+            lambda: analysis.van_der_pol_errors(vdp, "a", EX1_DTS, vdp_ref), k, 20),
         "ssp_radius": _median_time(lambda: ssp_radius(plus64.tableau), k, 20),
     }
     return out

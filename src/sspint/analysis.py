@@ -3,10 +3,11 @@ convergence-slope estimation, and the van der Pol convergence test.
 
 A "stepper builder" is a callable ``build(sys, dt)`` returning a one-step
 map ``stepper(u, obs)``; the builders here return ``step`` of a plan made
-for (sys, dt), plain Runge-Kutta or integrating-factor.  When ``sys.L`` is
-a ``Circulant``, a builder also steps a batch with a column of step sizes,
-one row per step size, and ``max_tv_rises`` runs lambdas in such batches:
-real-FFT rows when sys is ``spectral``, else physical."""
+for (sys, dt), plain Runge-Kutta or integrating-factor.  A builder also
+steps a batch with a column of step sizes, one row per step size:
+``max_tv_rises`` runs lambdas in such batches when ``sys.L`` is a
+``Circulant`` (real-FFT rows when sys is ``spectral``, else physical),
+and ``van_der_pol_errors`` runs its step sizes so on a dense L."""
 
 from __future__ import annotations
 
@@ -373,15 +374,28 @@ def van_der_pol_reference() -> np.ndarray:
 
 def van_der_pol_errors(rec, splitting: str, dts, uref):
     """(dt, max-norm error) pairs at time T = VAN_DER_POL_T; each dt, which
-    must be positive and finite, is adjusted to T / n, n = max(1, round(T / dt))."""
+    must be positive and finite, is adjusted to T / n, n = max(1, round(T / dt)).
+    The dts step as one batch, one row each, sorted by falling n so that
+    the rows still stepping are a prefix, whose plan is rebuilt at each
+    distinct n; a row's state, read when its n is reached, has the bits of
+    ``integrate`` of its dt alone."""
     sys_, u0 = spatial.make_problem(spatial.VAN_DER_POL, splitting=splitting)
     build = ifrk_general_builder(rec)
-    out = []
+    ns = []
     for dt in dts:
         if not (math.isfinite(dt) and dt > 0):
             raise ValueError(f"dt must be positive and finite, got {dt!r}")
-        n = max(1, round(VAN_DER_POL_T / dt))
-        dta = VAN_DER_POL_T / n
-        u = integrate(build(sys_, dta), u0, n)
-        out.append((dta, float(np.abs(u - uref).max())))
+        ns.append(max(1, round(VAN_DER_POL_T / dt)))
+    order = sorted(range(len(ns)), key=lambda i: -ns[i])
+    dta = np.array([VAN_DER_POL_T / ns[i] for i in order])
+    u, out, done, k = np.tile(u0, (len(ns), 1)), [None] * len(ns), 0, len(ns)
+    while k:
+        n = ns[order[k - 1]]
+        # a lone row steps as a 2-vector, which costs less than a batch of one
+        rows, dt = (slice(k), dta[:k, None]) if k > 1 else (0, dta[0])
+        u[rows] = integrate(build(sys_, dt), u[rows], n - done)
+        while k and ns[order[k - 1]] == n:
+            k -= 1
+            out[order[k]] = (VAN_DER_POL_T / n, float(np.abs(u[k] - uref).max()))
+        done = n
     return out

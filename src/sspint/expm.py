@@ -45,19 +45,20 @@ _THETA13 = 5.371920351148152
 
 
 def expm(M: np.ndarray) -> np.ndarray:
-    """Matrix exponential via Pade-13 scaling and squaring."""
+    """Matrix exponential via Pade-13 scaling and squaring, of a matrix or
+    of each matrix of a stack (..., n, n), each scaled and squared by its
+    own 1-norm, so each slice has the bits of its own call."""
     M = np.asarray(M, dtype=float)
     if not np.isfinite(M).all():
         raise NonFinite("expm input contains NaN or Inf")
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
         raise ValueError("expm requires a square matrix")
-    n = M.shape[0]
-    norm = np.linalg.norm(M, 1)
-    squarings = 0
-    if norm > _THETA13:
-        squarings = int(np.ceil(np.log2(norm / _THETA13)))
-        M = M / (2.0 ** squarings)
-    ident = np.eye(n)
+    norm = np.abs(M).sum(axis=-2).max(axis=-1)
+    squarings = np.zeros(norm.shape, dtype=int)
+    if (norm > _THETA13).any():  # else unscaled, as a matrix in range always was
+        squarings = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
+        M = M / np.ldexp(1.0, squarings)[..., None, None]
+    ident = np.eye(M.shape[-1])
     M2 = M @ M
     M4 = M2 @ M2
     M6 = M4 @ M2
@@ -71,8 +72,8 @@ def expm(M: np.ndarray) -> np.ndarray:
         + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * ident
     )
     F = np.linalg.solve(V - U, V + U)
-    for _ in range(squarings):
-        F = F @ F
+    for k in range(squarings.max(initial=0)):
+        F[squarings > k] = F[squarings > k] @ F[squarings > k]
     return F
 
 
@@ -141,9 +142,10 @@ class Spectral(Circulant):
 
 class ExpCache:
     """Exponentials e^(g * dt * L) for L a ``Circulant`` or a dense array,
-    dt a step size or, for a ``Circulant``, a column of them, keyed by gap
-    g exactly as given: plans quantize their gaps first, and any other
-    lookup, however close to a key, is an ``SspError``."""
+    dt a step size or a column of them, keyed by gap g exactly as given:
+    plans quantize their gaps first, and any other lookup, however close
+    to a key, is an ``SspError``.  A dense L's exponentials are one stacked
+    ``expm``; for a dt column each gap holds a (k, n, n) stack."""
 
     def __init__(self, L, dt: float, gaps):
         self.circulant = isinstance(L, Circulant)
@@ -153,10 +155,12 @@ class ExpCache:
             raise NonFinite("operator contains NaN or Inf")
         dt = np.asarray(dt, dtype=float)
         self.gaps = sorted(set(gaps))
-        self._entries = {
-            g: L.exp(g * dt) if self.circulant else expm(g * dt * L)
-            for g in self.gaps
-        }
+        self._stacked = not self.circulant and dt.ndim > 0
+        if self.circulant:
+            self._entries = {g: L.exp(g * dt) for g in self.gaps}
+        else:
+            tau = np.multiply.outer(self.gaps, dt.reshape(dt.shape[:-1] + (1, 1)))
+            self._entries = dict(zip(self.gaps, expm(tau * L)))
 
     def apply(self, g: float, u: np.ndarray) -> np.ndarray:
         """Apply e^(g * dt * L) to a vector (a batch of rows for a dt column)."""
@@ -165,7 +169,7 @@ class ExpCache:
         except KeyError:
             raise SspError(f"abscissa gap {g!r} was not planned in this cache "
                            f"(planned gaps: {self.gaps})") from None
-        return E @ u
+        return (E @ u[..., None])[..., 0] if self._stacked else E @ u
 
 
 def build_cache(L, dt: float, gaps) -> ExpCache:

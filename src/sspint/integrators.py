@@ -10,10 +10,9 @@ at abscissa 1.  Terms sharing the same exponential gap are grouped before
 the (expensive) exponential is applied.  At gap 0 the exponential is the
 identity: that group's sum is added as it is, and no cache holds gap 0.
 The same loop runs on physical values or, for a ``spectral`` system, on
-real-FFT coefficients.  With a ``Circulant`` L, a plan with a column of
-step sizes advances a batch, one row per step size, in either form;
-``rk_step`` takes such a column too.  The loop evaluates the explicit
-term once per stage that uses it.
+real-FFT coefficients.  With any L, a plan with a column of step sizes
+advances a batch, one row per step size; ``rk_step`` takes such a column
+too.  The loop evaluates the explicit term once per stage that uses it.
 """
 
 from __future__ import annotations
@@ -41,9 +40,9 @@ Stepper = Callable[[np.ndarray, Optional[StageObserver]], np.ndarray]
 class SemiDiscretization:
     """A method-of-lines system u_t = L u + N(u), L a Circulant or an
     ndarray; ``N_linear`` is the explicit term as a Circulant when it is
-    linear, and N is then its matvec.  With a Circulant L, N must act on
-    each row of a (k, n) batch alone, as every built-in problem's does;
-    lambda sweeps step such batches."""
+    linear, and N is then its matvec.  N must act on each row of a (k, n)
+    batch alone, as every built-in problem's does: lambda sweeps (on a
+    Circulant L) and ex1's step sizes step such batches."""
 
     n: int
     L: object
@@ -152,18 +151,20 @@ def step(plan: StepPlan, N: Callable[[np.ndarray], np.ndarray], u: np.ndarray,
     the sum at gap 0 as it is.  N is evaluated once per stage whose
     explicit term the plan uses, when the stage is formed."""
     u = _state(u)
+    apply = plan.cache.apply if plan.cache is not None else None
     stages, slopes = [u], [N(u) if plan.explicit[0] else None]
     for i, groups in enumerate(plan.rows, 1):
         acc = 0.0
         for g, terms in groups:
             w = None
             for j, a, db in terms:
-                term = a * stages[j]
+                term = stages[j] if a == 1.0 else a * stages[j]  # 1.0 * x is x
                 if db is not None:
                     term = term + db * slopes[j]
                 w = term if w is None else w + term
-            acc = acc + (w if g == 0.0 else plan.cache.apply(g, w))
-        _check_finite(acc, f"stage {i}")
+            acc = acc + (w if g == 0.0 else apply(g, w))
+        if not np.isfinite(acc).all():
+            raise NonFinite(f"stage {i} contains NaN or Inf")
         stages.append(acc)
         if obs is not None:
             obs(acc)

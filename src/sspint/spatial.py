@@ -182,21 +182,32 @@ VAN_DER_POL = "VanDerPol"
 
 def van_der_pol_splitting(which: str):
     """The two linear/nonlinear splittings of the van der Pol system
-    u1' = u2, u2' = -u1 + (1 - u1^2) u2."""
+    u1' = u2, u2' = -u1 + (1 - u1^2) u2.  N acts on a 2-vector or on each
+    row of a (k, 2) batch, each row with the bits of its own call."""
     if which == "a":
         L = np.array([[0.0, 1.0], [-1.0, 1.0]])
 
-        def N(u):
-            return np.array([0.0, -u[0] ** 2 * u[1]])
+        def f(sq, y):
+            return -sq * y
 
     elif which == "b":
         L = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
-        def N(u):
-            return np.array([0.0, (1.0 - u[0] ** 2) * u[1]])
+        def f(sq, y):
+            return (1.0 - sq) * y
 
     else:
         raise ValueError(f"unknown splitting {which!r}; use 'a' or 'b'")
+
+    def N(u):
+        if u.ndim == 1:
+            return np.array([0.0, f(u[0] ** 2, u[1])])
+        # x ** 2 of each NumPy scalar is libm pow, as a 2-vector's u[0] ** 2
+        # (and ex1's bits); NumPy's array power squares instead
+        out = np.zeros(u.shape)
+        out[:, 1] = f(np.array([x ** 2 for x in u[:, 0]]), u[:, 1])
+        return out
+
     return L, N
 
 

@@ -879,6 +879,46 @@ def test_van_der_pol_reference_is_pinned():
     assert cli.van_der_pol_errors is analysis.van_der_pol_errors
 
 
+def _per_dt_errors(rec, splitting, dts, uref):
+    """The reference loop of ``van_der_pol_errors``: each dt integrated on
+    its own, as a 2-vector."""
+    sys_, u0 = make_problem(spatial.VAN_DER_POL, splitting=splitting)
+    out = []
+    for dt in dts:
+        n = max(1, round(analysis.VAN_DER_POL_T / dt))
+        dta = analysis.VAN_DER_POL_T / n
+        u = integrators.integrate(ifrk_general_builder(rec)(sys_, dta), u0, n)
+        out.append((dta, float(np.abs(u - uref).max())))
+    return out
+
+
+@pytest.mark.parametrize("splitting", ["a", "b"])
+@pytest.mark.parametrize("name", methods.method_names())
+def test_batched_van_der_pol_errors_equal_the_per_dt_loop(name, splitting):
+    # ex1's default dts, the same unsorted, and 0.04 and 0.041, which both
+    # take 12 steps; uref = 0 reads max(|x|, |y|) of the state itself, and
+    # the dts may come as an iterator, read once
+    rec = methods.get(name)
+    for dts in ([0.02, 0.04, 0.06, 0.08, 0.10], [0.06, 0.1, 0.02, 0.08, 0.04],
+                [0.041, 0.1, 0.04]):
+        for uref in (np.array(analysis.VAN_DER_POL_REFERENCE), np.zeros(2)):
+            got = analysis.van_der_pol_errors(rec, splitting, iter(dts), uref)
+            assert got == _per_dt_errors(rec, splitting, dts, uref)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.3, 0.0, np.inf])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_van_der_pol_errors_check_every_dt_before_any_step(bad, where, monkeypatch):
+    def no_step(*args):
+        raise AssertionError("a step ran before every dt was checked")
+
+    monkeypatch.setattr(analysis, "integrate", no_step)
+    dts = [0.02, 0.04]
+    dts.insert(where, bad)
+    with pytest.raises(ValueError, match="positive and finite"):
+        analysis.van_der_pol_errors(methods.get("eSSPRK+(3,3)"), "a", dts, np.zeros(2))
+
+
 def test_van_der_pol_errors_share_the_reference_step_rule():
     # a dt above 2T once took round(T / dt) = 0 steps (ZeroDivisionError),
     # NaN failed to convert to a step count and a negative dt reached the plan

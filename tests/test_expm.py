@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sspint.errors import NonFinite, SspError
 from sspint.expm import (
@@ -55,6 +56,31 @@ def test_expm_identity_and_errors():
         expm(np.array([[np.nan, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         expm(np.zeros((2, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(1, 6), n=st.integers(1, 4))
+def test_a_stack_of_exponentials_has_the_bits_of_each_matrix_alone(data, k, n):
+    # entries in [-1, 1] times a scale in [0, 25]: 1-norms from 0 to 100,
+    # so one stack mixes matrices with no squaring and with several
+    M = data.draw(hnp.arrays(float, (k, n, n), elements=st.floats(-1.0, 1.0)))
+    M = M * data.draw(hnp.arrays(float, (k, 1, 1), elements=st.floats(0.0, 25.0)))
+    E = expm(M)
+    assert E.shape == M.shape
+    for m, e in zip(M, E):
+        assert expm(m).tobytes() == e.tobytes()
+    index = data.draw(st.tuples(*(st.integers(0, d - 1) for d in M.shape)))
+    M[index] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    with pytest.raises(NonFinite):
+        expm(M)
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(
+    lambda s: len(s) == 1 or s[-1] != s[-2]))
+def test_expm_rejects_a_vector_and_non_square_trailing_dimensions(shape):
+    with pytest.raises(ValueError, match="^expm requires a square matrix$"):
+        expm(np.zeros(shape))
 
 
 def test_quantize_gap_collapses_nearby_values():

@@ -22,7 +22,12 @@ from sspint.integrators import (
 )
 from sspint.methods import FAMILY_PLUS, MethodRecord
 from sspint.optimizer import OptimizationSpec, optimize, verify_certificate
-from sspint.spatial import ADVECTION_BURGERS_STEP, LINEAR_ADVECTION_STEP, make_problem
+from sspint.spatial import (
+    ADVECTION_BURGERS_STEP,
+    LINEAR_ADVECTION_STEP,
+    VAN_DER_POL,
+    make_problem,
+)
 from sspint.ssp_radius import ssp_radius
 from sspint.tableau import ButcherTableau
 
@@ -247,6 +252,34 @@ def test_ifrk_general_agrees_with_cached_path():
     a = ifrk_step(plan, sys_, u0)
     b = ifrk_step(make_general_plan(rec.shu_osher, rec.tableau.c, sys_, dt), sys_, u0)
     assert np.allclose(a, b, atol=1e-11)
+
+
+def _dense_system(problem):
+    if problem == "van der Pol":
+        return make_problem(VAN_DER_POL, splitting="a")
+    L = np.array([[0.0, 1.0], [-1.0, 1.0]])
+    sys_ = SemiDiscretization(n=2, L=L, N=lambda u: 0.1 * u, dx=float("nan"))
+    return sys_, np.array([2.0, 0.0])
+
+
+@pytest.mark.parametrize("problem", ["linear", "van der Pol"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_dense_plan_steps_each_row_of_a_step_size_column_as_its_own_step(problem, k):
+    # a dense cache once formed expm(g * dt * L) with dt of shape (k, 1): at
+    # k = 2 that broadcast into one 2x2 matrix whose rows carried different
+    # step sizes (rows (2.0441, 0.0) and (2.0073, 0.0) here on the linear
+    # system, against (2.0036, -0.0405) and (2.0064, -0.0819)), at k = 1 and
+    # k >= 3 NumPy refused the shapes
+    rec = methods.get("eSSPRK+(3,3)")
+    so, c = shu_osher_form(rec), rec.tableau.c
+    sys_, u0 = _dense_system(problem)
+    dts = np.array([0.02, 0.04, 0.03])[:k]
+    rows = u0 + np.array([[0.0, 0.0], [0.0, 0.0], [-0.5, 0.3]])[:k]
+    batch = ifrk_step(make_general_plan(so, c, sys_, dts[:, None]), sys_, rows)
+    assert batch.shape == rows.shape
+    for row, dt, got in zip(rows, dts, batch):
+        one = ifrk_step(make_general_plan(so, c, sys_, dt), sys_, row)
+        assert one.tobytes() == got.tobytes()
 
 
 def test_ifrk_ssp_guarantee_under_predicted_step():

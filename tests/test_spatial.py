@@ -134,6 +134,23 @@ def test_van_der_pol_splittings_sum_to_full_rhs():
         van_der_pol_splitting("c")
 
 
+@pytest.mark.parametrize("which", ["a", "b"])
+def test_van_der_pol_N_gives_each_row_of_a_batch_the_bits_of_its_own_call(which):
+    # NumPy's array power squares, x * x, where a NumPy scalar's power is libm
+    # pow; at this x the two differ in the last bit, and ex1's bits are pow's
+    x = float.fromhex("0x1.cf44069e4c810p+0")
+    assert x * x != x ** 2
+    _, N = van_der_pol_splitting(which)
+    rows = np.array([[x, 1.0], [2.0, 0.0], [x, -0.7], [-1.3, 0.25]])
+    for k in (1, 4):
+        batch = N(rows[:k])
+        assert batch.shape == (k, 2)
+        for row, got in zip(rows, batch):
+            assert N(row).tobytes() == got.tobytes()
+    want = -(x ** 2) if which == "a" else 1.0 - x ** 2
+    assert N(rows[0]).tolist() == [0.0, want]
+
+
 def test_van_der_pol_problem():
     sys_, u0 = make_problem(VAN_DER_POL, splitting="b")
     assert np.array_equal(u0, [2.0, 0.0])
