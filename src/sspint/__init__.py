@@ -13,18 +13,18 @@ from .errors import (
 )
 from .tableau import (
     ButcherTableau,
+    CanonicalShuOsher,
     OrderReport,
     ShuOsherForm,
     abscissas_nondecreasing,
     butcher_to_canonical_shu_osher,
+    canonical_form,
     order_residuals,
     parse_coefficient,
     shu_osher_to_butcher,
 )
 from .ssp_radius import (
-    CanonicalShuOsher,
     RadiusResult,
-    canonical_form,
     is_absolutely_monotonic,
     observed_l2_cfl,
     ssp_radius,

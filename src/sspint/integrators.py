@@ -86,6 +86,8 @@ def _step_plan(so: ShuOsherForm, c, dt, L=None, tol: float = 0.0) -> StepPlan:
     the nonzero gaps the rows use as its keys.  dt is a step size or a
     column of them, each nonnegative and finite."""
     dt = np.asarray(dt, dtype=float)
+    if dt.ndim and (dt.ndim != 2 or dt.shape[1] != 1):
+        raise ValueError(f"dt must be a step size or a (k, 1) column, got shape {dt.shape}")
     ok = np.isfinite(dt) & (dt >= 0)
     if not ok.all():
         raise ValueError(f"dt must be nonnegative and finite, got {dt[~ok].tolist()}")

@@ -23,6 +23,7 @@ from .ssp_radius import is_absolutely_monotonic, ssp_radius
 from .tableau import (
     ButcherTableau,
     ShuOsherForm,
+    _from_entries,
     abscissas_nondecreasing,
     butcher_to_canonical_shu_osher,
     order_residuals,
@@ -113,10 +114,7 @@ def _canonical_record(name, r, v, P, citation):
     """A fourth-order plus-family record with C = r, entered as its
     canonical Shu-Osher data at r: v = (I + rS)^(-1) e and the nonzero
     entries {(i, j): P_ij} of P = r (I + rS)^(-1) S."""
-    Pm = np.zeros((len(v), len(v)))
-    for ij, x in P.items():
-        Pm[ij] = x
-    so = ShuOsherForm.canonical(np.array(v), Pm, r)
+    so = ShuOsherForm.canonical(np.array(v), _from_entries(len(v), P), r)
     t = shu_osher_to_butcher(so, name=name, order=4)
     return MethodRecord(tableau=t, shu_osher=so, claimed_C=r, family=FAMILY_PLUS,
                         citation=citation)

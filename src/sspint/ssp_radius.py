@@ -10,9 +10,9 @@ from functools import partial
 
 import numpy as np
 
-from .errors import NonFinite, SingularTransform
+from .errors import NonFinite
 from .expm import Circulant, circulant_view
-from .tableau import ButcherTableau
+from .tableau import ButcherTableau, CanonicalShuOsher, _inverse, canonical_form  # re-exported
 
 #: componentwise nonnegativity tolerance; absorbs the representation error
 #: of printed decimal coefficients without admitting infeasible r.
@@ -20,48 +20,14 @@ NONNEG_TOL = 1e-12
 #: bisection width of ``ssp_radius``, and so the grid ``exceeds`` probes on.
 RADIUS_WIDTH = 1e-10
 
-#: condition-number estimate beyond which (I + rS) is treated as singular.
-_COND_LIMIT = 1e14
-
 #: elements per temporary of the circulant L2 probe (2 MB of float64).
 _BLOCK = 2 ** 18
-
-
-@dataclass(frozen=True)
-class CanonicalShuOsher:
-    """Canonical transform data at parameter r."""
-
-    r: float
-    v: np.ndarray   # (I + rS)^(-1) e
-    P: np.ndarray   # r (I + rS)^(-1) S
-    S: np.ndarray   # stacked stage matrix [[A, 0], [b^T, 0]]
 
 
 @dataclass(frozen=True)
 class RadiusResult:
     radius: float
     bisection_width: float
-
-
-def _inverse(t: ButcherTableau, r: float) -> np.ndarray:
-    """The inverse R of M = I + rS, guarded as np.linalg.cond(M, 1) =
-    ||M||_1 ||R||_1 is, ||X||_1 the largest column sum of |X|: a failed or
-    NaN inverse counts as singular unless M itself holds NaN."""
-    M = np.eye(t.stages + 1) + r * t.stacked
-    try:
-        R = np.linalg.inv(M)
-    except np.linalg.LinAlgError:  # an exactly zero pivot in LAPACK's LU
-        R = np.full_like(M, np.nan)
-    cond = np.abs(M).sum(axis=0).max() * np.abs(R).sum(axis=0).max()
-    if cond > _COND_LIMIT or (np.isnan(cond) and not np.isnan(M).any()):
-        raise SingularTransform(f"(I + rS) is numerically singular at r = {r}")
-    return R
-
-
-def canonical_form(t: ButcherTableau, r: float) -> CanonicalShuOsher:
-    """v = (I + rS)^(-1) e and P = r (I + rS)^(-1) S from one guarded inverse."""
-    S, R = t.stacked, _inverse(t, r)
-    return CanonicalShuOsher(r=r, v=R @ np.ones(S.shape[0]), P=r * (R @ S), S=S)
 
 
 def is_absolutely_monotonic(t: ButcherTableau, r: float) -> bool:

@@ -22,8 +22,13 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import SingularTransform
+
 _ROW_SUM_TOL = 1e-13
 _C_TOL = 1e-13
+
+#: condition-number estimate beyond which (I + rS) is treated as singular.
+_COND_LIMIT = 1e14
 
 #: abscissas count as non-decreasing when no gap an integrating-factor
 #: step applies falls below -ABSCISSA_TOL: the optimizer meets diff(c) >= 0
@@ -42,6 +47,27 @@ def parse_coefficient(value):
     return float(value)
 
 
+def _read_only_copies(obj, names: tuple) -> tuple:
+    """Set each named field of a frozen dataclass to a read-only float copy,
+    leaving the caller's arrays writeable; a ValueError unless all are finite."""
+    copies = tuple(np.array(getattr(obj, name), dtype=float) for name in names)
+    for name, x in zip(names, copies):
+        x.setflags(write=False)
+        object.__setattr__(obj, name, x)
+    if not all(np.isfinite(x).all() for x in copies):
+        raise ValueError(f"{', '.join(names[:-1])} and {names[-1]} must be finite")
+    return copies
+
+
+def _from_entries(m: int, entries: dict) -> np.ndarray:
+    """The m x m array of a sparse ``{(i, j): value}`` map; values may be
+    rational strings."""
+    x = np.zeros((m, m))
+    for ij, val in entries.items():
+        x[ij] = parse_coefficient(val)
+    return x
+
+
 @dataclass(frozen=True)
 class ButcherTableau:
     """Butcher form of an explicit Runge-Kutta method."""
@@ -53,27 +79,16 @@ class ButcherTableau:
     order: int = 1
 
     def __post_init__(self):
-        # copies, so freezing them below leaves the caller's arrays writeable
-        A = np.array(self.A, dtype=float)
-        b = np.array(self.b, dtype=float)
-        c = np.array(self.c, dtype=float)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        if not all(np.isfinite(x).all() for x in (A, b, c)):
-            raise ValueError("A, b and c must be finite")
+        A, b, c = _read_only_copies(self, ("A", "b", "c"))
         s = len(b)
         if A.shape != (s, s):
             raise ValueError(f"A must be {s}x{s}, got {A.shape}")
-        if np.any(np.abs(A[np.triu_indices(s)]) > 0):
+        if np.triu(A).any():
             raise ValueError("A must be strictly lower triangular (explicit method)")
         if abs(b.sum() - 1.0) > _ROW_SUM_TOL:
             raise ValueError(f"sum(b) = {b.sum()} != 1")
         if np.max(np.abs(A.sum(axis=1) - c)) > _C_TOL:
             raise ValueError("c must equal the row sums of A")
-        A.setflags(write=False)
-        b.setflags(write=False)
-        c.setflags(write=False)
 
     @property
     def stages(self) -> int:
@@ -125,25 +140,14 @@ class ShuOsherForm:
     beta: np.ndarray
 
     def __post_init__(self):
-        # copies, so freezing them below leaves the caller's arrays writeable
-        alpha = np.array(self.alpha, dtype=float)
-        beta = np.array(self.beta, dtype=float)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
-            raise ValueError("alpha and beta must be finite")
+        alpha, beta = _read_only_copies(self, ("alpha", "beta"))
         if alpha.shape != beta.shape or alpha.shape[0] != alpha.shape[1]:
             raise ValueError("alpha and beta must be square and of equal shape")
-        m = alpha.shape[0]
-        if np.any(np.abs(alpha[np.triu_indices(m)]) > 0) or np.any(
-            np.abs(beta[np.triu_indices(m)]) > 0
-        ):
+        if np.triu(alpha).any() or np.triu(beta).any():
             raise ValueError("alpha and beta must be strictly lower triangular")
         rows = alpha[1:].sum(axis=1)
         if np.max(np.abs(rows - 1.0)) > 1e-12:
             raise ValueError("each alpha row must sum to 1 (consistency)")
-        alpha.setflags(write=False)
-        beta.setflags(write=False)
 
     @property
     def stages(self) -> int:
@@ -178,13 +182,8 @@ class ShuOsherForm:
     def from_entries(cls, stages: int, alpha_entries: dict, beta_entries: dict):
         """Build from sparse ``{(i, j): value}`` maps; values may be
         rational strings."""
-        alpha = np.zeros((stages + 1, stages + 1))
-        beta = np.zeros((stages + 1, stages + 1))
-        for (i, j), val in alpha_entries.items():
-            alpha[i, j] = parse_coefficient(val)
-        for (i, j), val in beta_entries.items():
-            beta[i, j] = parse_coefficient(val)
-        return cls(alpha=alpha, beta=beta)
+        return cls(alpha=_from_entries(stages + 1, alpha_entries),
+                   beta=_from_entries(stages + 1, beta_entries))
 
     @classmethod
     def canonical(cls, v, P, r: float) -> "ShuOsherForm":
@@ -193,6 +192,36 @@ class ShuOsherForm:
         alpha = np.tril(P, -1)
         alpha[1:, 0] += v[1:]
         return cls(alpha=alpha, beta=np.tril(P / r, -1))
+
+
+@dataclass(frozen=True)
+class CanonicalShuOsher:
+    """Canonical transform data at a parameter r."""
+
+    v: np.ndarray   # (I + rS)^(-1) e
+    P: np.ndarray   # r (I + rS)^(-1) S
+    S: np.ndarray   # stacked stage matrix [[A, 0], [b^T, 0]]
+
+
+def _inverse(t: ButcherTableau, r: float) -> np.ndarray:
+    """The inverse R of M = I + rS, guarded as np.linalg.cond(M, 1) =
+    ||M||_1 ||R||_1 is, ||X||_1 the largest column sum of |X|: a failed or
+    NaN inverse counts as singular unless M itself holds NaN."""
+    M = np.eye(t.stages + 1) + r * t.stacked
+    try:
+        R = np.linalg.inv(M)
+    except np.linalg.LinAlgError:  # an exactly zero pivot in LAPACK's LU
+        R = np.full_like(M, np.nan)
+    cond = np.abs(M).sum(axis=0).max() * np.abs(R).sum(axis=0).max()
+    if cond > _COND_LIMIT or (np.isnan(cond) and not np.isnan(M).any()):
+        raise SingularTransform(f"(I + rS) is numerically singular at r = {r}")
+    return R
+
+
+def canonical_form(t: ButcherTableau, r: float) -> CanonicalShuOsher:
+    """v = (I + rS)^(-1) e and P = r (I + rS)^(-1) S from one guarded inverse."""
+    S, R = t.stacked, _inverse(t, r)
+    return CanonicalShuOsher(v=R @ np.ones(S.shape[0]), P=r * (R @ S), S=S)
 
 
 @dataclass(frozen=True)
@@ -283,8 +312,6 @@ def butcher_to_canonical_shu_osher(t: ButcherTableau, r: float) -> ShuOsherForm:
     vanishes, v below the diagonal of alpha's column 0 and beta the
     strictly lower part of S = [[A, 0], [b^T, 0]].  For r up to the SSP
     radius the pair is nonnegative."""
-    from .ssp_radius import canonical_form  # local import to avoid a cycle
-
     can = canonical_form(t, r)
     if r:
         return ShuOsherForm.canonical(can.v, can.P, r)

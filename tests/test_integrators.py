@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,25 @@ def test_every_plan_rejects_a_negative_step():
         for build in (ifrk_builder(plus), rk_builder(classic)):
             with pytest.raises(ValueError, match="dt must be nonnegative and finite"):
                 max_tv_rise(build, sys_, u0, bad, 3)
+
+
+def test_every_plan_rejects_a_step_size_that_is_not_a_column():
+    # a (64,) dt once stepped each grid point of a (64,) state with its own
+    # step size, with no error; a (2,) dt on a dense L and a (1, 2) row on
+    # a circulant failed inside NumPy's reshape and broadcast
+    adv, u0 = make_problem(LINEAR_ADVECTION_STEP, a=1.0, n=64)
+    vdp, v0 = make_problem(VAN_DER_POL, splitting="a")
+    plus, classic = methods.get("eSSPRK+(3,3)"), methods.get("eSSPRK(3,3)")
+    so, c = shu_osher_form(classic), classic.tableau.c
+    for sys_, u, dt in ((adv, u0, np.linspace(0.001, 0.01, 64)),
+                        (vdp, v0, np.array([0.1, 0.2])),
+                        (adv, u0, np.array([[0.01, 0.02]]))):
+        for call in (lambda: make_plan(plus, sys_, dt),
+                     lambda: make_general_plan(so, c, sys_, dt),
+                     lambda: rk_plan(classic, dt),
+                     lambda: rk_step(classic, sys_.N, u, dt)):
+            with pytest.raises(ValueError, match=re.escape(f"got shape {dt.shape}")):
+                call()
 
 
 def test_rk_plan_is_one_group_at_gap_zero_without_a_cache():

@@ -1,11 +1,16 @@
+import ast
+import graphlib
+import hashlib
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sspint
 from sspint import methods
 from sspint.ssp_radius import canonical_form, ssp_radius
 from sspint.tableau import (
@@ -219,6 +224,84 @@ def test_canonical_form_matches_entrywise_reference_bitwise(name):
         alpha, beta = _canonical_by_entries(t, r)
         assert so.alpha.tobytes() == alpha.tobytes(), (name, r)
         assert so.beta.tobytes() == beta.tobytes(), (name, r)
+
+
+#: per record, the SHA-256 of the v and P bytes of canonical_form at
+#: r = claimed_C / 2 and r = claimed_C, as computed when the canonical
+#: transform lived in ssp_radius
+_CANONICAL_DIGESTS = {
+    "eSSPRK(10,4)": ("88384af18e5497bd415ad4ad8e31bc39b97ff690c21f9e3a167f45ecf09daf40",
+                      "65e276487748f60ca3785f308f54528aff718b0974fbe396f92cbd4ac5f47989"),
+    "eSSPRK(2,2)": ("9c900976e714e769efdb33f3002fcc95f06b80dab4b3d3418b09f8dfed0144da",
+                     "febe2f6b3b1707d09d56c538aa9880db89e86546c4d93d672b8cccd049149d06"),
+    "eSSPRK(3,3)": ("48e51ca50567c374a4625985da9c35291bc1b41b16bc705221d783988f143735",
+                     "dfb86d190ab4f8c0b16407ed59a145e5c3737eb9afa97d0900b1c19f031e6b6f"),
+    "eSSPRK(4,3)": ("f0f93b0e748399ea56dec1128d43a605861d27cafec29faf9c03cea3cacf388a",
+                     "bb2f4ddbf6047ad46f8ea6f8c42b8a84e55fb22fe802e41d99b5834305fd016e"),
+    "eSSPRK(5,4)": ("c1c448b7b2800769896fb259d2182045ecdcb4a96cf30aca159f9e7c946b8b81",
+                     "06a8dec35f1db852168f3aaa0f959cfee6f634f488b06f0d9a24fdf73469d15a"),
+    "eSSPRK+(10,2)": ("5248cd533157027060f52d81b16d7f99500e7ca5f28ce6224c3719af38d91e2f",
+                       "fa9a1a59e6fd479e4c2d9fad2479a4e9d50773d5e49490a8533af751cf6b3ca9"),
+    "eSSPRK+(2,2)": ("9c900976e714e769efdb33f3002fcc95f06b80dab4b3d3418b09f8dfed0144da",
+                      "febe2f6b3b1707d09d56c538aa9880db89e86546c4d93d672b8cccd049149d06"),
+    "eSSPRK+(3,2)": ("7f5fbc93c1f05272d9d09f2abe6a60e6f5291f64b2e4ffd5cd0ac11cb810bfc9",
+                      "58390bd121bdcfb0b75c65552218c00583956a05def21154b24e0c53240fe500"),
+    "eSSPRK+(3,3)": ("47ce1009f7038c594b7217a89949288ade4d59a7d8b4403829134ae6fa77b06a",
+                      "24cac6ddd73384254132c9f4f2ec3afe218e25a633f085520c37ef285e66f6f7"),
+    "eSSPRK+(4,2)": ("591059fbe2b0b778f68f0445f3634888d68f7e5d8d6efa350b7addb8f7011c33",
+                      "17c4f210168853af297571a3515b2a00bf17d70c25b5ef3724053d79f1a1f31a"),
+    "eSSPRK+(4,3)": ("26e61ccd11cfa843f4311401781b5c751c68e6c7ec64ac10199c0be2244c493f",
+                      "83575dcb6ce2f9f03a08bd265f749155f8da07dfb313f81e7213c9b8ed2238fe"),
+    "eSSPRK+(5,2)": ("8097744b391131c8224ecc188af78cf621013d166c13e5a45467e1cbc9f1b945",
+                      "51ac3284db67ab0bf5cbd42dace6baa6008e1362eecf6cfbde084c85de129684"),
+    "eSSPRK+(5,4)": ("1176d0ccfc0906d7486b8e9acae1801d8cea01e309d18673fe1c056c923aa2c2",
+                      "fea1275205bc2e5a8a062b69532155f464149667d1ad6ea0f192aab8cc0bf1f8"),
+    "eSSPRK+(6,2)": ("75325e9ee5df75bf56d482faf33ad0221a73bb75d8f28e38a9516c2d44146441",
+                      "6331f0edfdf10297f2777090d7af51982a644a39b555959f48970db46556c7c7"),
+    "eSSPRK+(6,4)": ("8ca9c99eb52615d938acc5463572b63952a5b95f97c2ff444bac0896f0d3f79a",
+                      "65b8011c028f96fc9062a923638e0b4c0723bd3d597df8b70cd0267ec425a3a9"),
+    "eSSPRK+(7,2)": ("4cc092bed2de3ebc740707347ed76075e2d4dd830883d55139aa153911663da9",
+                      "14ba079dc7f57d50b0cd5b09642bcbc789e2073ca0c533e85d0f0914c5d7104d"),
+    "eSSPRK+(8,2)": ("530b1b5e00867a5c2ca6c8a4997b6ae04202684fa1a17d21419ae36f35c3933f",
+                      "62bb5c0ffff1523e0ef162568ba835ee921f2a12f2d00c706db2c02cec848f89"),
+    "eSSPRK+(9,2)": ("709e128e7099713cf8d9060474a70da667aafbde8ae928dc704521527bb5db08",
+                      "428e75feda26872fe0ec9a5993c904a6bbadf0be6100275f54bc74e64d00d420"),
+    "eSSPRK+(9,3)": ("03f4aca51c0fe505f81a5636d9fe73363b71d1aa513e9c52389360a7f05f8024",
+                      "f49ae9913cb84607a9a8d4f002a9b9b41abb011ff23beaa674326d57d9bc13c5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CANONICAL_DIGESTS))
+def test_canonical_form_keeps_its_bits(name):
+    rec = methods.get(name)
+    got = []
+    for r in (rec.claimed_C / 2, rec.claimed_C):
+        can = canonical_form(rec.tableau, r)
+        got.append(hashlib.sha256(can.v.tobytes() + can.P.tobytes()).hexdigest())
+    assert tuple(got) == _CANONICAL_DIGESTS[name]
+
+
+def test_the_package_imports_form_no_cycle():
+    # every import within sspint, at module level or inside a function, is
+    # an edge; `from . import X` names module X, or the package for a name
+    # such as __version__
+    src = Path(sspint.__file__).parent
+    modules = {p.stem for p in src.glob("*.py")}
+    graph = {}
+    for module in modules:
+        deps = graph[module] = set()
+        for node in ast.walk(ast.parse((src / f"{module}.py").read_text())):
+            if isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ["sspint" if node.level else "", node.module]))
+                names = [base] if base != "sspint" else [f"sspint.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            deps.update(x if x in modules else "__init__"
+                        for x in (n.split(".")[1] for n in names if n.startswith("sspint.")))
+    assert "tableau" in graph["ssp_radius"] and "__init__" in graph["cli"]
+    list(graphlib.TopologicalSorter(graph).static_order())  # a CycleError otherwise
 
 
 def test_canonical_round_trip_r_zero():
