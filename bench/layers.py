@@ -54,6 +54,11 @@ unless stated):
 - ``ifrk_step_spectral_k50``: one ``ifrk_step`` of the 50-lambda pre-scan
   batch on real-FFT coefficients (the stage loop a spectral build runs
   once, for its stage gains).
+- ``rises_dense_k6``: ``max_tv_rises`` of eSSPRK+(5,4) at 6 lambdas
+  over [0.5, 3], 5 steps, on the n = 64, a = 10 linear-advection step
+  with L and N as dense ``upwind_matrix`` arrays, N applied to each row
+  (``u @ N.T``): the Pade-13 scan of a non-circulant L, one batch of 6
+  rows where sspint batches it, one lambda at a time where not.
 - ``l2cfl_dense`` / ``l2cfl_circulant``: ``observed_l2_cfl`` of
   eSSPRK(3,3) (wavespeed 11 at unit spacing, lambda <= 0.2, 500 steps,
   seed 0) on the dense matrix and on the circulant operator.
@@ -117,6 +122,7 @@ unless stated):
 
 import argparse
 import contextlib
+import dataclasses
 import glob
 import importlib
 import io
@@ -240,6 +246,15 @@ def layers(quick, src):
         lambda: observed_l2_cfl(t33, dense, 0.2, 500, seed=0), k)
     out["l2cfl_circulant"] = _median_time(
         lambda: observed_l2_cfl(t33, circ, 0.2, 500, seed=0), k)
+
+    small, small_u0 = spatial.make_problem(spatial.LINEAR_ADVECTION_STEP, a=A, n=64)
+    grid64 = spatial.Grid1D(64)
+    N64 = spatial.upwind_matrix(grid64, 1.0)
+    dense64 = dataclasses.replace(small, L=spatial.upwind_matrix(grid64, A),
+                                  N=lambda u: u @ N64.T, N_linear=None)
+    out["rises_dense_k6"] = _median_time(
+        lambda: analysis.max_tv_rises(build, dense64, small_u0, np.linspace(0.5, 3.0, 6), 5),
+        k)
 
     for s, p, restarts in OPTIMIZER_CASES:
         spec = OptimizationSpec(s, p, require_nondecreasing=True, restarts=restarts,

@@ -4,10 +4,10 @@ convergence-slope estimation, and the van der Pol convergence test.
 A "stepper builder" is a callable ``build(sys, dt)`` returning a one-step
 map ``stepper(u, obs)``; the builders here return ``step`` of a plan made
 for (sys, dt), plain Runge-Kutta or integrating-factor.  A builder also
-steps a batch with a column of step sizes, one row per step size:
-``max_tv_rises`` runs lambdas in such batches when ``sys.L`` is a
-``Circulant`` (real-FFT rows when sys is ``spectral``, else physical),
-and ``van_der_pol_errors`` runs its step sizes so on a dense L."""
+steps a batch with a column of step sizes, one row per step size, on any
+L: ``max_tv_rises`` runs lambdas in such batches (a dense L's chunk of k
+lambdas holds k n^2 exponential entries per gap), and
+``van_der_pol_errors`` runs its step sizes so."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import methods, spatial
 from .errors import NonFinite
-from .expm import Circulant, Spectral
+from .expm import Spectral, apply
 from .integrators import (
     SemiDiscretization,
     Stepper,
@@ -81,7 +81,7 @@ def rk_builder(method: MethodRecord) -> StepperBuilder:
     """Stepper builder applying the method as a plain Runge-Kutta scheme
     to the combined right-hand side L u + N(u)."""
     so = shu_osher_form(method)
-    return lambda sys, dt: partial(step, rk_plan(so, dt), lambda u: sys.L @ u + sys.N(u))
+    return lambda sys, dt: partial(step, rk_plan(so, dt), lambda u: apply(sys.L, u) + sys.N(u))
 
 
 def total_variation(u: np.ndarray):
@@ -196,28 +196,22 @@ def max_tv_rise(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
 def _rise_chunks(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
                  lams: np.ndarray, n_steps: int, threshold: Optional[float] = None):
     """(start, rises) for consecutive chunks of lams, lazily; the one place
-    that decides how lambdas run, by the form of sys.L.  A ``Spectral`` L
-    steps a chunk of real-FFT rows by stage gains, any other ``Circulant``
-    a chunk of physical rows, each of at most BATCH_ELEMENTS elements;
-    otherwise a chunk is one lambda on physical values.  A chunk that
-    turns non-finite is re-run one lambda at a time, each yielded as it
-    ends.  Given a threshold, as a search gives it, a chunk whose first
-    lambda crosses ends with that step (``_stage_tvs``); the rises of
-    every other chunk are exact."""
-    batched = isinstance(sys.L, Circulant)
-    size = max(1, BATCH_ELEMENTS // sys.n) if batched else 1
+    that decides how lambdas run.  A chunk of at most BATCH_ELEMENTS
+    elements steps one C-order row per lambda by a column of step sizes,
+    on any L: real-FFT rows by stage gains for a ``Spectral`` L, else
+    physical rows.  A chunk that turns non-finite is re-run one lambda at
+    a time, each yielded as it ends.  Given a threshold, as a search gives
+    it, a chunk whose first lambda crosses ends with that step
+    (``_stage_tvs``); the rises of every other chunk are exact."""
+    size = max(1, BATCH_ELEMENTS // sys.n)
     row = np.fft.rfft(u0) if isinstance(sys.L, Spectral) else u0
     for start in range(0, len(lams), size):
         part = lams[start:start + size]
         with np.errstate(over="ignore", invalid="ignore"):  # a blow-up reads inf
-            if batched:  # one C-order row per lambda, so every stage is in C order too
-                stepper = build(sys, part[:, None] * sys.dx)
-                u = np.tile(row, (len(part), 1))
-            else:
-                stepper, u = build(sys, part[0] * sys.dx), u0
+            stepper, u = build(sys, part[:, None] * sys.dx), np.tile(row, (len(part), 1))
             try:  # a non-finite operator raised above, in the plan: not a rise
                 tvs = _stage_tvs(stepper, u, n_steps, sys.n, threshold)
-                rises = np.diff(tvs.reshape(len(tvs), -1), axis=0).max(axis=0, initial=0.0)
+                rises = np.diff(tvs, axis=0).max(axis=0, initial=0.0)
             except NonFinite:
                 rises = np.inf if len(part) == 1 else None
         if rises is None:
@@ -232,8 +226,7 @@ def max_tv_rises(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
                  lams: Sequence[float], n_steps: int) -> np.ndarray:
     """``max_tv_rise`` at every lambda, in the form ``_rise_chunks`` takes
     from sys."""
-    lams = np.asarray(lams, dtype=float)
-    chunks = _rise_chunks(build, sys, u0, lams, n_steps)
+    chunks = _rise_chunks(build, sys, u0, np.asarray(lams, dtype=float), n_steps)
     return np.concatenate([np.empty(0)] + [rises for _, rises in chunks])
 
 

@@ -8,9 +8,9 @@ applies to real values by real FFT and its exponentials stay circulant.
 ``Spectral`` is the same operator on real-FFT coefficients, where it multiplies.
 ``ExpCache`` precomputes one exponential per abscissa gap an
 integrating-factor plan applies, so a constant-step run pays for each
-exponential exactly once; a column of step sizes gives one exponential
-per row, for a batch of step sizes at once.  The plan
-(``sspint.integrators``) decides the gaps (sign and quantum).
+exponential exactly once; a column of step sizes gives one per row.
+``apply`` is the one rule for an operator acting on a state or on each row
+of a batch.  The plan (``sspint.integrators``) decides the gaps (sign and quantum).
 """
 
 from __future__ import annotations
@@ -82,18 +82,13 @@ def quantize_gap(g: float) -> float:
     return round(g / GAP_QUANTUM) * GAP_QUANTUM
 
 
-def circulant_view(col) -> np.ndarray:
-    """The circulant matrix of col as a read-only view: row i of the
-    Hankel view H[i, j] = d[i + j] of d = col reversed, twice, is row
-    n - 1 - i of the circulant."""
+def circulant_matrix(col) -> np.ndarray:
+    """The dense circulant matrix whose column j is col rolled down by j:
+    row i of the Hankel view H[i, j] = d[i + j] of d = col reversed,
+    twice, is row n - 1 - i of the circulant."""
     d = np.tile(np.asarray(col, dtype=float)[::-1], 2)
     n = len(col)
-    return np.lib.stride_tricks.as_strided(d, (n, n), 2 * d.strides, writeable=False)[::-1]
-
-
-def circulant_matrix(col) -> np.ndarray:
-    """The dense circulant matrix whose column j is col rolled down by j."""
-    return circulant_view(col).copy()
+    return np.lib.stride_tricks.as_strided(d, (n, n), 2 * d.strides)[::-1].copy()
 
 
 class Circulant:
@@ -140,6 +135,11 @@ class Spectral(Circulant):
         return self.symbol * u
 
 
+def apply(M, u: np.ndarray) -> np.ndarray:
+    """M on a state u or on each row of a (k, n) batch (a dense M, or a stack, by rows)."""
+    return M @ u if isinstance(M, Circulant) or u.ndim == 1 else (M @ u[..., None])[..., 0]
+
+
 class ExpCache:
     """Exponentials e^(g * dt * L) for L a ``Circulant`` or a dense array,
     dt a step size or a column of them, keyed by gap g exactly as given:
@@ -149,13 +149,11 @@ class ExpCache:
 
     def __init__(self, L, dt: float, gaps):
         self.circulant = isinstance(L, Circulant)
-        if not self.circulant:
-            L = np.asarray(L, dtype=float)
+        L = L if self.circulant else np.asarray(L, dtype=float)
         if not np.isfinite(L.symbol if self.circulant else L).all():
             raise NonFinite("operator contains NaN or Inf")
         dt = np.asarray(dt, dtype=float)
         self.gaps = sorted(set(gaps))
-        self._stacked = not self.circulant and dt.ndim > 0
         if self.circulant:
             self._entries = {g: L.exp(g * dt) for g in self.gaps}
         else:
@@ -163,13 +161,13 @@ class ExpCache:
             self._entries = dict(zip(self.gaps, expm(tau * L)))
 
     def apply(self, g: float, u: np.ndarray) -> np.ndarray:
-        """Apply e^(g * dt * L) to a vector (a batch of rows for a dt column)."""
+        """Apply e^(g * dt * L) to a state or to each row of a batch (``apply``)."""
         try:
             E = self._entries[g]
         except KeyError:
             raise SspError(f"abscissa gap {g!r} was not planned in this cache "
                            f"(planned gaps: {self.gaps})") from None
-        return (E @ u[..., None])[..., 0] if self._stacked else E @ u
+        return apply(E, u)
 
 
 def build_cache(L, dt: float, gaps) -> ExpCache:

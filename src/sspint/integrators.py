@@ -10,9 +10,9 @@ at abscissa 1.  Terms sharing the same exponential gap are grouped before
 the (expensive) exponential is applied.  At gap 0 the exponential is the
 identity: that group's sum is added as it is, and no cache holds gap 0.
 The same loop runs on physical values or, for a ``spectral`` system, on
-real-FFT coefficients.  With any L, a plan with a column of step sizes
-advances a batch, one row per step size; ``rk_step`` takes such a column
-too.  The loop evaluates the explicit term once per stage that uses it.
+real-FFT coefficients.  On any L, a plan steps each row of a batch as
+its own state, by one step size or one per row (a column), as ``rk_step``
+does.  The loop evaluates the explicit term once per stage that uses it.
 """
 
 from __future__ import annotations
@@ -41,14 +41,19 @@ class SemiDiscretization:
     """A method-of-lines system u_t = L u + N(u), L a Circulant or an
     ndarray; ``N_linear`` is the explicit term as a Circulant when it is
     linear, and N is then its matvec.  N must act on each row of a (k, n)
-    batch alone, as every built-in problem's does: lambda sweeps (on a
-    Circulant L) and ex1's step sizes step such batches."""
+    batch alone, as every built-in problem's does: lambda scans and ex1's
+    step sizes step such batches.  L and N_linear must be n x n."""
 
     n: int
     L: object
     N: Callable[[np.ndarray], np.ndarray]
     dx: float
     N_linear: Optional[Circulant] = None
+
+    def __post_init__(self):
+        for name, op in (("L", self.L), ("N_linear", self.N_linear)):
+            if op is not None and np.shape(op) != (self.n, self.n):
+                raise ValueError(f"{name} must be n x n for n = {self.n}, got {np.shape(op)}")
 
 
 def spectral(sys: SemiDiscretization) -> Optional[SemiDiscretization]:

@@ -11,7 +11,7 @@ from functools import partial
 import numpy as np
 
 from .errors import NonFinite
-from .expm import Circulant, circulant_view
+from .expm import Circulant
 from .tableau import ButcherTableau, CanonicalShuOsher, _inverse, canonical_form  # re-exported
 
 #: componentwise nonnegativity tolerance; absorbs the representation error
@@ -155,13 +155,15 @@ def observed_l2_cfl(
 
 def _circulant_symbol(M):
     """The ``expm.Circulant`` symbol of a circulant M: an ``expm.Circulant``
-    (a ``Spectral`` too), or a dense array equal to the circulant of its
-    first column, compared a block of rows at a time; None for any other M."""
+    (a ``Spectral`` too), or a square array with M[i, j] = M[i - 1, j - 1]
+    (compared by blocks of rows) and M[0, 1:] = M[-1, :-1]; else None."""
     if isinstance(M, Circulant):
         return M.symbol
-    C, rows = circulant_view(M[:, 0]), 1 + _BLOCK // M.shape[0]
-    same = all(np.array_equal(M[i:i + rows], C[i:i + rows]) for i in range(0, len(C), rows))
-    return Circulant.from_column(C[:, 0]).symbol if same else None
+    n, rows = M.shape[0], 1 + _BLOCK // M.shape[0]
+    here, up_left = M[1:, 1:], M[:-1, :-1]
+    same = M.shape == (n, n) and np.array_equal(M[0, 1:], M[-1, :-1]) and all(
+        np.array_equal(here[i:i + rows], up_left[i:i + rows]) for i in range(0, n, rows))
+    return Circulant.from_column(np.asarray(M[:, 0], dtype=float)).symbol if same else None
 
 
 def _parseval_norms(gamma, mu, lam, u, n_steps):

@@ -80,6 +80,8 @@ class ButcherTableau:
 
     def __post_init__(self):
         A, b, c = _read_only_copies(self, ("A", "b", "c"))
+        if b.ndim != 1 or c.shape != b.shape:
+            raise ValueError(f"b and c must be 1-D of equal length, got {b.shape}, {c.shape}")
         s = len(b)
         if A.shape != (s, s):
             raise ValueError(f"A must be {s}x{s}, got {A.shape}")
@@ -141,7 +143,7 @@ class ShuOsherForm:
 
     def __post_init__(self):
         alpha, beta = _read_only_copies(self, ("alpha", "beta"))
-        if alpha.shape != beta.shape or alpha.shape[0] != alpha.shape[1]:
+        if alpha.ndim != 2 or alpha.shape != beta.shape or alpha.shape[0] != alpha.shape[1]:
             raise ValueError("alpha and beta must be square and of equal shape")
         if np.triu(alpha).any() or np.triu(beta).any():
             raise ValueError("alpha and beta must be strictly lower triangular")

@@ -25,7 +25,7 @@ from sspint.analysis import (
     tv_trace,
 )
 from sspint.errors import NonFinite
-from sspint.expm import Circulant
+from sspint.expm import Circulant, apply
 from sspint.integrators import rk_step, shu_osher_form, spectral
 from sspint.ssp_radius import _bisect
 from sspint.spatial import (
@@ -438,12 +438,13 @@ def test_lambda_sweep_matches_per_lambda_bitwise(stepper, name, problem, n, a,
 
 
 def test_lambda_scan_on_a_dense_operator_matches_the_circulant_one():
-    # a dense L runs one lambda at a time on physical values, through the
-    # Pade-13 exponential: the only path of a non-circulant L
+    # a dense L steps its lambdas as a batch of physical rows, one stack of
+    # Pade-13 exponentials per gap; N acts on each row, as the system's
+    # contract asks, where N.__matmul__ would take a batch as columns
     sys_, u0 = make_problem(LINEAR_ADVECTION_STEP, a=10.0, n=64)
     grid = spatial.Grid1D(64)
     N = spatial.upwind_matrix(grid, 1.0)
-    dense = replace(sys_, L=spatial.upwind_matrix(grid, 10.0), N=N.__matmul__,
+    dense = replace(sys_, L=spatial.upwind_matrix(grid, 10.0), N=partial(apply, N),
                     N_linear=None)
     build = ifrk_builder(methods.get("eSSPRK+(5,4)"))
     lams = np.linspace(0.5, 3.0, 6)

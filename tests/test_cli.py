@@ -20,7 +20,7 @@ from sspint.cli import (
     split_method_names,
     write_csv,
 )
-from sspint.errors import ConfigError
+from sspint.errors import ConfigError, NonFinite
 from sspint.tableau import ButcherTableau
 
 
@@ -440,6 +440,18 @@ def test_cli_run_table8_with_the_optimized_method(tmp_path, capsys):
     values = {(q, m): float(v) for q, m, v in rows[1:]}
     assert abs(values["opt_radius", "opt+(5,3)"] - 2.63506) <= 1e-4
     assert 0.0 < values["l2_cfl", "opt+(5,3)"] <= 0.4
+
+
+def test_cli_run_table8_writes_inf_for_a_nonfinite_long_step(tmp_path, capsys, monkeypatch):
+    def blow_up(stepper, u0, n_steps):
+        raise NonFinite("stage 1 contains NaN or Inf")
+
+    monkeypatch.setattr(cli, "integrate", blow_up)
+    argv = ["run", "table8-partial", "--n", "64", "--steps", "5", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    rows = _csv_rows((tmp_path / "table8_partial.csv").read_text())
+    assert [r for r in rows[1:] if r[0] == "ifrk_norm_at_lambda27"] == [
+        ["ifrk_norm_at_lambda27", name, "inf"] for name in cli._TABLE6_METHODS]
 
 
 def test_cli_run_ex1_stays_inside_the_benchmark_tolerances(tmp_path, capsys):

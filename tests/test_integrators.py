@@ -1,11 +1,12 @@
 import dataclasses
 import importlib
 import re
+from functools import partial
 
 import numpy as np
 import pytest
 
-from sspint import methods
+from sspint import methods, spatial
 from sspint.analysis import ifrk_builder, max_tv_rise, rk_builder
 from sspint.errors import NegativeGap, NonFinite
 from sspint.expm import ExpCache, build_cache, expm
@@ -282,23 +283,31 @@ def _dense_system(problem):
     return sys_, np.array([2.0, 0.0])
 
 
+@pytest.mark.parametrize("form", ["column", "scalar"])
+@pytest.mark.parametrize("stepper", ["general", "rk"])
 @pytest.mark.parametrize("problem", ["linear", "van der Pol"])
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_dense_plan_steps_each_row_of_a_step_size_column_as_its_own_step(problem, k):
+def test_dense_plan_steps_each_row_of_a_step_size_column_as_its_own_step(problem, k, stepper,
+                                                                         form):
     # a dense cache once formed expm(g * dt * L) with dt of shape (k, 1): at
     # k = 2 that broadcast into one 2x2 matrix whose rows carried different
     # step sizes (rows (2.0441, 0.0) and (2.0073, 0.0) here on the linear
     # system, against (2.0036, -0.0405) and (2.0064, -0.0819)), at k = 1 and
-    # k >= 3 NumPy refused the shapes
+    # k >= 3 NumPy refused the shapes.  rk_builder's L u and a plan with one
+    # step size for every row once multiplied the batch as columns: wrong
+    # rows at k = 2 and NumPy's matmul error at any other k
     rec = methods.get("eSSPRK+(3,3)")
     so, c = shu_osher_form(rec), rec.tableau.c
+    build = {"general": lambda sys_, dt: partial(ifrk_step, make_general_plan(so, c, sys_, dt),
+                                                 sys_),
+             "rk": rk_builder(rec)}[stepper]
     sys_, u0 = _dense_system(problem)
-    dts = np.array([0.02, 0.04, 0.03])[:k]
+    dts = np.array([0.02, 0.04, 0.03])[:k] if form == "column" else np.full(k, 0.02)
     rows = u0 + np.array([[0.0, 0.0], [0.0, 0.0], [-0.5, 0.3]])[:k]
-    batch = ifrk_step(make_general_plan(so, c, sys_, dts[:, None]), sys_, rows)
+    batch = build(sys_, dts[:, None] if form == "column" else 0.02)(rows)
     assert batch.shape == rows.shape
     for row, dt, got in zip(rows, dts, batch):
-        one = ifrk_step(make_general_plan(so, c, sys_, dt), sys_, row)
+        one = build(sys_, dt)(row)
         assert one.tobytes() == got.tobytes()
 
 
@@ -327,6 +336,28 @@ def test_integrate_zero_steps_returns_initial_state():
     u0 = np.arange(4.0)
     out = integrate(lambda u, o: u + 1, u0, 0)
     assert np.array_equal(out, u0)
+
+
+def test_integrate_rejects_a_negative_step_count():
+    seen = []
+    with pytest.raises(ValueError, match="n_steps must be nonnegative"):
+        integrate(lambda u, o: u + 1, np.arange(4.0), -1, seen.append)
+    assert seen == []
+
+
+def test_semi_discretization_refuses_an_n_that_disagrees_with_its_operators():
+    # the spectral path reads n: at n = 48 with n = 64 operators,
+    # eSSPRK+(3,3) read TV rises of 0.0516 and 0.0237 at lambda = 0.5 and
+    # 1.5 (8.9e-16 and 0.0 at n = 64), and an observed TVD limit of
+    # 0.0003125 against 1.5003125
+    sys_, _ = make_problem(LINEAR_ADVECTION_STEP, a=1.0, n=64)
+    with pytest.raises(ValueError, match=r"L must be n x n for n = 48, got \(64, 64\)"):
+        dataclasses.replace(sys_, n=48)
+    other = spatial.upwind_operator(spatial.Grid1D(48), 1.0)
+    with pytest.raises(ValueError, match=r"N_linear must be n x n for n = 64, got \(48, 48\)"):
+        dataclasses.replace(sys_, N_linear=other)
+    with pytest.raises(ValueError, match=r"L must be n x n for n = 3, got \(2, 2\)"):
+        SemiDiscretization(n=3, L=np.zeros((2, 2)), N=lambda u: u, dx=1.0)
 
 
 def test_shu_osher_form_resolved_once_per_build(monkeypatch):

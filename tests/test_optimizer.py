@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sspint import methods, optimizer
+from sspint.errors import SingularTransform
 from sspint.methods import FAMILY_PLUS, MethodRecord
 from sspint.optimizer import OptimizationSpec, optimize, verify_certificate
 from sspint.ssp_radius import linear_bound
@@ -19,6 +20,20 @@ def test_spec_validation():
         OptimizationSpec(stages=3, order=5)
     with pytest.raises(ValueError):
         OptimizationSpec(stages=3, order=3, restarts=0)
+
+
+def test_certified_is_none_when_the_radius_meets_a_singular_transform(monkeypatch):
+    # SSPRK(3,3) below the diagonal of [[A, 0], [b^T, 0]], row by row; its
+    # abscissas (0, 1, 1/2) decrease, so the search is the classic one
+    spec = OptimizationSpec(stages=3, order=3, require_nondecreasing=False)
+    theta = np.array([1.0, 0.25, 0.25, 1 / 6, 1 / 6, 2 / 3])
+    assert optimizer._certified(spec, theta) is not None
+
+    def singular(t):
+        raise SingularTransform("I + rS is singular")
+
+    monkeypatch.setattr(optimizer, "ssp_radius", singular)
+    assert optimizer._certified(spec, theta) is None
 
 
 def test_optimize_recovers_three_stage_second_order():

@@ -69,10 +69,22 @@ def test_tableau_rejects_a_non_square_A():
     ([[0, 0, 0], [0.5, 0.5, 0], [0, 1, 0]], np.zeros((3, 3)), "strictly lower"),
     ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 0, 0], [1, 0, 0], [0, 0, 0.5]],
      "strictly lower"),
-], ids=["unequal-shapes", "alpha-diagonal", "beta-diagonal"])
+    ([0.0, 1.0], [0.0, 1.0], "square"),  # once a raw IndexError
+], ids=["unequal-shapes", "alpha-diagonal", "beta-diagonal", "one-dimensional"])
 def test_shu_osher_form_rejects_a_malformed_pair(alpha, beta, message):
     with pytest.raises(ValueError, match=message):
         ShuOsherForm(alpha=alpha, beta=beta)
+
+
+@pytest.mark.parametrize("b, c", [
+    ([[0.5], [0.5]], [0.0, 1.0]),
+    ([0.5, 0.5], [[0.0, 1.0]]),
+    (1.0, [0.0, 1.0]),
+], ids=["column-b", "row-c", "scalar-b"])
+def test_tableau_rejects_b_or_c_that_is_not_a_vector_of_s_entries(b, c):
+    # a (2, 1) b and a (1, 2) c were once accepted
+    with pytest.raises(ValueError, match="b and c must be 1-D of equal length"):
+        ButcherTableau(A=[[0.0, 0.0], [1.0, 0.0]], b=b, c=c)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
