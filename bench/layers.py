@@ -251,7 +251,7 @@ def layers(quick, src):
     grid64 = spatial.Grid1D(64)
     N64 = spatial.upwind_matrix(grid64, 1.0)
     dense64 = dataclasses.replace(small, L=spatial.upwind_matrix(grid64, A),
-                                  N=lambda u: u @ N64.T, N_linear=None)
+                                  N=lambda u: u @ N64.T)
     out["rises_dense_k6"] = _median_time(
         lambda: analysis.max_tv_rises(build, dense64, small_u0, np.linspace(0.5, 3.0, 6), 5),
         k)

@@ -131,7 +131,8 @@ class SweepRecord:
 
 def tv_trace(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
              lam: float, n_steps: int) -> TvTrace:
-    """Run n_steps at dt = lam * dx and record the TV of every stage."""
+    """Run n_steps at dt = lam * dx and record the TV of every stage, on any form of sys."""
+    u0 = np.fft.rfft(u0) if isinstance(sys.L, Spectral) else u0
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises NonFinite
         return TvTrace(tuple(_stage_tvs(build(sys, lam * sys.dx), u0, n_steps, sys.n)))
 
@@ -376,7 +377,7 @@ def van_der_pol_errors(rec, splitting: str, dts, uref):
     build = ifrk_general_builder(rec)
     ns = []
     for dt in dts:
-        if not (math.isfinite(dt) and dt > 0):
+        if not (math.isfinite(dt) and dt > 0 and math.isfinite(VAN_DER_POL_T / dt)):
             raise ValueError(f"dt must be positive and finite, got {dt!r}")
         ns.append(max(1, round(VAN_DER_POL_T / dt)))
     order = sorted(range(len(ns)), key=lambda i: -ns[i])

@@ -119,7 +119,7 @@ def parse_config_file(path: str) -> Dict[str, str]:
                     raise ConfigError(f"{path}:{ln}: expected key=value, got {line!r}")
                 key, _, value = line.partition("=")
                 cfg[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     return cfg
 
@@ -165,7 +165,7 @@ def _check_values(cfg: Dict[str, str]):
     if any(a < 0 for a in _floats(cfg.get("a", ""))):
         raise ConfigError(f"wavespeeds must be nonnegative, got {cfg['a']!r}")
     dts, T = _floats(cfg.get("dts", "")), analysis.VAN_DER_POL_T
-    if "dts" in cfg and (not all(0 < dt <= T for dt in dts)
+    if "dts" in cfg and (not all(0 < dt <= T and np.isfinite(T / dt) for dt in dts)
                          or len({round(T / dt) for dt in dts}) < 3):
         raise ConfigError(f"dts must be step sizes in (0, {T}] giving at least "
                           f"3 distinct step counts, got {cfg['dts']!r}")

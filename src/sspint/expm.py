@@ -118,6 +118,10 @@ class Circulant:
                             "for real-FFT coefficients")
         return np.fft.irfft(self.symbol * np.fft.rfft(u), self.n)
 
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        """``self @ u``, so the operator serves as a system's explicit term."""
+        return self @ u
+
     def exp(self, tau) -> "Circulant":
         """e^(tau * L) of the same kind; a column tau gives one symbol per row."""
         return type(self)(np.exp(tau * self.symbol), self.n)

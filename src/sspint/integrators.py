@@ -17,7 +17,7 @@ does.  The loop evaluates the explicit term once per stage that uses it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,18 +39,19 @@ Stepper = Callable[[np.ndarray, Optional[StageObserver]], np.ndarray]
 @dataclass(frozen=True)
 class SemiDiscretization:
     """A method-of-lines system u_t = L u + N(u), L a Circulant or an
-    ndarray; ``N_linear`` is the explicit term as a Circulant when it is
-    linear, and N is then its matvec.  N must act on each row of a (k, n)
-    batch alone, as every built-in problem's does: lambda scans and ex1's
-    step sizes step such batches.  L and N_linear must be n x n."""
+    ndarray, N a callable or a Circulant.  ``N_linear`` is N if that is a
+    Circulant, else None: read from N once, never set, it outlives a wrapper
+    put in N's place.  N acts on each row of a (k, n) batch alone, as lambda
+    scans and ex1's step sizes ask.  L and N_linear must be n x n."""
 
     n: int
     L: object
     N: Callable[[np.ndarray], np.ndarray]
     dx: float
-    N_linear: Optional[Circulant] = None
+    N_linear: Optional[Circulant] = field(default=None, init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "N_linear", self.N if isinstance(self.N, Circulant) else None)
         for name, op in (("L", self.L), ("N_linear", self.N_linear)):
             if op is not None and np.shape(op) != (self.n, self.n):
                 raise ValueError(f"{name} must be n x n for n = {self.n}, got {np.shape(op)}")
@@ -64,8 +65,7 @@ def spectral(sys: SemiDiscretization) -> Optional[SemiDiscretization]:
         return sys
     if not (isinstance(sys.L, Circulant) and isinstance(sys.N_linear, Circulant)):
         return None
-    N = sys.N_linear.spectral()
-    return replace(sys, L=sys.L.spectral(), N=N.__matmul__, N_linear=N)
+    return replace(sys, L=sys.L.spectral(), N=sys.N_linear.spectral())
 
 
 @dataclass(frozen=True)

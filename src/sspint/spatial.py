@@ -1,9 +1,8 @@
 """1D periodic semi-discretizations and the built-in test problems.
 
-The periodic upwind operators are built as ``expm.Circulant``;
-``upwind_matrix`` is the same operator as a dense array.  The linear
-advection step's explicit term is the unit upwind operator, held as
-``SemiDiscretization.N_linear`` so steppers can act on it spectrally."""
+The periodic upwind operators are built as ``expm.Circulant``, and
+``upwind_matrix`` is the same operator as a dense array; linear advection's
+N is the unit upwind operator itself, so steppers act on it spectrally."""
 
 from __future__ import annotations
 
@@ -234,11 +233,9 @@ def make_problem(kind: str, a: float = 0.0, n: int = 1000, splitting: str = "a")
 
     grid = Grid1D(n)
     x = grid.x
-    N_linear = None
     if kind == LINEAR_ADVECTION_STEP:
         u0 = ((x >= 0.25) & (x <= 0.75)).astype(float)
-        N_linear = upwind_operator(grid, 1.0)
-        N = N_linear.__matmul__
+        N = upwind_operator(grid, 1.0)
 
     elif kind in (ADVECTION_BURGERS_STEP, ADVECTION_BURGERS_SMOOTH):
         if kind == ADVECTION_BURGERS_STEP:
@@ -251,6 +248,5 @@ def make_problem(kind: str, a: float = 0.0, n: int = 1000, splitting: str = "a")
 
     else:
         raise ValueError(f"unknown problem kind {kind!r}")
-    sys = SemiDiscretization(n=n, L=upwind_operator(grid, a), N=N, dx=grid.dx,
-                             N_linear=N_linear)
+    sys = SemiDiscretization(n=n, L=upwind_operator(grid, a), N=N, dx=grid.dx)
     return sys, u0

@@ -244,6 +244,7 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     (None, ["run", "table6", "--config", "FILE/x.cfg"]),
     (None, ["run", "fig1", "--lambdas", "0:1"]),
     (None, ["run", "ex4", "--a", "x"]),
+    (None, ["run", "ex1", "--dts", "1e-320,0.1,0.2"]),
 ])
 def test_cli_bad_values_exit_one_with_one_line(tmp_path, capsys, monkeypatch,
                                                config, argv):
@@ -268,6 +269,17 @@ def test_cli_bad_values_exit_one_with_one_line(tmp_path, capsys, monkeypatch,
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert all(path in err[0] for path in unwritable), err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_config_that_is_not_utf8_exits_one_with_one_line(tmp_path, capsys):
+    # a UTF-16 byte-order mark once escaped the line loop as a traceback
+    cfg, out = tmp_path / "bad.cfg", tmp_path / "out"
+    cfg.write_bytes(b"\xff\xfe\x00n=64\n")
+    assert main(["run", "table6", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot read config file "), err
+    assert str(cfg) in err[0]
+    assert not out.exists()
 
 
 def test_cli_run_unknown_method_leaves_no_output_dir(tmp_path, capsys):

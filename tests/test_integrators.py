@@ -47,7 +47,27 @@ def test_spectral_of_a_spectral_system_is_itself():
     sys_, _ = make_problem(LINEAR_ADVECTION_STEP, a=1.0, n=64)
     spec = spectral(sys_)
     assert spectral(spec) is spec
-    assert spectral(dataclasses.replace(sys_, N_linear=None)) is None
+    assert spectral(dataclasses.replace(sys_, N=sys_.N.__matmul__)) is None
+
+
+def test_a_circulant_explicit_term_is_its_own_linear_part():
+    grid = spatial.Grid1D(64)
+    N = spatial.upwind_operator(grid, 1.0)
+    sys_ = SemiDiscretization(n=64, L=spatial.upwind_operator(grid, 2.0), N=N, dx=grid.dx)
+    assert sys_.N_linear is N
+    u = np.random.default_rng(3).standard_normal((5, 64))
+    for v in (u[0], u):
+        assert np.array_equal(N(v), N @ v)
+    # a callable N has no linear part, whatever it computes
+    assert dataclasses.replace(sys_, N=N.__matmul__).N_linear is None
+
+
+def test_n_linear_is_read_from_n_and_never_set():
+    sys_, _ = make_problem(LINEAR_ADVECTION_STEP, a=1.0, n=64)
+    with pytest.raises(TypeError, match="N_linear"):
+        SemiDiscretization(n=64, L=sys_.L, N=sys_.N, dx=sys_.dx, N_linear=sys_.N)
+    with pytest.raises(ValueError, match="N_linear"):
+        dataclasses.replace(sys_, N_linear=None)
 
 
 def test_rk_step_nonfinite_detection():
@@ -355,7 +375,7 @@ def test_semi_discretization_refuses_an_n_that_disagrees_with_its_operators():
         dataclasses.replace(sys_, n=48)
     other = spatial.upwind_operator(spatial.Grid1D(48), 1.0)
     with pytest.raises(ValueError, match=r"N_linear must be n x n for n = 64, got \(48, 48\)"):
-        dataclasses.replace(sys_, N_linear=other)
+        dataclasses.replace(sys_, N=other)
     with pytest.raises(ValueError, match=r"L must be n x n for n = 3, got \(2, 2\)"):
         SemiDiscretization(n=3, L=np.zeros((2, 2)), N=lambda u: u, dx=1.0)
 
