@@ -63,7 +63,8 @@ unless stated):
   eSSPRK(3,3) (wavespeed 11 at unit spacing, lambda <= 0.2, 500 steps,
   seed 0) on the dense matrix and on the circulant operator.
 - ``weno5_rhs`` / ``weno5_rhs_k10``: ``weno5_burgers_rhs`` at n = 400 on
-  one row and on a 10-row batch.
+  one row and on a 10-row batch, ex4's and fig1's full chunk
+  (``BATCH_ELEMENTS // 400`` = 10 rows).
 - ``circulant_apply_k10``: the n = 400 upwind exponential (a = 10) of the
   first 10-row batch of ex4's sweep (lambda = 0.05 to 0.5, one step size
   per row) applied to a 10-row batch, the product every physical

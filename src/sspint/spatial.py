@@ -6,6 +6,7 @@ N is the unit upwind operator itself, so steppers act on it spectrally."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,11 +74,11 @@ def _weno5_reconstruct(f):
     difference, and the weights are formed in place.  Each temporary is
     freed as soon as it is spent, so few are alive at once: on a batch,
     many live temporaries made the C heap shrink and re-grow, a page
-    fault per 4 KB, on every call.  On a 2-core machine the textbook
-    expressions on slices of the padded fluxes made ``perfbench``'s
-    burgers-sweep 23% slower, and on a stacked array 44% slower; holding
-    3f, 4f and 5f alive at once made a 10-row call take 360 us instead
-    of 190 us."""
+    fault per 4 KB, on every call.  ``weno5_burgers_rhs`` passes the
+    padded rows of a batch as one contiguous 1-D buffer, so each of the
+    ~50 passes is one contiguous loop; the same passes over the strided
+    (2, k, n + 1) slices of that buffer made a 10-row call at n = 400
+    take 259 us instead of 194 us on a 2-core machine."""
     m = f.shape[-1] - 4
     fm2, fm1, f0, fp1, fp2 = (f[..., k:k + m] for k in range(5))
     f2 = 2 * f
@@ -139,32 +140,43 @@ def weno5_burgers_rhs(grid: Grid1D, u: np.ndarray) -> np.ndarray:
 
     Global Lax-Friedrichs splitting f+- = (f +- alpha u)/2 with
     alpha = max|u| of each row; each split flux is reconstructed with the
-    classical five-point weighted stencils.
+    classical five-point weighted stencils.  A state whose last axis is not
+    the grid's n points is a ``ValueError``, a complex one a ``TypeError``.
     """
+    u = np.asarray(u)
+    if np.iscomplexobj(u):
+        raise TypeError("weno5_burgers_rhs applies to real values")
+    if u.ndim == 0 or u.shape[-1] != grid.n:
+        raise ValueError(f"a state of shape {u.shape} does not fit a {grid.n}-point grid")
     u = np.asarray(u, dtype=float)
     if not np.isfinite(u).all():
         raise NonFinite("weno5 input contains NaN or Inf")
-    n = u.shape[-1]
+    n = grid.n
     # on diverging (blowing-up) data the fluxes and smoothness indicators
     # overflow; the resulting non-finite values are caught by the caller's check
     with np.errstate(over="ignore", invalid="ignore"):
         f = 0.5 * u * u
         wind = np.abs(u).max(axis=-1, keepdims=True) * u
-        # the split fluxes, written straight into one buffer padded
-        # periodically by 3 cells before and 2 after; the negative-wind
-        # flux is reversed, so it takes the left-biased stencil too, and
-        # both give the n + 1 interfaces -1/2 .. n-1/2 (the negative one
-        # in reverse order)
-        split = np.empty((2,) + u.shape[:-1] + (n + 5,))
+        # the split fluxes, written straight into one flat buffer of rows
+        # padded periodically by 3 cells before and 2 after; the negative-
+        # wind flux is reversed, so it takes the left-biased stencil too,
+        # and both give the n + 1 interfaces -1/2 .. n-1/2 (the negative one
+        # in reverse order).  The stencils run along the whole buffer; the
+        # last 4 of a row's n + 5 straddle two rows (or 4 spare zeros).
+        shape = (2,) + u.shape[:-1] + (n + 5,)
+        buf = np.empty(math.prod(shape) + 4)
+        buf[-4:] = 0.0
+        split = buf[:-4].reshape(shape)
         plus, minus = split[..., 3:n + 3]
         np.add(f, wind, out=plus)
-        np.subtract(f[..., ::-1], wind[..., ::-1], out=minus)
+        f -= wind
+        minus[...] = f[..., ::-1]
         del f, wind
-        split[..., 3:n + 3] *= 0.5
         split[..., :3] = split[..., n:n + 3]
         split[..., n + 3:] = split[..., 3:5]
-        plus, minus = _weno5_reconstruct(split)
-        del split
+        buf *= 0.5  # after the copies: a copy of a half is a half of the copy
+        plus, minus = _weno5_reconstruct(buf).reshape(shape)[..., :n + 1]
+        del buf, split
         plus += minus[..., ::-1]
         flux = plus[..., 1:] - plus[..., :-1]
         flux /= -grid.dx

@@ -282,6 +282,20 @@ def test_cli_config_that_is_not_utf8_exits_one_with_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_run_out_of_memory_exits_one_with_one_line(tmp_path, capsys, monkeypatch):
+    # a grid too large to allocate once escaped as NumPy's traceback; the
+    # stub raises as that allocation would, without asking for the memory
+    def too_large(kind, a=0.0, n=1000, splitting="a"):
+        raise MemoryError(f"Unable to allocate 37.3 GiB for an array with shape ({n},)")
+
+    monkeypatch.setattr(spatial, "make_problem", too_large)
+    out = tmp_path / "out"
+    assert main(["run", "ex4", "--n", "5000000000", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: out of memory: Unable to allocate 37.3 GiB for an array "
+                   "with shape (5000000000,)"], err
+
+
 def test_cli_run_unknown_method_leaves_no_output_dir(tmp_path, capsys):
     # the output directory is made before the run, after every check
     out = tmp_path / "out"

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sspint.errors import NonFinite
 from sspint.spatial import (
@@ -171,6 +173,21 @@ def test_weno5_batch_rows_equal_single_calls(n):
         assert np.array_equal(weno5_burgers_rhs(g, row), got)
 
 
+@pytest.mark.parametrize("grid, u, error", [
+    (Grid1D(400), np.sin(2 * np.pi * Grid1D(64).x), ValueError),
+    (Grid1D(8), np.ones(3), ValueError),
+    (Grid1D(8), np.ones((3, 9)), ValueError),
+    (Grid1D(8), np.float64(1.0), ValueError),
+    (Grid1D(8), np.ones(8) + 1j, TypeError),
+], ids=["other-grid", "short", "batch-other-grid", "scalar", "complex"])
+def test_weno5_refuses_a_state_that_does_not_fit_its_grid(grid, u, error):
+    # a 64-point state on a 400-point grid came back 400/64 too large, a
+    # 3-point one as zeros, a complex one without its imaginary part, and
+    # a 0-d one as an IndexError
+    with pytest.raises(error, match="grid|real values"):
+        weno5_burgers_rhs(grid, u)
+
+
 def _weno5_textbook(grid, u):
     """The WENO5 right-hand side of one row as the classical formulas
     read, each stencil point a rolled copy of the flux."""
@@ -204,3 +221,33 @@ def test_weno5_equals_the_textbook_formulas_bitwise(n):
         want, got = _weno5_textbook(g, u), weno5_burgers_rhs(g, u)
         assert np.array_equal(want, got)
         assert np.array_equal(np.signbit(want), np.signbit(got))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_weno5_batch_rows_are_their_own_calls_and_the_textbook(data):
+    # the stencils run along one buffer of all rows; each row's values must
+    # still read only its own row, even next to a row whose stencils
+    # overflow, and raise no warning (the suite makes warnings errors)
+    k = data.draw(st.integers(1, 12), label="k")
+    n = data.draw(st.integers(8, 80), label="n")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((k, n))
+    u *= np.array(data.draw(st.lists(st.sampled_from([1e-3, 1.0, 50.0]),
+                                     min_size=k, max_size=k), label="scales"))[:, None]
+    for row in data.draw(st.lists(st.integers(0, k - 1), max_size=k), label="zeroed"):
+        start = data.draw(st.integers(0, n - 1), label="start")
+        u[row, start:start + data.draw(st.integers(1, n), label="run")] = 0.0
+    huge = data.draw(st.none() | st.integers(0, k - 1), label="huge")
+    if huge is not None:
+        u[huge] *= 1e150
+    g = Grid1D(n)
+    batch = weno5_burgers_rhs(g, u)
+    assert batch.shape == (k, n)
+    for row, got in zip(u, batch):
+        assert weno5_burgers_rhs(g, row).tobytes() == got.tobytes()
+        if np.isfinite(got).all():
+            want = _weno5_textbook(g, row)
+            assert np.array_equal(want, got)
+            assert np.array_equal(np.signbit(want), np.signbit(got))
