@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import os
 import sys
 import tempfile
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -124,55 +125,29 @@ def parse_config_file(path: str) -> Dict[str, str]:
     return cfg
 
 
-def _merged_config(args, experiment: str) -> Dict[str, str]:
-    cfg: Dict[str, str] = {}
-    if args.config:
-        cfg.update(parse_config_file(args.config))
-    for key in sorted(set().union(*(keys for _, keys in _EXPERIMENTS.values()))):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = str(val)
-    allowed = _EXPERIMENTS[experiment][1]
-    unknown = sorted(set(cfg) - allowed)
+def _merged_config(args):
+    """The experiment's parsed config, the hash of the keys given (in
+    args.config, then as flags) and the output directory."""
+    runner, defaults = _EXPERIMENTS[args.experiment]
+    given = parse_config_file(args.config) if args.config else {}
+    given.update((key, str(val)) for key, val in vars(args).items()
+                 if key not in ("command", "func", "experiment", "config") and val is not None)
+    outdir = given.pop("out", ".")
+    unknown = sorted(set(given) - set(defaults))
     if unknown:
         raise ConfigError(
-            f"unknown config keys for {experiment}: {', '.join(unknown)} "
-            f"(allowed: {', '.join(sorted(allowed))})"
+            f"unknown config keys for {args.experiment}: {', '.join(unknown)} "
+            f"(allowed: {', '.join(sorted([*defaults, 'out']))})"
         )
-    _check_values(cfg)
-    if experiment in ("ex4", "fig1") and len(_floats(cfg.get("a", "10"))) != 1:
-        raise ConfigError(f"{experiment} takes one wavespeed, got {cfg['a']!r}")
-    return cfg
-
-
-def _check_values(cfg: Dict[str, str]):
-    """Reject malformed or out-of-range problem values before any work."""
-    for key, kind, low in (("n", int, spatial.MIN_POINTS), ("steps", int, 1),
-                           ("threshold", float, 0.0)):
-        try:
-            value = kind(cfg.get(key, low))
-        except ValueError:
-            raise ConfigError(f"{key} must be {kind.__name__}, got {cfg[key]!r}")
-        if value < low:
-            raise ConfigError(f"{key} must be at least {low}, got {cfg[key]}")
-    for key in ("a", "threshold"):
-        if not np.isfinite(_floats(cfg.get(key, ""))).all():
-            raise ConfigError(f"{key} must be finite, got {cfg[key]!r}")
-    for key, items in (("a", _floats), ("methods", _records),
-                       ("lambdas", parse_lambda_grid)):
-        if key in cfg and not items(cfg[key]):
-            raise ConfigError(f"{key} must list at least one value, got {cfg[key]!r}")
-    if any(a < 0 for a in _floats(cfg.get("a", ""))):
-        raise ConfigError(f"wavespeeds must be nonnegative, got {cfg['a']!r}")
-    dts, T = _floats(cfg.get("dts", "")), analysis.VAN_DER_POL_T
-    if "dts" in cfg and (not all(0 < dt <= T and np.isfinite(T / dt) for dt in dts)
-                         or len({round(T / dt) for dt in dts}) < 3):
-        raise ConfigError(f"dts must be step sizes in (0, {T}] giving at least "
-                          f"3 distinct step counts, got {cfg['dts']!r}")
-    if not {x.strip() for x in cfg.get("splittings", "a").split(",")} <= {"a", "b"}:
-        raise ConfigError(f"splittings must be a and/or b, got {cfg['splittings']!r}")
-    if cfg.get("with_opt", "no").lower() not in ("true", "false", "1", "0", "yes", "no"):
-        raise ConfigError(f"with_opt must be true/false/1/0/yes/no, got {cfg['with_opt']!r}")
+    cfg = _parse({**defaults, **given})
+    if getattr(runner, "func", None) is run_sweep_experiment and len(cfg["a"]) != 1:
+        raise ConfigError(f"{args.experiment} takes one wavespeed, got {given['a']!r}")
+    if getattr(runner, "keywords", {}).get("stepper") == "ifrk":
+        for rec in cfg["methods"]:
+            if not rec.nondecreasing:
+                raise ConfigError(f"{args.experiment} steps by integrating factors, which needs "
+                                  f"nondecreasing abscissas; those of {rec.name} decrease")
+    return cfg, config_hash(given), outdir
 
 
 def split_method_names(text: str) -> List[str]:
@@ -193,9 +168,11 @@ def split_method_names(text: str) -> List[str]:
     return [n for n in names if n]
 
 
-def _records(names: str) -> List[methods.MethodRecord]:
-    """The registered methods named in a comma-separated list."""
-    return [methods.get(name) for name in split_method_names(names)]
+def _records(names: Optional[str]) -> List[methods.MethodRecord]:
+    """The registered methods named in a comma-separated list; None names
+    every registered method."""
+    return [methods.get(name) for name in
+            (methods.method_names() if names is None else split_method_names(names))]
 
 
 def _floats(csv: str) -> List[float]:
@@ -228,58 +205,69 @@ def parse_lambda_grid(text: str) -> List[float]:
 
 
 def _safe_name(name: str) -> str:
-    return (
-        name.replace("+", "p")
-        .replace("(", "_")
-        .replace(")", "")
-        .replace(",", "_")
-    )
+    return name.translate(str.maketrans({"+": "p", "(": "_", ")": None, ",": "_"}))
 
 
-def _meta(cfg: Dict[str, str], **extra) -> Dict:
-    meta = {"config_hash": config_hash(cfg), "version": VERSION}
-    meta.update(extra)
-    return meta
+def _parse(cfg: Dict[str, Optional[str]]) -> Dict:
+    """The values of cfg parsed, each malformed or out-of-range one
+    rejected before any work."""
+    parsed = {}
+    for key, text in cfg.items():
+        parse, ok, want = _VALUES[key]
+        try:
+            parsed[key] = parse(text)
+        except ValueError:
+            raise ConfigError(f"{key} must {want}, got {text!r}") from None
+        if not ok(parsed[key]):
+            raise ConfigError(f"{key} must {want}, got {text!r}")
+    return parsed
+
+
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_T = analysis.VAN_DER_POL_T
+
+#: config key -> (parser of its string value, test of the parsed value,
+#: what the value must be).  An unknown method name is an UnknownMethod.
+_VALUES = {
+    "n": (int, lambda n: n >= spatial.MIN_POINTS, f"be an int of at least {spatial.MIN_POINTS}"),
+    "steps": (int, lambda steps: steps >= 1, "be an int of at least 1"),
+    "threshold": (float, lambda t: 0.0 <= t < np.inf, "be finite and at least 0"),
+    "a": (_floats, lambda a: a and all(0.0 <= x < np.inf for x in a),
+          "list finite nonnegative wavespeeds"),
+    "methods": (_records, bool, "list at least one method name"),
+    "lambdas": (parse_lambda_grid, bool, "be lo:hi:count or a list of finite lambdas >= 0"),
+    "dts": (_floats, lambda dts: all(0 < dt <= _T and np.isfinite(_T / dt) for dt in dts)
+            and len({round(_T / dt) for dt in dts}) >= 3,
+            f"be step sizes in (0, {_T}] giving at least 3 distinct step counts"),
+    "splittings": (lambda text: [x.strip() for x in text.split(",")],
+                   lambda names: set(names) <= {"a", "b"}, "be a and/or b"),
+    "with_opt": (lambda text: _BOOLS.get(text.lower()), lambda w: w is not None,
+                 "be true/false/1/0/yes/no"),
+}
 
 
 # --- experiments -----------------------------------------------------------
 
 
-#: observed-TVD tables: default methods and wavespeeds, stepper, and the
-#: top of the lambda search for claimed coefficient C; table6 leaves room,
-#: as some observed values exceed C (stage step-size effects).
-_TVD_TABLES = {
-    "table6": (_TABLE6_METHODS, "0,1,10,20", "ifrk", lambda C: 1.5 * C + 0.75),
-    "table7": (("eSSPRK(4,3)",), "0,1,2,10,20", "rk", lambda C: 2.5),
-}
-
-
-def run_observed_tvd(cfg: Dict[str, str], outdir: str, table: str) -> List[str]:
-    default_methods, default_a, stepper, lambda_hi = _TVD_TABLES[table]
-    recs = _records(cfg.get("methods", ",".join(default_methods)))
-    a_vals = _floats(cfg.get("a", default_a))
-    n = int(cfg.get("n", "1000"))
-    steps = int(cfg.get("steps", "10"))
-    threshold = float(cfg.get("threshold", str(analysis.DEFAULT_THRESHOLD)))
-
+def run_observed_tvd(cfg: Dict, outdir: str, meta: Dict, table: str, stepper: str,
+                     lambda_hi, fixed_methods: Optional[str] = None) -> List[str]:
+    """Observed TVD limits on the linear advection step, searched up to
+    lambda_hi(claimed C), of cfg's methods or of the table's fixed ones."""
     rows = []
-    for rec in recs:
+    for rec in cfg["methods"] if fixed_methods is None else _records(fixed_methods):
         build = _BUILDERS[stepper](rec)
-        for a in a_vals:
-            sys_, u0 = spatial.make_problem(spatial.LINEAR_ADVECTION_STEP, a=a, n=n)
-            obs = analysis.observed_tvd_lambda(
-                build, sys_, u0, lambda_hi(rec.claimed_C), steps, threshold=threshold
-            )
+        for a in cfg["a"]:
+            sys_, u0 = spatial.make_problem(spatial.LINEAR_ADVECTION_STEP, a=a, n=cfg["n"])
+            obs = analysis.observed_tvd_lambda(build, sys_, u0, lambda_hi(rec.claimed_C),
+                                               cfg["steps"], threshold=cfg["threshold"])
             rows.append((rec.name, a, obs.lambda_obs))
     path = os.path.join(outdir, f"{table}.csv")
     return [write_csv(path, ("method", "a", "lambda_obs"), rows,
-                      _meta(cfg, experiment=table, threshold=threshold))]
+                      dict(meta, experiment=table, threshold=cfg["threshold"]))]
 
 
-def run_table8(cfg: Dict[str, str], outdir: str) -> List[str]:
-    n = int(cfg.get("n", "1000"))
-    steps = int(cfg.get("steps", "500"))
-    with_opt = cfg.get("with_opt", "false").lower() in ("1", "true", "yes")
+def run_table8(cfg: Dict, outdir: str, meta: Dict) -> List[str]:
+    n, steps = cfg["n"], cfg["steps"]
     grid = spatial.Grid1D(n)
     # wavespeed 11 at unit grid spacing: the upwind operator times dx
     M = spatial.upwind_operator(grid, 11.0 * grid.dx)
@@ -288,7 +276,7 @@ def run_table8(cfg: Dict[str, str], outdir: str) -> List[str]:
     t33 = methods.get("eSSPRK(3,3)").tableau
     rows.append(("l2_cfl", "eSSPRK(3,3)", observed_l2_cfl(t33, M, 0.2, steps)))
 
-    if with_opt:
+    if cfg["with_opt"]:
         rec = optimize(OptimizationSpec(stages=5, order=3))
         rows.append(("opt_radius", rec.name, rec.claimed_C))
         rows.append(("l2_cfl", rec.name, observed_l2_cfl(rec.tableau, M, 0.4, steps)))
@@ -307,7 +295,7 @@ def run_table8(cfg: Dict[str, str], outdir: str) -> List[str]:
     rows += [job(name) for name in _TABLE6_METHODS]
     path = os.path.join(outdir, "table8_partial.csv")
     return [write_csv(path, ("quantity", "method", "value"), rows,
-                      _meta(cfg, experiment="table8-partial"))]
+                      dict(meta, experiment="table8-partial"))]
 
 
 def _write_sweep(path: str, build, sys_, u0, lambdas, steps: int, meta: Dict) -> str:
@@ -317,69 +305,71 @@ def _write_sweep(path: str, build, sys_, u0, lambdas, steps: int, meta: Dict) ->
                      [(r.lam, r.max_rise, r.log10_rise) for r in recs], meta)
 
 
-def run_sweep_experiment(cfg: Dict[str, str], outdir: str, experiment: str) -> List[str]:
-    a = _floats(cfg.get("a", "10"))[0]
-    n = int(cfg.get("n", "400"))
-    steps = int(cfg.get("steps", "25"))
+def run_sweep_experiment(cfg: Dict, outdir: str, meta: Dict, experiment: str) -> List[str]:
+    (a,), n, steps = cfg["a"], cfg["n"], cfg["steps"]
     if experiment == "fig1":
-        lambdas = parse_lambda_grid(cfg.get("lambdas", "0.05:1.2:24"))
         jobs = [("decreasing-abscissa-IF", "ifrk-general", methods.get("eSSPRK(3,3)")),
                 ("eSSPRK+(3,3)", "ifrk", methods.get("eSSPRK+(3,3)"))]
     else:
-        lambdas = parse_lambda_grid(cfg.get("lambdas", "0.05:2.0:40"))
-        recs = _records(cfg.get("methods", "eSSPRK+(5,4),eSSPRK+(6,4),eSSPRK(10,4)"))
-        jobs = [(r.name, "ifrk" if r.nondecreasing else "rk", r) for r in recs]
+        jobs = [(r.name, "ifrk" if r.nondecreasing else "rk", r) for r in cfg["methods"]]
 
     sys_, u0 = spatial.make_problem(spatial.ADVECTION_BURGERS_STEP, a=a, n=n)
     return [
         _write_sweep(
             os.path.join(outdir, f"{experiment}_{_safe_name(label)}.csv"),
-            _BUILDERS[stepper](rec), sys_, u0, lambdas, steps,
-            _meta(cfg, experiment=experiment, method=label, a=a, n=n, steps=steps),
+            _BUILDERS[stepper](rec), sys_, u0, cfg["lambdas"], steps,
+            dict(meta, experiment=experiment, method=label, a=a, n=n, steps=steps),
         )
         for label, stepper, rec in jobs
     ]
 
 
-def run_ex1(cfg: Dict[str, str], outdir: str) -> List[str]:
-    recs = _records(cfg.get("methods", ",".join(methods.method_names())))
-    splittings = [s.strip() for s in cfg.get("splittings", "a,b").split(",")]
-    dts = _floats(cfg.get("dts", "0.02,0.04,0.06,0.08,0.10"))
+def run_ex1(cfg: Dict, outdir: str, meta: Dict) -> List[str]:
     uref = np.array(analysis.VAN_DER_POL_REFERENCE)
 
     err_rows, slope_rows = [], []
-    for rec in recs:
-        for split in splittings:
-            errs = van_der_pol_errors(rec, split, dts, uref)
+    for rec in cfg["methods"]:
+        for split in cfg["splittings"]:
+            errs = van_der_pol_errors(rec, split, cfg["dts"], uref)
             for dt, err in errs:
                 err_rows.append((rec.name, split, dt, err))
             slope_rows.append(
                 (rec.name, split, rec.order, analysis.convergence_slope(errs))
             )
 
+    meta = dict(meta, experiment="ex1")
     return [write_csv(os.path.join(outdir, "ex1_errors.csv"),
-                      ("method", "splitting", "dt", "error"), err_rows,
-                      _meta(cfg, experiment="ex1")),
+                      ("method", "splitting", "dt", "error"), err_rows, meta),
             write_csv(os.path.join(outdir, "ex1_slopes.csv"),
-                      ("method", "splitting", "order", "slope"), slope_rows,
-                      _meta(cfg, experiment="ex1"))]
+                      ("method", "splitting", "order", "slope"), slope_rows, meta)]
 
 
-#: experiment -> (runner(cfg, outdir), the config keys it accepts; all
-#: values are strings).  ex3 is another name for table6.
+_OBSERVED_TVD = {"a": "0,1,10,20", "n": "1000", "steps": "10",
+                 "threshold": str(analysis.DEFAULT_THRESHOLD)}
+#: table6 leaves room above the claimed C, as some observed values
+#: exceed it (stage step-size effects).
+_TABLE6 = (functools.partial(run_observed_tvd, table="table6", stepper="ifrk",
+                             lambda_hi=lambda C: 1.5 * C + 0.75),
+           dict(_OBSERVED_TVD, methods=",".join(_TABLE6_METHODS)))
+_SWEEP = {"a": "10", "n": "400", "steps": "25"}
+
+#: experiment -> (runner(cfg, outdir, meta), the default of every config
+#: key it takes besides out).  Defaults are strings, as in a config file;
+#: methods=None is every registered method.  ex3 is another name for table6.
 _EXPERIMENTS = {
-    "ex1": (run_ex1, {"methods", "splittings", "dts", "out"}),
-    "ex3": (lambda cfg, outdir: run_observed_tvd(cfg, outdir, "table6"),
-            {"methods", "a", "n", "steps", "threshold", "out"}),
-    "ex4": (lambda cfg, outdir: run_sweep_experiment(cfg, outdir, "ex4"),
-            {"methods", "a", "n", "steps", "lambdas", "out"}),
-    "table6": (lambda cfg, outdir: run_observed_tvd(cfg, outdir, "table6"),
-               {"methods", "a", "n", "steps", "threshold", "out"}),
-    "table7": (lambda cfg, outdir: run_observed_tvd(cfg, outdir, "table7"),
-               {"a", "n", "steps", "threshold", "out"}),
-    "table8-partial": (run_table8, {"n", "steps", "with_opt", "out"}),
-    "fig1": (lambda cfg, outdir: run_sweep_experiment(cfg, outdir, "fig1"),
-             {"a", "n", "steps", "lambdas", "out"}),
+    "ex1": (run_ex1, {"methods": None, "splittings": "a,b",
+                      "dts": "0.02,0.04,0.06,0.08,0.10"}),
+    "ex3": _TABLE6,
+    "ex4": (functools.partial(run_sweep_experiment, experiment="ex4"),
+            dict(_SWEEP, methods="eSSPRK+(5,4),eSSPRK+(6,4),eSSPRK(10,4)",
+                 lambdas="0.05:2.0:40")),
+    "table6": _TABLE6,
+    "table7": (functools.partial(run_observed_tvd, table="table7", stepper="rk",
+                                 lambda_hi=lambda C: 2.5, fixed_methods="eSSPRK(4,3)"),
+               dict(_OBSERVED_TVD, a="0,1,2,10,20")),
+    "table8-partial": (run_table8, {"n": "1000", "steps": "500", "with_opt": "false"}),
+    "fig1": (functools.partial(run_sweep_experiment, experiment="fig1"),
+             dict(_SWEEP, lambdas="0.05:1.2:24")),
 }
 EXPERIMENTS = tuple(_EXPERIMENTS)
 
@@ -435,10 +425,8 @@ def cmd_methods(args) -> int:
 
 
 def cmd_radius(args) -> int:
-    if args.methods is not None:
-        _check_values({"methods": args.methods})
     rows = []
-    for rec in _records(args.methods or ",".join(methods.method_names())):
+    for rec in _parse({"methods": args.methods})["methods"]:
         r = ssp_radius(rec.tableau).radius
         rows.append((rec.name, r, r / rec.stages))
     if args.out:
@@ -483,19 +471,11 @@ def cmd_sweep(args) -> int:
             f"unknown problem {args.problem!r}; choose from "
             + ", ".join(sorted(_PROBLEMS))
         )
-    _check_values({"n": str(args.n), "steps": str(args.steps), "a": str(args.a),
-                   "lambdas": args.lambdas})
+    lambdas = _parse({"n": str(args.n), "steps": str(args.steps), "a": str(args.a),
+                      "lambdas": args.lambdas})["lambdas"]
     sys_, u0 = spatial.make_problem(_PROBLEMS[args.problem], a=args.a, n=args.n)
-    lambdas = parse_lambda_grid(args.lambdas)
-    meta = {
-        "version": VERSION,
-        "method": rec.name,
-        "problem": args.problem,
-        "a": args.a,
-        "n": args.n,
-        "steps": args.steps,
-        "stepper": args.stepper,
-    }
+    meta = {"version": VERSION, "method": rec.name, "problem": args.problem, "a": args.a,
+            "n": args.n, "steps": args.steps, "stepper": args.stepper}
     _write_sweep(args.out, _BUILDERS[args.stepper](rec), sys_, u0, lambdas,
                  args.steps, meta)
     print(f"wrote {args.out}")
@@ -503,11 +483,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _merged_config(args, args.experiment)
-    outdir = cfg.pop("out", args.out or ".")
+    cfg, digest, outdir = _merged_config(args)
     with _writing(outdir):  # before the run, not after it
         os.makedirs(outdir, exist_ok=True)
-    paths = _EXPERIMENTS[args.experiment][0](cfg, outdir)
+    meta = {"config_hash": digest, "version": VERSION}
+    paths = _EXPERIMENTS[args.experiment][0](cfg, outdir, meta)
     for p in paths:
         print(f"wrote {p}")
     return 0

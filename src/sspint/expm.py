@@ -105,10 +105,12 @@ class Circulant:
     @classmethod
     def from_column(cls, col) -> "Circulant":
         """The operator whose matrix has first column col, a real vector."""
+        col = np.asarray(col)
         if np.iscomplexobj(col):
             raise TypeError("a Circulant's column must be real")
-        n = len(col)
-        return cls(np.fft.fft(col)[: n // 2 + 1], n)
+        if col.ndim != 1:
+            raise ValueError(f"a Circulant's column must be 1-D, got shape {col.shape}")
+        return cls(np.fft.fft(col)[: len(col) // 2 + 1], len(col))
 
     def __matmul__(self, u: np.ndarray) -> np.ndarray:
         """The product with real values u (a batch of rows along the last

@@ -7,6 +7,7 @@ N is the unit upwind operator itself, so steppers act on it spectrally."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,8 @@ class Grid1D:
     n: int
 
     def __post_init__(self):
+        # a float or str size is a TypeError; an integer such as np.int64 is held as an int
+        object.__setattr__(self, "n", operator.index(self.n))
         if self.n < MIN_POINTS:
             raise ValueError(f"grid requires at least {MIN_POINTS} points")
 

@@ -185,6 +185,20 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_cli_config_hash_covers_only_the_keys_given(tmp_path, capsys):
+    # neither the defaults nor the output directory are hashed
+    given = {"n": "64", "steps": "2", "a": "0", "threshold": "1e-9"}
+    cfg = tmp_path / "exp.cfg"
+    argv = ["run", "table7", "--n", "64", "--steps", "2", "--a", "0", "--config", str(cfg)]
+    cfg.write_text("threshold=1e-9\n")
+    assert main(argv + ["--out", str(tmp_path / "flag")]) == 0
+    cfg.write_text(f"threshold=1e-9\nout={tmp_path / 'file'}\n")
+    assert main(argv) == 0
+    for out in ("flag", "file"):
+        lines = (tmp_path / out / "table7.csv").read_text().splitlines()
+        assert f"# config_hash={config_hash(given)}" in lines
+
+
 @pytest.mark.parametrize("config, argv", [
     ("n=abc\n", ["run", "table6"]),
     (None, ["run", "table7", "--n", "4"]),
@@ -245,6 +259,8 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     (None, ["run", "fig1", "--lambdas", "0:1"]),
     (None, ["run", "ex4", "--a", "x"]),
     (None, ["run", "ex1", "--dts", "1e-320,0.1,0.2"]),
+    (None, ["run", "table6", "--methods", "eSSPRK+(3,3),eSSPRK(3,3)", "--n", "64", "--steps",
+            "2", "--a", "0"]),
 ])
 def test_cli_bad_values_exit_one_with_one_line(tmp_path, capsys, monkeypatch,
                                                config, argv):

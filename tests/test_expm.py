@@ -221,6 +221,15 @@ def test_a_circulant_rejects_complex_values():
         Circulant.from_column(u + 1j)
 
 
+def test_a_circulant_column_must_be_one_dimensional():
+    # a (3, 8) array once gave n = 3 and a (2, 8) symbol: the FFT ran
+    # along the last axis and the half was taken along the first
+    with pytest.raises(ValueError, match=r"1-D, got shape \(3, 8\)"):
+        Circulant.from_column(np.ones((3, 8)))
+    with pytest.raises(ValueError, match="1-D"):
+        Circulant.from_column(np.float64(1.0))
+
+
 def test_cache_unplanned_gap_is_typed_error():
     cache = ExpCache(np.eye(3), 0.1, [0.5])
     with pytest.raises(SspError, match="0.75"):

@@ -26,6 +26,16 @@ def test_grid_basics():
     assert np.allclose(g.x, np.arange(10) * 0.1)
     with pytest.raises(ValueError):
         Grid1D(4)
+    assert type(Grid1D(np.int64(10)).n) is int
+
+
+@pytest.mark.parametrize("n", [8.5, 64.0, "64"])
+def test_a_grid_size_that_is_not_an_integer_is_rejected(n):
+    # a float size once passed as a grid, and broke inside the upwind column
+    with pytest.raises(TypeError):
+        Grid1D(n)
+    with pytest.raises(TypeError):
+        make_problem(LINEAR_ADVECTION_STEP, a=1.0, n=n)
 
 
 def test_upwind_matrix_structure():
