@@ -14,6 +14,8 @@ import functools
 import hashlib
 import json
 import os
+import pickle
+import signal
 import sys
 import tempfile
 from typing import Dict, List, Optional, Sequence
@@ -83,6 +85,57 @@ def atomic_write_text(path: str, text: str):
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
+
+
+def _pmap(fn, jobs: Sequence) -> List:
+    """[fn(job) for job in jobs] on W = min(len(jobs), CPUs in the affinity
+    mask) CPUs: this process runs jobs[0::W], W - 1 forked children the other
+    shares, each returning its results pickled through a pipe.  The first
+    failing job in job order raises its own exception here."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    width = max(1, min(len(jobs), cpus))  # every system with sched_getaffinity forks
+
+    def share(w):  # (results of share w up to its first failure, that exception or None)
+        results = []
+        try:
+            for job in jobs[w::width]:
+                results.append(fn(job))
+        except Exception as exc:
+            return results, exc
+        return results, None
+
+    children = {}  # pid -> read end of its pipe, of every child not yet reaped
+    try:
+        for w in range(1, width):
+            fd, wfd = os.pipe()
+            pid = os.fork()
+            children[pid] = fd  # before anything else can raise
+            if pid == 0:  # the child never returns into its caller
+                try:
+                    with os.fdopen(wfd, "wb") as fh:
+                        pickle.dump(share(w), fh)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(wfd)
+        shares = [share(0)]
+        for pid, fd in list(children.items()):
+            blob = b"".join(iter(functools.partial(os.read, fd, 1 << 16), b""))
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(children.pop(pid))
+            if code:
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                raise SspError(f"worker process {pid} ended without a result ({how})")
+            shares.append(pickle.loads(blob))
+    finally:
+        for pid, fd in children.items():  # left only by an exception: stop them
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failed = [(len(done) * width + w, exc) for w, (done, exc) in enumerate(shares) if exc]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return [shares[i % width][0][i // width] for i in range(len(jobs))]
 
 
 def _fmt(x) -> str:
@@ -253,14 +306,16 @@ def run_observed_tvd(cfg: Dict, outdir: str, meta: Dict, table: str, stepper: st
                      lambda_hi, fixed_methods: Optional[str] = None) -> List[str]:
     """Observed TVD limits on the linear advection step, searched up to
     lambda_hi(claimed C), of cfg's methods or of the table's fixed ones."""
-    rows = []
-    for rec in cfg["methods"] if fixed_methods is None else _records(fixed_methods):
-        build = _BUILDERS[stepper](rec)
-        for a in cfg["a"]:
-            sys_, u0 = spatial.make_problem(spatial.LINEAR_ADVECTION_STEP, a=a, n=cfg["n"])
-            obs = analysis.observed_tvd_lambda(build, sys_, u0, lambda_hi(rec.claimed_C),
-                                               cfg["steps"], threshold=cfg["threshold"])
-            rows.append((rec.name, a, obs.lambda_obs))
+    def cell(job):
+        rec, a = job
+        sys_, u0 = spatial.make_problem(spatial.LINEAR_ADVECTION_STEP, a=a, n=cfg["n"])
+        return analysis.observed_tvd_lambda(_BUILDERS[stepper](rec), sys_, u0,
+                                            lambda_hi(rec.claimed_C), cfg["steps"],
+                                            threshold=cfg["threshold"]).lambda_obs
+
+    recs = cfg["methods"] if fixed_methods is None else _records(fixed_methods)
+    cells = [(rec, a) for rec in recs for a in cfg["a"]]
+    rows = [(rec.name, a, lam) for (rec, a), lam in zip(cells, _pmap(cell, cells))]
     path = os.path.join(outdir, f"{table}.csv")
     return [write_csv(path, ("method", "a", "lambda_obs"), rows,
                       dict(meta, experiment=table, threshold=cfg["threshold"]))]
@@ -292,15 +347,14 @@ def run_table8(cfg: Dict, outdir: str, meta: Dict) -> List[str]:
         except NonFinite:
             return ("ifrk_norm_at_lambda27", name, float("inf"))
 
-    rows += [job(name) for name in _TABLE6_METHODS]
+    rows += _pmap(job, _TABLE6_METHODS)
     path = os.path.join(outdir, "table8_partial.csv")
     return [write_csv(path, ("quantity", "method", "value"), rows,
                       dict(meta, experiment="table8-partial"))]
 
 
-def _write_sweep(path: str, build, sys_, u0, lambdas, steps: int, meta: Dict) -> str:
-    """Run the lambda sweep of one stepper and write its CSV."""
-    recs = analysis.lambda_sweep(build, sys_, u0, lambdas, steps)
+def _write_sweep(path: str, recs, meta: Dict) -> str:
+    """Write the CSV of one lambda sweep's records."""
     return write_csv(path, ("lambda", "max_rise", "log10_rise"),
                      [(r.lam, r.max_rise, r.log10_rise) for r in recs], meta)
 
@@ -314,28 +368,29 @@ def run_sweep_experiment(cfg: Dict, outdir: str, meta: Dict, experiment: str) ->
         jobs = [(r.name, "ifrk" if r.nondecreasing else "rk", r) for r in cfg["methods"]]
 
     sys_, u0 = spatial.make_problem(spatial.ADVECTION_BURGERS_STEP, a=a, n=n)
+    sweeps = _pmap(lambda job: analysis.lambda_sweep(_BUILDERS[job[1]](job[2]), sys_, u0,
+                                                     cfg["lambdas"], steps), jobs)
     return [
         _write_sweep(
-            os.path.join(outdir, f"{experiment}_{_safe_name(label)}.csv"),
-            _BUILDERS[stepper](rec), sys_, u0, cfg["lambdas"], steps,
+            os.path.join(outdir, f"{experiment}_{_safe_name(label)}.csv"), recs,
             dict(meta, experiment=experiment, method=label, a=a, n=n, steps=steps),
         )
-        for label, stepper, rec in jobs
+        for (label, _, _), recs in zip(jobs, sweeps)
     ]
 
 
 def run_ex1(cfg: Dict, outdir: str, meta: Dict) -> List[str]:
     uref = np.array(analysis.VAN_DER_POL_REFERENCE)
+    pairs = [(rec, split) for rec in cfg["methods"] for split in cfg["splittings"]]
+
+    def job(pair):
+        errs = van_der_pol_errors(*pair, cfg["dts"], uref)
+        return errs, analysis.convergence_slope(errs)
 
     err_rows, slope_rows = [], []
-    for rec in cfg["methods"]:
-        for split in cfg["splittings"]:
-            errs = van_der_pol_errors(rec, split, cfg["dts"], uref)
-            for dt, err in errs:
-                err_rows.append((rec.name, split, dt, err))
-            slope_rows.append(
-                (rec.name, split, rec.order, analysis.convergence_slope(errs))
-            )
+    for (rec, split), (errs, slope) in zip(pairs, _pmap(job, pairs)):
+        err_rows += [(rec.name, split, dt, err) for dt, err in errs]
+        slope_rows.append((rec.name, split, rec.order, slope))
 
     meta = dict(meta, experiment="ex1")
     return [write_csv(os.path.join(outdir, "ex1_errors.csv"),
@@ -476,8 +531,8 @@ def cmd_sweep(args) -> int:
     sys_, u0 = spatial.make_problem(_PROBLEMS[args.problem], a=args.a, n=args.n)
     meta = {"version": VERSION, "method": rec.name, "problem": args.problem, "a": args.a,
             "n": args.n, "steps": args.steps, "stepper": args.stepper}
-    _write_sweep(args.out, _BUILDERS[args.stepper](rec), sys_, u0, lambdas,
-                 args.steps, meta)
+    _write_sweep(args.out, analysis.lambda_sweep(_BUILDERS[args.stepper](rec), sys_, u0,
+                                                 lambdas, args.steps), meta)
     print(f"wrote {args.out}")
     return 0
 

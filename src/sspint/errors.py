@@ -31,6 +31,9 @@ class UnknownMethod(SspError, KeyError):
     def __str__(self):
         return self.args[0]
 
+    def __reduce__(self):  # pickle rebuilds it from (name, available), not its message
+        return type(self), (self.name, self.available)
+
 
 class NotFound(SspError):
     """The optimizer failed to locate any feasible method."""

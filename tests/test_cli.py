@@ -3,8 +3,11 @@ import dataclasses
 import io
 import json
 import os
+import pickle
 import re
+import signal
 import stat
+import time
 import warnings
 
 import numpy as np
@@ -20,7 +23,7 @@ from sspint.cli import (
     split_method_names,
     write_csv,
 )
-from sspint.errors import ConfigError, NonFinite
+from sspint.errors import ConfigError, NonFinite, SspError, UnknownMethod
 from sspint.tableau import ButcherTableau
 
 
@@ -532,3 +535,150 @@ def test_cli_run_ex4_writes_one_sweep_per_method(tmp_path, capsys):
                                  sys_, u0, [0.1, 0.5], 2)
     rows = _csv_rows((tmp_path / "ex4_eSSPRK_10_4.csv").read_text())[1:]
     assert [float(r[1]).hex() for r in rows] == [w.max_rise.hex() for w in want]
+
+
+@pytest.fixture
+def no_child_left():
+    yield
+    with pytest.raises(ChildProcessError):  # no child at all, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+_SMALL = ["--n", "64", "--steps", "4"]
+_SMALL_SWEEP = ["--n", "64", "--steps", "5", "--lambdas", "0.1:1.0:4"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["table6", "--methods", "eSSPRK+(3,3),eSSPRK+(5,4)", "--a", "0,10"] + _SMALL,
+    ["table7", "--a", "0,10"] + _SMALL,
+    ["table8-partial", "--n", "64", "--steps", "50"],
+    ["ex4", "--methods", "eSSPRK+(5,4),eSSPRK(10,4)"] + _SMALL_SWEEP,
+    ["fig1"] + _SMALL_SWEEP,
+    ["ex1", "--methods", "eSSPRK(3,3),eSSPRK+(3,3)", "--dts", "0.05,0.1,0.125"],
+], ids=lambda argv: argv[0])
+def test_cli_run_writes_the_same_bytes_on_one_cpu_and_on_two(tmp_path, capsys, monkeypatch,
+                                                            no_child_left, argv):
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    outputs = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        out = tmp_path / str(cpus)
+        assert main(["run", *argv, "--out", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert len(forks) == cpus - 1
+    assert outputs[0] == outputs[1] and outputs[0]
+
+
+def _squares_failing_at(fails):
+    def fn(job):
+        if job in fails:
+            raise fails[job]
+        return job * job
+    return fn
+
+
+@pytest.mark.parametrize("fails, want", [
+    ({}, None),
+    ({3: NonFinite("job 3"), 4: ValueError("job 4")}, NonFinite("job 3")),  # a child's
+    ({2: ConfigError("job 2"), 3: NonFinite("job 3")}, ConfigError("job 2")),  # this process's
+    ({5: UnknownMethod("job 5", ["a"])}, UnknownMethod("job 5", ["a"])),
+])
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_pmap_is_the_list_and_the_first_failing_job_in_job_order_raises(
+        monkeypatch, no_child_left, fails, want, cpus):
+    _cpus(monkeypatch, cpus)
+    fn = _squares_failing_at(fails)
+    if want is None:
+        assert cli._pmap(fn, list(range(6))) == [j * j for j in range(6)]
+        return
+    with pytest.raises(type(want)) as info:
+        cli._pmap(fn, list(range(6)))
+    assert type(info.value) is type(want) and str(info.value) == str(want)
+
+
+@pytest.mark.parametrize("die, how", [
+    (lambda: os._exit(3), "exit status 3"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), f"killed by signal {int(signal.SIGKILL)}"),
+], ids=["exit", "signal"])
+def test_pmap_child_that_ends_without_a_result_is_an_ssp_error(monkeypatch, no_child_left,
+                                                               die, how):
+    _cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def fn(job):
+        if os.getpid() != parent:
+            die()
+        return job
+
+    with pytest.raises(SspError, match=rf"^worker process \d+ ended without a result \({how}\)$"):
+        cli._pmap(fn, [0, 1, 2])
+
+
+def test_pmap_interrupted_kills_and_reaps_its_children(monkeypatch, no_child_left):
+    _cpus(monkeypatch, 3)
+    parent = os.getpid()
+
+    def fn(job):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        cli._pmap(fn, [0, 1, 2])
+    assert time.monotonic() - start < 10
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_cli_run_writes_no_csv_when_a_job_fails(tmp_path, capsys, monkeypatch, no_child_left,
+                                               cpus):
+    # ex4 steps eSSPRK(10,4) as plain Runge-Kutta: its job, the second, fails
+    # after the first has finished on one CPU, and in the worker on two
+    def blow_up(rec):
+        raise NonFinite(f"{rec.name} blew up")
+
+    _cpus(monkeypatch, cpus)
+    monkeypatch.setitem(cli._BUILDERS, "rk", blow_up)
+    out = tmp_path / "out"
+    argv = ["run", "ex4", "--methods", "eSSPRK+(5,4),eSSPRK(10,4),eSSPRK+(6,4)", *_SMALL_SWEEP]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: non-finite state: eSSPRK(10,4) blew up\n"
+    assert list(out.iterdir()) == []
+
+
+def test_cli_run_child_that_dies_exits_one_with_one_line(tmp_path, capsys, monkeypatch,
+                                                         no_child_left):
+    parent = os.getpid()
+
+    def die(rec):
+        if os.getpid() != parent:
+            os._exit(3)
+        return analysis.ifrk_builder(rec)
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setitem(cli._BUILDERS, "ifrk", die)
+    out = tmp_path / "out"
+    assert main(["run", "fig1", *_SMALL_SWEEP, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.fullmatch(
+        r"error: worker process \d+ ended without a result \(exit status 3\)", err[0]), err
+    assert list(out.iterdir()) == []
+
+
+def _subclasses(cls):
+    return [cls] + [c for sub in cls.__subclasses__() for c in _subclasses(sub)]
+
+
+def test_every_package_error_and_memory_error_survive_pickling():
+    # a job's exception comes back from its worker process pickled
+    excs = [UnknownMethod("bogus", ["a", "b"]) if cls is UnknownMethod else cls("message")
+            for cls in _subclasses(SspError)] + [MemoryError("Unable to allocate 37.3 GiB")]
+    assert len(excs) >= 8
+    for exc in excs:
+        back = pickle.loads(pickle.dumps(exc))
+        assert (type(back), str(back), back.args) == (type(exc), str(exc), exc.args)
