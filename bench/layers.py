@@ -46,6 +46,8 @@ unless stated):
   and ``run_table8``: ``sspint run`` of ex1, ex4, fig1, table6, table7 and
   table8-partial at their default config, in-process through ``cli.main``
   with stdout suppressed.
+- ``pmap_trivial``: ``cli._pmap`` of ``abs`` over two jobs, which on two
+  or more CPUs forks one worker: the cost of one fork-and-claim round.
 - ``tv_trace``: ``tv_trace`` at lambda = 1.5, the stage TVs of one run.
 - ``total_variation_k4``: ``total_variation`` of one (9, 4, 1000) batch
   of standard normal values (seed 0): the stages of one step of a
@@ -229,6 +231,7 @@ def layers(quick, src):
         "run_table6": _median_time(lambda: run("table6"), k),
         "run_table7": _median_time(lambda: run("table7"), k),
         "run_table8": _median_time(lambda: run("table8-partial"), k),
+        "pmap_trivial": _median_time(lambda: cli._pmap(abs, [0, 1]), k, 20),
         "tv_trace": _median_time(
             lambda: analysis.tv_trace(build, sys_, u0, 1.5, STEPS), k),
         "total_variation_k4": _median_time(

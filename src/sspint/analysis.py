@@ -194,20 +194,25 @@ def max_tv_rise(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
     return float(max_tv_rises(build, sys, u0, [lam], n_steps)[0])
 
 
+def lambda_chunks(lams: Sequence[float], n: int) -> List[Tuple[int, Sequence[float]]]:
+    """(start, chunk) for consecutive chunks of lams: the batches of at most
+    BATCH_ELEMENTS elements, one lambda at least, that a scan on n points steps."""
+    size = max(1, BATCH_ELEMENTS // n)
+    return [(i, lams[i:i + size]) for i in range(0, len(lams), size)]
+
+
 def _rise_chunks(build: StepperBuilder, sys: SemiDiscretization, u0: np.ndarray,
                  lams: np.ndarray, n_steps: int, threshold: Optional[float] = None):
-    """(start, rises) for consecutive chunks of lams, lazily; the one place
-    that decides how lambdas run.  A chunk of at most BATCH_ELEMENTS
-    elements steps one C-order row per lambda by a column of step sizes,
-    on any L: real-FFT rows by stage gains for a ``Spectral`` L, else
-    physical rows.  A chunk that turns non-finite is re-run one lambda at
-    a time, each yielded as it ends.  Given a threshold, as a search gives
-    it, a chunk whose first lambda crosses ends with that step
-    (``_stage_tvs``); the rises of every other chunk are exact."""
-    size = max(1, BATCH_ELEMENTS // sys.n)
+    """(start, rises) for the ``lambda_chunks`` of lams, lazily; the one
+    place that decides how lambdas run.  A chunk steps one C-order row per
+    lambda by a column of step sizes, on any L: real-FFT rows by stage
+    gains for a ``Spectral`` L, else physical rows.  A chunk that turns
+    non-finite is re-run one lambda at a time, each yielded as it ends.
+    Given a threshold, as a search gives it, a chunk whose first lambda
+    crosses ends with that step (``_stage_tvs``); the rises of every other
+    chunk are exact."""
     row = np.fft.rfft(u0) if isinstance(sys.L, Spectral) else u0
-    for start in range(0, len(lams), size):
-        part = lams[start:start + size]
+    for start, part in lambda_chunks(lams, sys.n):
         with np.errstate(over="ignore", invalid="ignore"):  # a blow-up reads inf
             stepper, u = build(sys, part[:, None] * sys.dx), np.tile(row, (len(part), 1))
             try:  # a non-finite operator raised above, in the plan: not a rise

@@ -89,23 +89,31 @@ def atomic_write_text(path: str, text: str):
 
 def _pmap(fn, jobs: Sequence) -> List:
     """[fn(job) for job in jobs] on W = min(len(jobs), CPUs in the affinity
-    mask) CPUs: this process runs jobs[0::W], W - 1 forked children the other
-    shares, each returning its results pickled through a pipe.  The first
-    failing job in job order raises its own exception here."""
+    mask) CPUs: this process and W - 1 forked children, which return their
+    results pickled through pipes.  Process w runs block w of the jobs, then
+    claims the next unclaimed block from a pipe filled before the forks,
+    until none is left or a job fails: the earliest failing job raises here."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     width = max(1, min(len(jobs), cpus))  # every system with sched_getaffinity forks
+    block = len(jobs) // 1024 + 1  # at most 1024 blocks: their 4-byte claims fit any pipe
 
-    def share(w):  # (results of share w up to its first failure, that exception or None)
-        results = []
-        try:
-            for job in jobs[w::width]:
-                results.append(fn(job))
-        except Exception as exc:
-            return results, exc
-        return results, None
+    def share(w):  # ([(job index, result)] up to its first failure, (index, exception) or None)
+        done, claim = [], w * block
+        while claim is not None:
+            for i in range(claim, min(claim + block, len(jobs))):
+                try:
+                    done.append((i, fn(jobs[i])))
+                except Exception as exc:
+                    return done, (i, exc)
+            data = os.read(claims, 4)
+            claim = int.from_bytes(data, "little") if data else None
+        return done, None
 
+    claims, wfd = os.pipe()
     children = {}  # pid -> read end of its pipe, of every child not yet reaped
     try:
+        with os.fdopen(wfd, "wb") as fh:
+            fh.write(np.arange(width * block, len(jobs), block, dtype="<i4").tobytes())
         for w in range(1, width):
             fd, wfd = os.pipe()
             pid = os.fork()
@@ -128,14 +136,15 @@ def _pmap(fn, jobs: Sequence) -> List:
                 raise SspError(f"worker process {pid} ended without a result ({how})")
             shares.append(pickle.loads(blob))
     finally:
+        os.close(claims)
         for pid, fd in children.items():  # left only by an exception: stop them
             os.close(fd)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    failed = [(len(done) * width + w, exc) for w, (done, exc) in enumerate(shares) if exc]
+    failed = [failure for _, failure in shares if failure]
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
-    return [shares[i % width][0][i // width] for i in range(len(jobs))]
+    return [result for _, result in sorted(pair for done, _ in shares for pair in done)]
 
 
 def _fmt(x) -> str:
@@ -326,37 +335,42 @@ def run_table8(cfg: Dict, outdir: str, meta: Dict) -> List[str]:
     grid = spatial.Grid1D(n)
     # wavespeed 11 at unit grid spacing: the upwind operator times dx
     M = spatial.upwind_operator(grid, 11.0 * grid.dx)
-
-    rows = []
-    t33 = methods.get("eSSPRK(3,3)").tableau
-    rows.append(("l2_cfl", "eSSPRK(3,3)", observed_l2_cfl(t33, M, 0.2, steps)))
-
-    if cfg["with_opt"]:
-        rec = optimize(OptimizationSpec(stages=5, order=3))
-        rows.append(("opt_radius", rec.name, rec.claimed_C))
-        rows.append(("l2_cfl", rec.name, observed_l2_cfl(rec.tableau, M, 0.4, steps)))
-
     # long-step stability probe of the integrating-factor methods
     sys_, u0 = spatial.make_problem(spatial.LINEAR_ADVECTION_STEP, a=10.0, n=n)
 
-    def job(name):
+    def l2_cfl(rec, lambda_max):
+        return [("l2_cfl", rec.name, observed_l2_cfl(rec.tableau, M, lambda_max, steps))]
+
+    def opt():  # the search, then the probe of the method it found
+        rec = optimize(OptimizationSpec(stages=5, order=3))
+        return [("opt_radius", rec.name, rec.claimed_C)] + l2_cfl(rec, 0.4)
+
+    def long_step(name):
         build = analysis.ifrk_builder(methods.get(name))
         try:
             u = integrate(build(sys_, 27.0 * sys_.dx), u0, 10)
-            return ("ifrk_norm_at_lambda27", name, float(np.linalg.norm(u)))
+            return [("ifrk_norm_at_lambda27", name, float(np.linalg.norm(u)))]
         except NonFinite:
-            return ("ifrk_norm_at_lambda27", name, float("inf"))
+            return [("ifrk_norm_at_lambda27", name, float("inf"))]
 
-    rows += _pmap(job, _TABLE6_METHODS)
+    jobs = [functools.partial(l2_cfl, methods.get("eSSPRK(3,3)"), 0.2),
+            *([opt] if cfg["with_opt"] else []),
+            *(functools.partial(long_step, name) for name in _TABLE6_METHODS)]
+    rows = [row for rows in _pmap(lambda job: job(), jobs) for row in rows]
     path = os.path.join(outdir, "table8_partial.csv")
     return [write_csv(path, ("quantity", "method", "value"), rows,
                       dict(meta, experiment="table8-partial"))]
 
 
-def _write_sweep(path: str, recs, meta: Dict) -> str:
-    """Write the CSV of one lambda sweep's records."""
-    return write_csv(path, ("lambda", "max_rise", "log10_rise"),
-                     [(r.lam, r.max_rise, r.log10_rise) for r in recs], meta)
+def _write_sweeps(sweeps, sys_, u0, lambdas, steps) -> List[str]:
+    """Write the lambda_sweep CSV of each (path, meta, make_builder) of sweeps,
+    one job per (make_builder, lambda chunk): the batch lambda_sweep steps."""
+    chunks = analysis.lambda_chunks(lambdas, sys_.n)
+    done = iter(_pmap(lambda job: analysis.lambda_sweep(job[0](), sys_, u0, job[1], steps),
+                      [(make, chunk) for _, _, make in sweeps for _, chunk in chunks]))
+    return [write_csv(path, ("lambda", "max_rise", "log10_rise"),
+                      [(r.lam, r.max_rise, r.log10_rise) for _ in chunks for r in next(done)],
+                      meta) for path, meta, _ in sweeps]
 
 
 def run_sweep_experiment(cfg: Dict, outdir: str, meta: Dict, experiment: str) -> List[str]:
@@ -368,15 +382,11 @@ def run_sweep_experiment(cfg: Dict, outdir: str, meta: Dict, experiment: str) ->
         jobs = [(r.name, "ifrk" if r.nondecreasing else "rk", r) for r in cfg["methods"]]
 
     sys_, u0 = spatial.make_problem(spatial.ADVECTION_BURGERS_STEP, a=a, n=n)
-    sweeps = _pmap(lambda job: analysis.lambda_sweep(_BUILDERS[job[1]](job[2]), sys_, u0,
-                                                     cfg["lambdas"], steps), jobs)
-    return [
-        _write_sweep(
-            os.path.join(outdir, f"{experiment}_{_safe_name(label)}.csv"), recs,
-            dict(meta, experiment=experiment, method=label, a=a, n=n, steps=steps),
-        )
-        for (label, _, _), recs in zip(jobs, sweeps)
-    ]
+    return _write_sweeps(
+        [(os.path.join(outdir, f"{experiment}_{_safe_name(label)}.csv"),
+          dict(meta, experiment=experiment, method=label, a=a, n=n, steps=steps),
+          functools.partial(_BUILDERS[stepper], rec)) for label, stepper, rec in jobs],
+        sys_, u0, cfg["lambdas"], steps)
 
 
 def run_ex1(cfg: Dict, outdir: str, meta: Dict) -> List[str]:
@@ -531,8 +541,8 @@ def cmd_sweep(args) -> int:
     sys_, u0 = spatial.make_problem(_PROBLEMS[args.problem], a=args.a, n=args.n)
     meta = {"version": VERSION, "method": rec.name, "problem": args.problem, "a": args.a,
             "n": args.n, "steps": args.steps, "stepper": args.stepper}
-    _write_sweep(args.out, analysis.lambda_sweep(_BUILDERS[args.stepper](rec), sys_, u0,
-                                                 lambdas, args.steps), meta)
+    _write_sweeps([(args.out, meta, functools.partial(_BUILDERS[args.stepper], rec))],
+                  sys_, u0, lambdas, args.steps)
     print(f"wrote {args.out}")
     return 0
 
@@ -618,9 +628,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory (default: .)")
     p.add_argument("--methods", help="comma-separated method names")
     p.add_argument("--a", help="comma-separated wavespeed values")
-    p.add_argument("--n", type=int, help="grid size")
-    p.add_argument("--steps", type=int, help="number of time steps")
-    p.add_argument("--threshold", type=float, help="TV-rise detection threshold")
+    p.add_argument("--n", help="grid size")
+    p.add_argument("--steps", help="number of time steps")
+    p.add_argument("--threshold", help="TV-rise detection threshold")
     p.add_argument("--lambdas", help="lambda grid: lo:hi:count or list")
     p.add_argument("--splittings", help="ex1 splittings, e.g. a,b")
     p.add_argument("--dts", help="ex1 step sizes, comma-separated")

@@ -202,6 +202,29 @@ def test_cli_config_hash_covers_only_the_keys_given(tmp_path, capsys):
         assert f"# config_hash={config_hash(given)}" in lines
 
 
+@pytest.mark.parametrize("key, text, code", [
+    ("threshold", "1e-9", 0), ("n", "064", 0), ("steps", "+2", 0),
+    ("n", "abc", 1), ("steps", "2.5", 1), ("threshold", "tiny", 1),
+])
+def test_cli_run_reads_a_value_alike_from_a_flag_and_from_a_file(tmp_path, capsys, key, text,
+                                                                code):
+    # a flag's value is the text given, as a file's is: the same config hash,
+    # or the same one-line error for a malformed value
+    given = {"n": "64", "steps": "2", "a": "0", key: text}
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in given.items()))
+    seen = []
+    for source, argv in (("flag", [f"--{k}={v}" for k, v in given.items()]),
+                         ("file", ["--config", str(cfg)])):
+        out = tmp_path / source
+        assert main(["run", "table7", *argv, "--out", str(out)]) == code
+        lines = [] if code else (out / "table7.csv").read_text().splitlines()
+        seen.append((capsys.readouterr().err, [ln for ln in lines if "config_hash=" in ln]))
+    assert seen[0] == seen[1]
+    assert seen[0] == ((f"error: {key} must {cli._VALUES[key][2]}, got {text!r}\n", []) if code
+                       else ("", [f"# config_hash={config_hash(given)}"]))
+
+
 @pytest.mark.parametrize("config, argv", [
     ("n=abc\n", ["run", "table6"]),
     (None, ["run", "table7", "--n", "4"]),
@@ -550,6 +573,7 @@ def _cpus(monkeypatch, count):
 
 _SMALL = ["--n", "64", "--steps", "4"]
 _SMALL_SWEEP = ["--n", "64", "--steps", "5", "--lambdas", "0.1:1.0:4"]
+_CHUNKED_SWEEP = ["--n", "400", "--steps", "2", "--lambdas", "0.05:1.2:24"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -557,6 +581,11 @@ _SMALL_SWEEP = ["--n", "64", "--steps", "5", "--lambdas", "0.1:1.0:4"]
     ["table7", "--a", "0,10"] + _SMALL,
     ["table8-partial", "--n", "64", "--steps", "50"],
     ["ex4", "--methods", "eSSPRK+(5,4),eSSPRK(10,4)"] + _SMALL_SWEEP,
+    # three 10-lambda chunks at n = 400; eSSPRK(10,4) blows up from 0.7 on,
+    # so its second chunk is re-run one lambda at a time inside its job
+    pytest.param(["ex4", "--methods", "eSSPRK(10,4),eSSPRK+(5,4)"] + _CHUNKED_SWEEP,
+                 id="ex4-chunks"),
+    ["sweep", "--method", "eSSPRK(10,4)", "--stepper", "rk"] + _CHUNKED_SWEEP,
     ["fig1"] + _SMALL_SWEEP,
     ["ex1", "--methods", "eSSPRK(3,3),eSSPRK+(3,3)", "--dts", "0.05,0.1,0.125"],
 ], ids=lambda argv: argv[0])
@@ -568,7 +597,9 @@ def test_cli_run_writes_the_same_bytes_on_one_cpu_and_on_two(tmp_path, capsys, m
     for cpus in (1, 2):
         _cpus(monkeypatch, cpus)
         out = tmp_path / str(cpus)
-        assert main(["run", *argv, "--out", str(out)]) == 0
+        argv_out = [*argv, "--out", str(out / "sweep.csv")] if argv[0] == "sweep" else \
+            ["run", *argv, "--out", str(out)]
+        assert main(argv_out) == 0
         outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert len(forks) == cpus - 1
     assert outputs[0] == outputs[1] and outputs[0]
@@ -599,6 +630,40 @@ def test_pmap_is_the_list_and_the_first_failing_job_in_job_order_raises(
     with pytest.raises(type(want)) as info:
         cli._pmap(fn, list(range(6)))
     assert type(info.value) is type(want) and str(info.value) == str(want)
+
+
+def test_pmap_hands_each_job_to_the_first_process_free(tmp_path, monkeypatch, no_child_left):
+    # job 0 ends in time only if another process claims jobs 2, 4, ..., which
+    # a fixed stride would leave to this process, after job 0
+    _cpus(monkeypatch, 2)
+
+    def fn(job):
+        if job:
+            (tmp_path / str(job)).touch()
+            return job
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            if all((tmp_path / str(j)).exists() for j in range(1, 8)):
+                return "all seen"
+            time.sleep(0.01)
+        return "timed out"
+
+    assert cli._pmap(fn, list(range(8))) == ["all seen", *range(1, 8)]
+
+
+def test_pmap_runs_more_jobs_than_a_pipe_holds_claims(monkeypatch, no_child_left):
+    # 20 000 four-byte claims would fill a 64 KiB pipe before any worker reads
+    def blocked(signum, frame):
+        raise TimeoutError("_pmap blocked")
+
+    _cpus(monkeypatch, 2)
+    previous = signal.signal(signal.SIGALRM, blocked)
+    signal.alarm(30)  # a forked worker inherits no alarm
+    try:
+        assert cli._pmap(abs, range(20_000)) == list(range(20_000))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("die, how", [
