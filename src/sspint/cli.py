@@ -40,12 +40,6 @@ _TABLE6_METHODS = (
     "eSSPRK+(6,4)",
 )
 
-_PROBLEMS = {
-    "advection-step": spatial.LINEAR_ADVECTION_STEP,
-    "burgers-step": spatial.ADVECTION_BURGERS_STEP,
-    "burgers-smooth": spatial.ADVECTION_BURGERS_SMOOTH,
-}
-
 #: stepper name -> stepper builder of a method record.
 _BUILDERS = {
     "ifrk": analysis.ifrk_builder,
@@ -192,7 +186,7 @@ def _merged_config(args):
     args.config, then as flags) and the output directory."""
     runner, defaults = _EXPERIMENTS[args.experiment]
     given = parse_config_file(args.config) if args.config else {}
-    given.update((key, str(val)) for key, val in vars(args).items()
+    given.update((key, val) for key, val in vars(args).items()
                  if key not in ("command", "func", "experiment", "config") and val is not None)
     outdir = given.pop("out", ".")
     unknown = sorted(set(given) - set(defaults))
@@ -201,9 +195,7 @@ def _merged_config(args):
             f"unknown config keys for {args.experiment}: {', '.join(unknown)} "
             f"(allowed: {', '.join(sorted([*defaults, 'out']))})"
         )
-    cfg = _parse({**defaults, **given})
-    if getattr(runner, "func", None) is run_sweep_experiment and len(cfg["a"]) != 1:
-        raise ConfigError(f"{args.experiment} takes one wavespeed, got {given['a']!r}")
+    cfg = _parse({**defaults, **given}, args.experiment)
     if getattr(runner, "keywords", {}).get("stepper") == "ifrk":
         for rec in cfg["methods"]:
             if not rec.nondecreasing:
@@ -270,9 +262,10 @@ def _safe_name(name: str) -> str:
     return name.translate(str.maketrans({"+": "p", "(": "_", ")": None, ",": "_"}))
 
 
-def _parse(cfg: Dict[str, Optional[str]]) -> Dict:
+def _parse(cfg: Dict[str, Optional[str]], command: str) -> Dict:
     """The values of cfg parsed, each malformed or out-of-range one
-    rejected before any work."""
+    rejected before any work.  A sweep (a config with lambdas) steps one
+    wavespeed; more is a ConfigError naming the command."""
     parsed = {}
     for key, text in cfg.items():
         parse, ok, want = _VALUES[key]
@@ -282,6 +275,8 @@ def _parse(cfg: Dict[str, Optional[str]]) -> Dict:
             raise ConfigError(f"{key} must {want}, got {text!r}") from None
         if not ok(parsed[key]):
             raise ConfigError(f"{key} must {want}, got {text!r}")
+    if "lambdas" in parsed and len(parsed["a"]) != 1:
+        raise ConfigError(f"{command} takes one wavespeed, got {cfg['a']!r}")
     return parsed
 
 
@@ -305,6 +300,8 @@ _VALUES = {
                    lambda names: set(names) <= {"a", "b"}, "be a and/or b"),
     "with_opt": (lambda text: _BOOLS.get(text.lower()), lambda w: w is not None,
                  "be true/false/1/0/yes/no"),
+    "problem": (str, lambda name: name in spatial.PROBLEMS,
+                "be one of " + ", ".join(spatial.PROBLEMS)),
 }
 
 
@@ -362,31 +359,31 @@ def run_table8(cfg: Dict, outdir: str, meta: Dict) -> List[str]:
                       dict(meta, experiment="table8-partial"))]
 
 
-def _write_sweeps(sweeps, sys_, u0, lambdas, steps) -> List[str]:
-    """Write the lambda_sweep CSV of each (path, meta, make_builder) of sweeps,
-    one job per (make_builder, lambda chunk): the batch lambda_sweep steps."""
-    chunks = analysis.lambda_chunks(lambdas, sys_.n)
-    done = iter(_pmap(lambda job: analysis.lambda_sweep(job[0](), sys_, u0, job[1], steps),
-                      [(make, chunk) for _, _, make in sweeps for _, chunk in chunks]))
+def _write_sweeps(cfg: Dict, problem: str, sweeps) -> List[str]:
+    """Write the lambda_sweep CSV of each (path, meta, stepper, method record)
+    of sweeps on the problem at cfg's a, n, steps and lambdas, which meta
+    gains; one job per (sweep, lambda chunk): the batch lambda_sweep steps."""
+    (a,), n, steps = cfg["a"], cfg["n"], cfg["steps"]
+    sys_, u0 = spatial.make_problem(problem, a=a, n=n)
+    chunks = analysis.lambda_chunks(cfg["lambdas"], n)
+    jobs = [(_BUILDERS[stepper], rec, lams) for *_, stepper, rec in sweeps for _, lams in chunks]
+    done = iter(_pmap(lambda job: analysis.lambda_sweep(job[0](job[1]), sys_, u0, job[2], steps),
+                      jobs))
     return [write_csv(path, ("lambda", "max_rise", "log10_rise"),
                       [(r.lam, r.max_rise, r.log10_rise) for _ in chunks for r in next(done)],
-                      meta) for path, meta, _ in sweeps]
+                      dict(meta, a=a, n=n, steps=steps)) for path, meta, *_ in sweeps]
 
 
 def run_sweep_experiment(cfg: Dict, outdir: str, meta: Dict, experiment: str) -> List[str]:
-    (a,), n, steps = cfg["a"], cfg["n"], cfg["steps"]
     if experiment == "fig1":
         jobs = [("decreasing-abscissa-IF", "ifrk-general", methods.get("eSSPRK(3,3)")),
                 ("eSSPRK+(3,3)", "ifrk", methods.get("eSSPRK+(3,3)"))]
     else:
         jobs = [(r.name, "ifrk" if r.nondecreasing else "rk", r) for r in cfg["methods"]]
-
-    sys_, u0 = spatial.make_problem(spatial.ADVECTION_BURGERS_STEP, a=a, n=n)
-    return _write_sweeps(
-        [(os.path.join(outdir, f"{experiment}_{_safe_name(label)}.csv"),
-          dict(meta, experiment=experiment, method=label, a=a, n=n, steps=steps),
-          functools.partial(_BUILDERS[stepper], rec)) for label, stepper, rec in jobs],
-        sys_, u0, cfg["lambdas"], steps)
+    return _write_sweeps(cfg, spatial.ADVECTION_BURGERS_STEP, [
+        (os.path.join(outdir, f"{experiment}_{_safe_name(label)}.csv"),
+         dict(meta, experiment=experiment, method=label), stepper, rec)
+        for label, stepper, rec in jobs])
 
 
 def run_ex1(cfg: Dict, outdir: str, meta: Dict) -> List[str]:
@@ -416,7 +413,7 @@ _OBSERVED_TVD = {"a": "0,1,10,20", "n": "1000", "steps": "10",
 _TABLE6 = (functools.partial(run_observed_tvd, table="table6", stepper="ifrk",
                              lambda_hi=lambda C: 1.5 * C + 0.75),
            dict(_OBSERVED_TVD, methods=",".join(_TABLE6_METHODS)))
-_SWEEP = {"a": "10", "n": "400", "steps": "25"}
+_SWEEP = {"a": "10", "n": "400", "steps": "25", "lambdas": "0.05:2.0:40"}
 
 #: experiment -> (runner(cfg, outdir, meta), the default of every config
 #: key it takes besides out).  Defaults are strings, as in a config file;
@@ -426,8 +423,7 @@ _EXPERIMENTS = {
                       "dts": "0.02,0.04,0.06,0.08,0.10"}),
     "ex3": _TABLE6,
     "ex4": (functools.partial(run_sweep_experiment, experiment="ex4"),
-            dict(_SWEEP, methods="eSSPRK+(5,4),eSSPRK+(6,4),eSSPRK(10,4)",
-                 lambdas="0.05:2.0:40")),
+            dict(_SWEEP, methods="eSSPRK+(5,4),eSSPRK+(6,4),eSSPRK(10,4)")),
     "table6": _TABLE6,
     "table7": (functools.partial(run_observed_tvd, table="table7", stepper="rk",
                                  lambda_hi=lambda C: 2.5, fixed_methods="eSSPRK(4,3)"),
@@ -437,6 +433,8 @@ _EXPERIMENTS = {
              dict(_SWEEP, lambdas="0.05:1.2:24")),
 }
 EXPERIMENTS = tuple(_EXPERIMENTS)
+#: the default of every config key ``sspint sweep`` takes: ex4's problem and grid.
+_SWEEP_COMMAND = dict(_SWEEP, problem=spatial.ADVECTION_BURGERS_STEP)
 
 
 # --- subcommand handlers ---------------------------------------------------
@@ -491,7 +489,7 @@ def cmd_methods(args) -> int:
 
 def cmd_radius(args) -> int:
     rows = []
-    for rec in _parse({"methods": args.methods})["methods"]:
+    for rec in _parse({"methods": args.methods}, "radius")["methods"]:
         r = ssp_radius(rec.tableau).radius
         rows.append((rec.name, r, r / rec.stages))
     if args.out:
@@ -531,18 +529,10 @@ def cmd_optimize(args) -> int:
 
 def cmd_sweep(args) -> int:
     rec = methods.get(args.method)
-    if args.problem not in _PROBLEMS:
-        raise ConfigError(
-            f"unknown problem {args.problem!r}; choose from "
-            + ", ".join(sorted(_PROBLEMS))
-        )
-    lambdas = _parse({"n": str(args.n), "steps": str(args.steps), "a": str(args.a),
-                      "lambdas": args.lambdas})["lambdas"]
-    sys_, u0 = spatial.make_problem(_PROBLEMS[args.problem], a=args.a, n=args.n)
-    meta = {"version": VERSION, "method": rec.name, "problem": args.problem, "a": args.a,
-            "n": args.n, "steps": args.steps, "stepper": args.stepper}
-    _write_sweeps([(args.out, meta, functools.partial(_BUILDERS[args.stepper], rec))],
-                  sys_, u0, lambdas, args.steps)
+    cfg = _parse({key: getattr(args, key) for key in _SWEEP_COMMAND}, "sweep")
+    meta = {"version": VERSION, "method": rec.name, "problem": cfg["problem"],
+            "stepper": args.stepper}
+    _write_sweeps(cfg, cfg["problem"], [(args.out, meta, args.stepper, rec)])
     print(f"wrote {args.out}")
     return 0
 
@@ -569,6 +559,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _add_keys(parser, defaults: Dict[str, Optional[str]]):
+    """A --key flag for each config key of defaults: dest key, the text
+    given, else the key's default; its help says what the value must be."""
+    for key, default in defaults.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, default=default,
+                            help=f"{key} must {_VALUES[key][2]}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="sspint",
@@ -583,8 +581,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output path for export")
     p.set_defaults(func=cmd_methods)
 
-    p = sub.add_parser("radius", help="SSP coefficients (table or CSV)")
-    p.add_argument("--methods", help="comma-separated method names (default: all)")
+    p = sub.add_parser("radius", help="SSP coefficients (table or CSV) of the --methods "
+                       "given, else of every registered method")
+    _add_keys(p, {"methods": None})
     p.add_argument("--out", help="write CSV instead of printing")
     p.set_defaults(func=cmd_radius)
 
@@ -602,13 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="TV-rise sweep; CSV columns: lambda,max_rise,log10_rise",
     )
     p.add_argument("--method", required=True)
-    p.add_argument("--problem", default="burgers-step",
-                   help="advection-step | burgers-step | burgers-smooth")
-    p.add_argument("--a", type=float, default=10.0)
-    p.add_argument("--n", type=int, default=400)
-    p.add_argument("--steps", type=int, default=25)
-    p.add_argument("--lambdas", default="0.05:2.0:40",
-                   help="lo:hi:count or comma-separated list")
+    _add_keys(p, _SWEEP_COMMAND)
     p.add_argument("--stepper", choices=tuple(_BUILDERS), default="ifrk")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
@@ -626,15 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("experiment", choices=EXPERIMENTS)
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--out", help="output directory (default: .)")
-    p.add_argument("--methods", help="comma-separated method names")
-    p.add_argument("--a", help="comma-separated wavespeed values")
-    p.add_argument("--n", help="grid size")
-    p.add_argument("--steps", help="number of time steps")
-    p.add_argument("--threshold", help="TV-rise detection threshold")
-    p.add_argument("--lambdas", help="lambda grid: lo:hi:count or list")
-    p.add_argument("--splittings", help="ex1 splittings, e.g. a,b")
-    p.add_argument("--dts", help="ex1 step sizes, comma-separated")
-    p.add_argument("--with-opt", dest="with_opt", help="table8: true/false")
+    _add_keys(p, dict.fromkeys(key for key in _VALUES  # each key an experiment takes
+                               if any(key in keys for _, keys in _EXPERIMENTS.values())))
     p.set_defaults(func=cmd_run)
     return parser
 

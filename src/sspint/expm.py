@@ -151,7 +151,8 @@ class ExpCache:
     dt a step size or a column of them, keyed by gap g exactly as given:
     plans quantize their gaps first, and any other lookup, however close
     to a key, is an ``SspError``.  A dense L's exponentials are one stacked
-    ``expm``; for a dt column each gap holds a (k, n, n) stack."""
+    ``expm``; for a dt column each gap holds a (k, n, n) stack.  An entry
+    that overflows is left out, without a warning: applying it is a ``NonFinite``."""
 
     def __init__(self, L, dt: float, gaps):
         self.circulant = isinstance(L, Circulant)
@@ -160,17 +161,24 @@ class ExpCache:
             raise NonFinite("operator contains NaN or Inf")
         dt = np.asarray(dt, dtype=float)
         self.gaps = sorted(set(gaps))
-        if self.circulant:
-            self._entries = {g: L.exp(g * dt) for g in self.gaps}
-        else:
-            tau = np.multiply.outer(self.gaps, dt.reshape(dt.shape[:-1] + (1, 1)))
-            self._entries = dict(zip(self.gaps, expm(tau * L)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.circulant:
+                entries = [L.exp(g * dt) for g in self.gaps]
+                # a float view is tested twice as fast as complex values
+                finite = [np.isfinite(E.symbol.view(float)).all() for E in entries]
+            else:
+                tau = np.multiply.outer(self.gaps, dt.reshape(dt.shape[:-1] + (1, 1)))
+                entries = expm(tau * L)  # one finiteness test of the whole stack
+                finite = np.isfinite(entries).all(axis=tuple(range(1, entries.ndim)))
+        self._entries = {g: E for g, E, ok in zip(self.gaps, entries, finite) if ok}
 
     def apply(self, g: float, u: np.ndarray) -> np.ndarray:
         """Apply e^(g * dt * L) to a state or to each row of a batch (``apply``)."""
         try:
             E = self._entries[g]
         except KeyError:
+            if g in self.gaps:
+                raise NonFinite(f"the exponential at gap {g!r} overflows") from None
             raise SspError(f"abscissa gap {g!r} was not planned in this cache "
                            f"(planned gaps: {self.gaps})") from None
         return apply(E, u)

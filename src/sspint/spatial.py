@@ -6,6 +6,7 @@ N is the unit upwind operator itself, so steppers act on it spectrally."""
 
 from __future__ import annotations
 
+import collections
 import math
 import operator
 from dataclasses import dataclass
@@ -188,10 +189,28 @@ def weno5_burgers_rhs(grid: Grid1D, u: np.ndarray) -> np.ndarray:
 
 # --- built-in problems -----------------------------------------------------
 
-LINEAR_ADVECTION_STEP = "LinearAdvectionStep"
-ADVECTION_BURGERS_STEP = "AdvectionBurgersStep"
-ADVECTION_BURGERS_SMOOTH = "AdvectionBurgersSmooth"
-VAN_DER_POL = "VanDerPol"
+#: a problem on a periodic grid: u0(x), its initial state at the nodes x, and
+#: N(grid), its explicit term; its L is upwind advection at the wavespeed given.
+GridProblem = collections.namedtuple("GridProblem", "u0 N")
+
+
+def _box(lo: float, hi: float):
+    return lambda x: ((x >= lo) & (x <= hi)).astype(float)
+
+
+def _weno5_term(grid: Grid1D):
+    return lambda u: weno5_burgers_rhs(grid, u)
+
+
+#: the grid problems by name: linear advection of a step (N is the unit
+#: upwind operator), and advection-Burgers of a step or of smooth data.
+PROBLEMS = {
+    "advection-step": GridProblem(_box(0.25, 0.75), lambda grid: upwind_operator(grid, 1.0)),
+    "burgers-step": GridProblem(_box(0.0, 0.5), _weno5_term),
+    "burgers-smooth": GridProblem(lambda x: np.exp(np.sin(2.0 * np.pi * x)), _weno5_term),
+}
+LINEAR_ADVECTION_STEP, ADVECTION_BURGERS_STEP, ADVECTION_BURGERS_SMOOTH = PROBLEMS
+VAN_DER_POL = "van-der-pol"
 
 
 def van_der_pol_splitting(which: str):
@@ -240,28 +259,14 @@ def van_der_pol_full(u):
 
 
 def make_problem(kind: str, a: float = 0.0, n: int = 1000, splitting: str = "a"):
-    """Build (SemiDiscretization, initial state) for a named test problem."""
+    """Build (SemiDiscretization, initial state) for van der Pol (its
+    splitting) or a problem of ``PROBLEMS`` (a and n)."""
     if kind == VAN_DER_POL:
         L, N = van_der_pol_splitting(splitting)
         sys = SemiDiscretization(n=2, L=L, N=N, dx=float("nan"))
         return sys, np.array([2.0, 0.0])
-
-    grid = Grid1D(n)
-    x = grid.x
-    if kind == LINEAR_ADVECTION_STEP:
-        u0 = ((x >= 0.25) & (x <= 0.75)).astype(float)
-        N = upwind_operator(grid, 1.0)
-
-    elif kind in (ADVECTION_BURGERS_STEP, ADVECTION_BURGERS_SMOOTH):
-        if kind == ADVECTION_BURGERS_STEP:
-            u0 = ((x >= 0.0) & (x <= 0.5)).astype(float)
-        else:
-            u0 = np.exp(np.sin(2.0 * np.pi * x))
-
-        def N(u):
-            return weno5_burgers_rhs(grid, u)
-
-    else:
+    if kind not in PROBLEMS:
         raise ValueError(f"unknown problem kind {kind!r}")
-    sys = SemiDiscretization(n=n, L=upwind_operator(grid, a), N=N, dx=grid.dx)
-    return sys, u0
+    problem, grid = PROBLEMS[kind], Grid1D(n)
+    sys = SemiDiscretization(n=n, L=upwind_operator(grid, a), N=problem.N(grid), dx=grid.dx)
+    return sys, problem.u0(grid.x)

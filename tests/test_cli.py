@@ -287,6 +287,9 @@ def test_cli_run_reads_a_value_alike_from_a_flag_and_from_a_file(tmp_path, capsy
     (None, ["run", "ex1", "--dts", "1e-320,0.1,0.2"]),
     (None, ["run", "table6", "--methods", "eSSPRK+(3,3),eSSPRK(3,3)", "--n", "64", "--steps",
             "2", "--a", "0"]),
+    (None, ["sweep", "--method", "eSSPRK+(3,3)", "--n", "abc"]),
+    (None, ["sweep", "--method", "eSSPRK+(3,3)", "--steps", "x"]),
+    (None, ["sweep", "--method", "eSSPRK+(3,3)", "--a", "5,10"]),
 ])
 def test_cli_bad_values_exit_one_with_one_line(tmp_path, capsys, monkeypatch,
                                                config, argv):
@@ -311,6 +314,53 @@ def test_cli_bad_values_exit_one_with_one_line(tmp_path, capsys, monkeypatch,
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert all(path in err[0] for path in unwritable), err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, text", [
+    ("a", "5,10"), ("a", "1e400"), ("a", "x"), ("n", "abc"), ("n", "4"), ("steps", "x"),
+    ("steps", "0"), ("lambdas", "nan,0.5"), ("lambdas", ""),
+])
+def test_cli_sweep_and_run_ex4_reject_a_bad_value_with_the_same_line(tmp_path, capsys, key,
+                                                                     text):
+    # sweep parses its keys through run's value table, so a bad value is the
+    # same one line but for the command's name; sweep once printed argparse's
+    # usage for --n abc, and quoted --a 1e400 as 'inf'
+    lines = []
+    for argv in (["run", "ex4"], ["sweep", "--method", "eSSPRK+(5,4)"]):
+        assert main([*argv, f"--{key}={text}", "--out", str(tmp_path / "out")]) == 1
+        lines.append(capsys.readouterr().err)
+    assert lines[0].startswith("error: ") and lines[0].count("\n") == 1
+    assert lines[1] == lines[0].replace("ex4", "sweep")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("problem", list(spatial.PROBLEMS))
+def test_cli_sweep_runs_every_problem_of_the_table(tmp_path, capsys, problem):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--method", "eSSPRK+(3,3)", "--problem", problem, "--n", "64",
+                 "--steps", "2", "--lambdas", "0.5", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert len(_csv_rows(text)) == 2 and f"# problem={problem}" in text.splitlines()
+
+
+def test_cli_sweep_bad_problem_lists_every_name(tmp_path, capsys):
+    # van der Pol is a problem, but not one on a grid, so sweep does not offer it
+    argv = ["sweep", "--method", "eSSPRK+(3,3)", "--problem", spatial.VAN_DER_POL,
+            "--out", str(tmp_path / "sweep.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and all(name in err[0] for name in spatial.PROBLEMS), err
+
+
+def test_cli_sweep_defaults_are_those_of_ex4(tmp_path, capsys):
+    # with no size flag, sweep writes the rows ex4 writes for the method
+    method = "eSSPRK+(5,4)"
+    assert main(["sweep", "--method", method, "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert main(["run", "ex4", "--methods", method, "--out", str(tmp_path)]) == 0
+    sweep, ex4 = ((tmp_path / name).read_text() for name in ("sweep.csv", "ex4_eSSPRKp_5_4.csv"))
+    assert _csv_rows(sweep) == _csv_rows(ex4) and len(_csv_rows(ex4)) == 41
+    meta = {"# a=10.0", "# n=400", "# steps=25"}
+    assert meta <= set(sweep.splitlines()) and meta <= set(ex4.splitlines())
 
 
 def test_cli_config_that_is_not_utf8_exits_one_with_one_line(tmp_path, capsys):

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from sspint import methods
+from sspint.analysis import ifrk_general_builder, max_tv_rises
 from sspint.errors import NonFinite, SspError
 from sspint.expm import (
     Circulant,
@@ -12,6 +16,7 @@ from sspint.expm import (
     expm,
     quantize_gap,
 )
+from sspint.integrators import SemiDiscretization
 from sspint.spatial import Grid1D, upwind_matrix, upwind_operator
 
 
@@ -278,3 +283,26 @@ def test_spectral_operator_and_step_column_match_the_circulant():
     for row, dt in zip(rows, dts[:, 0]):
         one = ExpCache(C, dt, [0.0, 0.5, 1.0]).apply(0.5, u)
         assert np.allclose(row, one, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, nu, dense", [(400, 10.0, False), (16, 100.0, True)],
+                         ids=["circulant", "dense"])
+def test_an_overflowing_backward_exponential_is_nonfinite_without_a_warning(n, nu, dense):
+    # eSSPRK(3,3)'s backward gap on a stiff diffusion L: e^(|g| dt L) overflows.
+    # Building the plan warned "overflow encountered in exp", and stepping it
+    # "invalid value encountered in multiply"; the step now raises, and a scan
+    # reads that lambda alone as a blow-up
+    col = np.zeros(n)
+    col[0], col[1], col[-1] = -2.0 * nu * n * n, nu * n * n, nu * n * n
+    grid = Grid1D(n)
+    L = circulant_matrix(col) if dense else Circulant.from_column(col)
+    sys_ = SemiDiscretization(n=n, L=L, N=upwind_operator(grid, 1.0), dx=grid.dx)
+    u0 = ((grid.x >= 0.25) & (grid.x <= 0.75)).astype(float)
+    build = ifrk_general_builder(methods.get("eSSPRK(3,3)"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stepper = build(sys_, 0.5 * grid.dx)
+        with pytest.raises(NonFinite, match="the exponential at gap -0.5 overflows"):
+            stepper(u0)
+        rises = max_tv_rises(build, sys_, u0, [1e-9, 0.5, 1e-8], 5)
+    assert np.isfinite(rises[[0, 2]]).all() and rises[1] == np.inf
