@@ -111,8 +111,7 @@ unless stated):
 - ``optimize_6_4``: ``optimize`` of (6,4) with non-decreasing abscissas,
   2 restarts, seed 0, with the certified C.
 - ``linear_bound_10_4``: ``ssp_radius.linear_bound(10, 4)``, R_lin over the
-  462 bases of the widest paper-grid cell; skipped where sspint has no
-  ``linear_bound``, and then left out of ``vs_parent``.
+  462 bases of the widest paper-grid cell.
 - ``order_jacobian_10_4``: one Jacobian of the order conditions of the
   classic (10,4) search (``optimizer._problem``), at the first start of
   seed 0 (``_start`` with r = 0.1).
@@ -127,7 +126,6 @@ import argparse
 import contextlib
 import dataclasses
 import glob
-import importlib
 import io
 import json
 import os
@@ -198,7 +196,7 @@ def layers(quick, src):
     from sspint import analysis, cli, integrators, methods, spatial
     from sspint.integrators import ifrk_step, make_plan
     from sspint.optimizer import OptimizationSpec, _problem, _start, optimize
-    from sspint.ssp_radius import observed_l2_cfl
+    from sspint.ssp_radius import linear_bound, observed_l2_cfl
 
     k = 3 if quick else 5
     rec = methods.get(METHOD)
@@ -268,9 +266,7 @@ def layers(quick, src):
             lambda: found.append(optimize(spec).claimed_C), k)
         out[f"optimize_{s}_{p}"]["C"] = found[-1]
 
-    radius = importlib.import_module("sspint.ssp_radius")  # the package's name is a function
-    if hasattr(radius, "linear_bound"):
-        out["linear_bound_10_4"] = _median_time(lambda: radius.linear_bound(10, 4), k, 20)
+    out["linear_bound_10_4"] = _median_time(lambda: linear_bound(10, 4), k, 20)
 
     jacobian = _problem(OptimizationSpec(10, 4, require_nondecreasing=False))[2][0]["jac"]
     x = np.append(_start(np.random.default_rng(0), 10), 0.1)

@@ -27,7 +27,6 @@ from .ssp_radius import (
     RadiusResult,
     is_absolutely_monotonic,
     observed_l2_cfl,
-    ssp_radius,
     stability_polynomial,
 )
 from .methods import (
@@ -41,7 +40,7 @@ from .methods import (
     method_names,
     verify_certificate,
 )
-from .expm import Circulant, ExpCache, build_cache, expm, quantize_gap
+from .expm import Circulant, ExpCache, build_cache, quantize_gap
 from .integrators import (
     SemiDiscretization,
     StepPlan,

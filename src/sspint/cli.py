@@ -432,7 +432,6 @@ _EXPERIMENTS = {
     "fig1": (functools.partial(run_sweep_experiment, experiment="fig1"),
              dict(_SWEEP, lambdas="0.05:1.2:24")),
 }
-EXPERIMENTS = tuple(_EXPERIMENTS)
 #: the default of every config key ``sspint sweep`` takes: ex4's problem and grid.
 _SWEEP_COMMAND = dict(_SWEEP, problem=spatial.ADVECTION_BURGERS_STEP)
 
@@ -608,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "run",
-        help="run a named experiment: " + " | ".join(EXPERIMENTS) + ". "
+        help="run a named experiment: " + " | ".join(_EXPERIMENTS) + ". "
         "ex1: van der Pol convergence (CSV: method,splitting,dt,error and "
         "fitted slopes). ex3/table6: observed TVD coefficients on the linear "
         "advection step (CSV: method,a,lambda_obs). table7: plain-RK "
@@ -616,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(CSV: quantity,method,value). ex4/fig1: TV-rise sweeps on "
         "advection-Burgers (CSV: lambda,max_rise,log10_rise).",
     )
-    p.add_argument("experiment", choices=EXPERIMENTS)
+    p.add_argument("experiment", choices=_EXPERIMENTS)
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--out", help="output directory (default: .)")
     _add_keys(p, dict.fromkeys(key for key in _VALUES  # each key an experiment takes

@@ -27,8 +27,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import ConfigError, NotFound, SingularTransform
-from .methods import (FAMILY_CLASSIC, FAMILY_PLUS, CertificateReport,  # re-exported
-                      MethodRecord, verify_certificate)
+from .methods import FAMILY_CLASSIC, FAMILY_PLUS, MethodRecord, verify_certificate
 from .ssp_radius import exceeds, linear_bound, ssp_radius
 from .tableau import _ORDER_CONDITIONS, ButcherTableau
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import NonFinite
 from .expm import Circulant
-from .tableau import ButcherTableau, CanonicalShuOsher, _inverse, canonical_form  # re-exported
+from .tableau import ButcherTableau, _inverse, canonical_form  # canonical_form re-exported
 
 #: componentwise nonnegativity tolerance; absorbs the representation error
 #: of printed decimal coefficients without admitting infeasible r.

@@ -5,11 +5,13 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sspint import methods, spatial
 from sspint.analysis import ifrk_builder, max_tv_rise, rk_builder
 from sspint.errors import NegativeGap, NonFinite
-from sspint.expm import ExpCache, build_cache, expm
+from sspint.expm import ExpCache, Spectral, build_cache, expm
 from sspint.integrators import (
     SemiDiscretization,
     StepPlan,
@@ -21,6 +23,7 @@ from sspint.integrators import (
     rk_step,
     shu_osher_form,
     spectral,
+    step,
 )
 from sspint.methods import FAMILY_PLUS, MethodRecord
 from sspint.optimizer import OptimizationSpec, optimize, verify_certificate
@@ -31,7 +34,7 @@ from sspint.spatial import (
     make_problem,
 )
 from sspint.ssp_radius import ssp_radius
-from sspint.tableau import ButcherTableau
+from sspint.tableau import ButcherTableau, butcher_to_canonical_shu_osher
 
 
 def test_rk_step_scalar_hand_value():
@@ -484,3 +487,105 @@ def test_rk_step_column_dt_matches_per_row_steps(name):
         assert np.array_equal(rk_step(rec, F, row, dt), got)
     with pytest.raises(ValueError):
         rk_step(rec, F, rows, -dts)
+
+
+def _lawson_step(t, E, N, u, h):
+    """One step of the integrating-factor method as the source paper
+    defines it, in Lawson's form of the tableau t, with E(tau) = e^(tau L):
+    U_i = e^(c_i h L) u + h sum_j a_ij e^((c_i - c_j) h L) N(U_j), and the
+    next state e^(h L) u + h sum_j b_j e^((1 - c_j) h L) N(U_j)."""
+    A, b, c = t.A, t.b, t.c
+    slopes = []
+    for i in range(t.stages):
+        U = E(c[i] * h) @ u
+        for j in range(i):
+            U = U + h * A[i, j] * (E((c[i] - c[j]) * h) @ slopes[j])
+        slopes.append(N(U))
+    out = E(h) @ u
+    for j in range(t.stages):
+        out = out + h * b[j] * (E((1.0 - c[j]) * h) @ slopes[j])
+    return out
+
+
+_LAWSON_RECORDS = [rec.name for rec in methods.list_methods() if rec.nondecreasing]
+
+
+def _lawson_case(method, r, system, k, lam, seed):
+    """A method, a plan of it, e^(tau L) and N on physical values, the step
+    sizes and a state.  method is a stage count, for a random consistent
+    tableau (A >= 0 strictly lower triangular, b >= 0 summing to 1, its
+    abscissas in any order) in canonical Shu-Osher form at r through
+    ``make_general_plan``, or a record name, through ``make_plan``.  The
+    system is a dense L (n = 6, ||L||_1 = 1, h = 0.1) with N(u) = tanh(W u),
+    or the n = 32 linear-advection step at h = lam dx, on physical rows or
+    as its ``spectral`` system; a random tableau's backward gaps amplify
+    roundoff by e^(|g| h ||L||), so it takes a = 1 and a record a = 10.
+    k = 0 is one step size, else a (k, 1) column of them."""
+    rng = np.random.default_rng(seed)
+    if system == "dense":
+        L = rng.standard_normal((6, 6))
+        L /= np.abs(L).sum(axis=0).max()
+        W = rng.standard_normal((6, 6))
+
+        def N(u):
+            return np.tanh(u @ W.T)
+
+        sys_, E, h = SemiDiscretization(n=6, L=L, N=N, dx=1.0), lambda tau: expm(tau * L), 0.1
+    else:
+        a = 1.0 if isinstance(method, int) else 10.0
+        grid_sys, _ = make_problem(LINEAR_ADVECTION_STEP, a=a, n=32)
+        sys_ = spectral(grid_sys) if system == "spectral" else grid_sys
+        E, N, h = grid_sys.L.exp, grid_sys.N, lam * grid_sys.dx
+    dt = h if k == 0 else h * rng.uniform(0.5, 1.0, (k, 1))
+    if isinstance(method, int):
+        A = np.tril(rng.uniform(0.0, 1.0, (method, method)), -1)
+        b = rng.uniform(0.0, 1.0, method)
+        t = ButcherTableau(A=A, b=b / b.sum(), c=A.sum(axis=1))
+        plan = make_general_plan(butcher_to_canonical_shu_osher(t, r), t.c, sys_, dt)
+    else:
+        rec = methods.get(method)
+        t, plan = rec.tableau, make_plan(rec, sys_, dt)
+    u = rng.standard_normal(sys_.n if k == 0 else (k, sys_.n))
+    return t, plan, sys_, E, N, dt, u
+
+
+def _lawson_mismatch(t, plan, sys_, E, N, dt, u):
+    """The largest deviation of the plan's step of u from the Lawson step,
+    over the Lawson step's largest value; a spectral system steps u's
+    real-FFT coefficients, and each row of a batch its own step size."""
+    if isinstance(sys_.L, Spectral):
+        got = np.fft.irfft(step(plan, sys_.N, np.fft.rfft(u)), sys_.n)
+    else:
+        got = step(plan, sys_.N, u)
+    want = (_lawson_step(t, E, N, u, dt) if np.ndim(dt) == 0 else
+            np.stack([_lawson_step(t, E, N, row, h) for row, h in zip(u, dt[:, 0])]))
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@settings(max_examples=100, deadline=None)
+@given(method=st.one_of(st.integers(2, 6), st.sampled_from(_LAWSON_RECORDS)),
+       r=st.sampled_from([0.0, 0.05]), system=st.sampled_from(["dense", "circulant", "spectral"]),
+       k=st.integers(0, 3), lam=st.sampled_from([0.3, 0.7]), seed=st.integers(0, 2**32 - 1))
+def test_every_plan_steps_the_lawson_form_of_its_method(method, r, system, k, lam, seed):
+    # the stage loop's grouped Shu-Osher rows against the method as the
+    # source paper defines it, written from expm and Circulant.exp alone
+    assert _lawson_mismatch(*_lawson_case(method, r, system, k, lam, seed)) <= 1e-12
+
+
+@pytest.mark.parametrize("system", ["dense", "circulant", "spectral"])
+@pytest.mark.parametrize("method", [4, "eSSPRK+(5,4)"])
+def test_the_lawson_comparison_fails_a_plan_with_one_gap_sign_flipped(method, system):
+    # a test of the property above: negating any one nonzero gap of a plan
+    # moves its step far beyond the property's 1e-12
+    t, plan, sys_, E, N, dt, u = _lawson_case(method, 0.0, system, 0, 0.3, 7)
+    assert _lawson_mismatch(t, plan, sys_, E, N, dt, u) <= 1e-12
+    flips = [(i, q) for i, row in enumerate(plan.rows)
+             for q, (g, _) in enumerate(row) if g != 0.0]
+    assert len(flips) >= 3
+    for i, q in flips:
+        rows = [list(row) for row in plan.rows]
+        g, terms = rows[i][q]
+        rows[i][q] = (-g, terms)
+        gaps = {g for row in rows for g, _ in row} - {0.0}
+        flipped = StepPlan(tuple(map(tuple, rows)), plan.explicit, build_cache(sys_.L, dt, gaps))
+        assert _lawson_mismatch(t, flipped, sys_, E, N, dt, u) > 1e-6, (i, q)

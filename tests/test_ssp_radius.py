@@ -1,6 +1,8 @@
 import dataclasses
 import importlib
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +41,14 @@ def test_radius_of_classic_methods():
     assert ssp_radius(methods.get("eSSPRK+(4,3)").tableau).radius == pytest.approx(
         20.0 / 11.0, abs=1e-3
     )
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S)
+    exec(example.group(1), {})
+    first = capsys.readouterr().out.splitlines()[0]
+    assert float(first) == pytest.approx(20.0 / 11.0, abs=1e-9)
 
 
 def test_canonical_form_nonnegative_at_radius():

@@ -1,7 +1,9 @@
 import ast
 import graphlib
 import hashlib
+import importlib
 import json
+import pkgutil
 import warnings
 from pathlib import Path
 
@@ -314,6 +316,18 @@ def test_the_package_imports_form_no_cycle():
                         for x in (n.split(".")[1] for n in names if n.startswith("sspint.")))
     assert "tableau" in graph["ssp_radius"] and "__init__" in graph["cli"]
     list(graphlib.TopologicalSorter(graph).static_order())  # a CycleError otherwise
+
+
+def test_each_package_attribute_named_after_a_submodule_is_that_submodule():
+    # the package binds no function over a submodule of the same name
+    for info in pkgutil.iter_modules(sspint.__path__):
+        module = importlib.import_module(f"sspint.{info.name}")
+        assert getattr(sspint, info.name) is module, info.name
+    import sspint.ssp_radius as radius_module
+    from sspint import expm
+
+    assert callable(radius_module.linear_bound)
+    assert expm.Circulant is sspint.Circulant
 
 
 def test_canonical_round_trip_r_zero():
