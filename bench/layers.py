@@ -105,6 +105,10 @@ unless stated):
   eSSPRK(10,4), splitting a, at ex1's five default step sizes (0.02 to
   0.1) against ``analysis.VAN_DER_POL_REFERENCE``: one (method,
   splitting) of ``run_ex1``.
+- ``van_der_pol_errors_2x5``: the same method with both splittings, one
+  job of ``run_ex1``: ``analysis.van_der_pol_errors_batch`` of ["a", "b"],
+  or two ``van_der_pol_errors`` calls, one per splitting, in a checkout
+  without it.
 - ``ssp_radius``: ``ssp_radius`` of eSSPRK+(6,4).
 - ``optimize_<s>_<p>``: ``optimize`` of (3,2), (3,3), (4,3) and (5,3) with
   non-decreasing abscissas, 10 restarts, seed 0, with the certified C.
@@ -286,7 +290,7 @@ def burgers_layers(k):
     step, ex4's sweep of eSSPRK+(5,4), one plain-RK step of an ex4 batch,
     one step of the van der Pol reference solve and the whole solve, the
     plans of ex4 and ex1, one step of ex1's plan, their exponentials, one
-    (method, splitting) of ex1 and one SSP radius."""
+    (method, splitting) and one method of ex1, and one SSP radius."""
     import numpy as np
 
     from sspint import analysis, methods, spatial
@@ -312,6 +316,12 @@ def burgers_layers(k):
     exp_batch = sys_.L.exp(lams * sys_.dx)
     u0_batch = np.tile(u0, (len(lams), 1))
     vdp_ref = np.array(analysis.VAN_DER_POL_REFERENCE)
+
+    def both_splittings(rec):
+        if hasattr(analysis, "van_der_pol_errors_batch"):
+            return analysis.van_der_pol_errors_batch(rec, ["a", "b"], EX1_DTS, vdp_ref)
+        return [analysis.van_der_pol_errors(rec, s, EX1_DTS, vdp_ref) for s in "ab"]
+
     out = {
         "weno5_rhs": _median_time(lambda: spatial.weno5_burgers_rhs(grid, u0), k, 200),
         "weno5_rhs_k10": _median_time(
@@ -341,6 +351,7 @@ def burgers_layers(k):
             lambda: build_cache(vdp_sys.L, 0.02, vdp_plan.cache.gaps), k, 200),
         "van_der_pol_errors_5dt": _median_time(
             lambda: analysis.van_der_pol_errors(vdp, "a", EX1_DTS, vdp_ref), k, 20),
+        "van_der_pol_errors_2x5": _median_time(lambda: both_splittings(vdp), k, 20),
         "ssp_radius": _median_time(lambda: ssp_radius(plus64.tableau), k, 20),
     }
     return out

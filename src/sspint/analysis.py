@@ -7,12 +7,13 @@ for (sys, dt), plain Runge-Kutta or integrating-factor.  A builder also
 steps a batch with a column of step sizes, one row per step size, on any
 L: ``max_tv_rises`` runs lambdas in such batches (a dense L's chunk of k
 lambdas holds k n^2 exponential entries per gap), and
-``van_der_pol_errors`` runs its step sizes so."""
+``van_der_pol_errors_batch`` runs its (splitting, step size) rows so, on
+a stack of L, one operator per row."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -372,29 +373,37 @@ def van_der_pol_reference() -> np.ndarray:
 
 
 def van_der_pol_errors(rec, splitting: str, dts, uref):
-    """(dt, max-norm error) pairs at time T = VAN_DER_POL_T; each dt, which
-    must be positive and finite, is adjusted to T / n, n = max(1, round(T / dt)).
-    The dts step as one batch, one row each, sorted by falling n so that
-    the rows still stepping are a prefix, whose plan is rebuilt at each
-    distinct n; a row's state, read when its n is reached, has the bits of
-    ``integrate`` of its dt alone."""
-    sys_, u0 = spatial.make_problem(spatial.VAN_DER_POL, splitting=splitting)
+    """(dt, max-norm error) pairs of one splitting (``van_der_pol_errors_batch``)."""
+    return van_der_pol_errors_batch(rec, [splitting], dts, uref)[0]
+
+
+def van_der_pol_errors_batch(rec, splittings, dts, uref):
+    """One list of (dt, max-norm error) pairs at time T = VAN_DER_POL_T per
+    splitting; each dt, which must be positive and finite, is adjusted to
+    T / n, n = max(1, round(T / dt)).  Every (splitting, dt) row steps in
+    one batch, on the stack of its rows' operators, sorted by falling n so
+    that the rows still stepping are a prefix, whose plan is rebuilt on
+    that prefix of the stack at each distinct n; a row's state, read when
+    its n is reached, has the bits of ``integrate`` of its splitting and
+    dt alone."""
     build = ifrk_general_builder(rec)
     ns = []
     for dt in dts:
         if not (math.isfinite(dt) and dt > 0 and math.isfinite(VAN_DER_POL_T / dt)):
             raise ValueError(f"dt must be positive and finite, got {dt!r}")
         ns.append(max(1, round(VAN_DER_POL_T / dt)))
-    order = sorted(range(len(ns)), key=lambda i: -ns[i])
-    dta = np.array([VAN_DER_POL_T / ns[i] for i in order])
-    u, out, done, k = np.tile(u0, (len(ns), 1)), [None] * len(ns), 0, len(ns)
+    rows = [(name, n) for name in splittings for n in ns]
+    order = sorted(range(len(rows)), key=lambda i: -rows[i][1])
+    sys_, u0 = spatial.make_problem(spatial.VAN_DER_POL, splitting=[rows[i][0] for i in order])
+    dta = np.array([VAN_DER_POL_T / rows[i][1] for i in order])
+    u, out, done, k = np.tile(u0, (len(rows), 1)), [None] * len(rows), 0, len(rows)
     while k:
-        n = ns[order[k - 1]]
+        n = rows[order[k - 1]][1]
         # a lone row steps as a 2-vector, which costs less than a batch of one
-        rows, dt = (slice(k), dta[:k, None]) if k > 1 else (0, dta[0])
-        u[rows] = integrate(build(sys_, dt), u[rows], n - done)
-        while k and ns[order[k - 1]] == n:
+        L, sel, dt = (sys_.L[:k], slice(k), dta[:k, None]) if k > 1 else (sys_.L[0], 0, dta[0])
+        u[sel] = integrate(build(replace(sys_, L=L), dt), u[sel], n - done)
+        while k and rows[order[k - 1]][1] == n:
             k -= 1
             out[order[k]] = (VAN_DER_POL_T / n, float(np.abs(u[k] - uref).max()))
         done = n
-    return out
+    return [out[i * len(ns):(i + 1) * len(ns)] for i in range(len(splittings))]

@@ -151,7 +151,9 @@ class ExpCache:
     dt a step size or a column of them, keyed by gap g exactly as given:
     plans quantize their gaps first, and any other lookup, however close
     to a key, is an ``SspError``.  A dense L's exponentials are one stacked
-    ``expm``; for a dt column each gap holds a (k, n, n) stack.  An entry
+    ``expm``; for a dt column each gap holds a (k, n, n) stack.  A (k, n, n)
+    stack of L, one operator per row, takes only a (k, 1) column: a step
+    size broadcast over the stack would pair gaps with rows.  An entry
     that overflows is left out, without a warning: applying it is a ``NonFinite``."""
 
     def __init__(self, L, dt: float, gaps):
@@ -160,6 +162,9 @@ class ExpCache:
         if not np.isfinite(L.symbol if self.circulant else L).all():
             raise NonFinite("operator contains NaN or Inf")
         dt = np.asarray(dt, dtype=float)
+        if not self.circulant and L.ndim == 3 and dt.shape != (len(L), 1):
+            raise ValueError(f"a stack of {len(L)} operators steps with a ({len(L)}, 1) "
+                             f"column of step sizes, got dt of shape {dt.shape}")
         self.gaps = sorted(set(gaps))
         with np.errstate(over="ignore", invalid="ignore"):
             if self.circulant:

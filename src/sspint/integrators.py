@@ -42,7 +42,9 @@ class SemiDiscretization:
     ndarray, N a callable or a Circulant.  ``N_linear`` is N if that is a
     Circulant, else None: read from N once, never set, it outlives a wrapper
     put in N's place.  N acts on each row of a (k, n) batch alone, as lambda
-    scans and ex1's step sizes ask.  L and N_linear must be n x n."""
+    scans and ex1's step sizes ask.  L and N_linear must be n x n, or L a
+    dense (k, n, n) stack, one operator per row of a (k, n) batch, which
+    steps only with a (k, 1) column of step sizes."""
 
     n: int
     L: object
@@ -52,9 +54,10 @@ class SemiDiscretization:
 
     def __post_init__(self):
         object.__setattr__(self, "N_linear", self.N if isinstance(self.N, Circulant) else None)
-        for name, op in (("L", self.L), ("N_linear", self.N_linear)):
-            if op is not None and np.shape(op) != (self.n, self.n):
-                raise ValueError(f"{name} must be n x n for n = {self.n}, got {np.shape(op)}")
+        for name, op, ndim in (("L", self.L, 3), ("N_linear", self.N_linear, 2)):
+            shape = np.shape(op)
+            if op is not None and (shape[-2:] != (self.n, self.n) or len(shape) > ndim):
+                raise ValueError(f"{name} must be n x n for n = {self.n}, got {shape}")
 
 
 def spectral(sys: SemiDiscretization) -> Optional[SemiDiscretization]:

@@ -17,13 +17,21 @@ only then is it re-certified by the radius computation and
 callbacks meet a singular I + rS, fails; the best certified start wins.
 Restarts stop once a start certifies within BOUND_GAP of the linear bound
 R_lin(s, p), which no method can pass (``ssp_radius.linear_bound``).
+The starts run with SciPy's bundled OpenBLAS at one thread, so the result
+has the same bits under any BLAS thread setting.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
+import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 from scipy.optimize import minimize
 
 from .errors import ConfigError, NotFound, SingularTransform
@@ -154,6 +162,36 @@ def _certified(spec: OptimizationSpec, theta: np.ndarray,
         return None
 
 
+@functools.cache
+def _scipy_blas_threads():
+    """(get, set) of the thread count of SciPy's bundled OpenBLAS, which
+    SLSQP's subproblems run on (not NumPy's ``...64_`` library), or None
+    where SciPy bundles no library that exports both."""
+    libs = os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs")
+    paths = sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so")))
+    lib = ctypes.CDLL(paths[0]) if paths else None  # loaded already: dlopen returns its handle
+    get, set_ = (getattr(lib, f"scipy_openblas_{op}_num_threads", None) for op in ("get", "set"))
+    if get is None or set_ is None:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """SciPy's OpenBLAS at one thread, the caller's count restored after;
+    nothing changes where ``_scipy_blas_threads`` finds no library."""
+    get, set_ = _scipy_blas_threads() or (lambda: None, lambda threads: None)
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+@_one_blas_thread()
 def optimize(spec: OptimizationSpec) -> MethodRecord:
     """Maximize the SSP coefficient over s-stage order-p explicit methods.
 

@@ -213,35 +213,39 @@ LINEAR_ADVECTION_STEP, ADVECTION_BURGERS_STEP, ADVECTION_BURGERS_SMOOTH = PROBLE
 VAN_DER_POL = "van-der-pol"
 
 
-def van_der_pol_splitting(which: str):
+#: the van der Pol splittings by name: L, and f(u1^2, u2), the second entry of N.
+_VDP_SPLITTINGS = {
+    "a": (((0.0, 1.0), (-1.0, 1.0)), lambda sq, y: -sq * y),
+    "b": (((0.0, 1.0), (-1.0, 0.0)), lambda sq, y: (1.0 - sq) * y),
+}
+
+
+def van_der_pol_splitting(which):
     """The two linear/nonlinear splittings of the van der Pol system
     u1' = u2, u2' = -u1 + (1 - u1^2) u2.  N acts on a 2-vector or on each
-    row of a (k, 2) batch, each row with the bits of its own call."""
-    if which == "a":
-        L = np.array([[0.0, 1.0], [-1.0, 1.0]])
-
-        def f(sq, y):
-            return -sq * y
-
-    elif which == "b":
-        L = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-        def f(sq, y):
-            return (1.0 - sq) * y
-
-    else:
-        raise ValueError(f"unknown splitting {which!r}; use 'a' or 'b'")
+    row of a (k, 2) batch, each row with the bits of its own call.  Given
+    one name per row, L is the (k, 2, 2) stack of the rows' own operators,
+    and N gives row i of a batch of the first j <= k rows (a 2-vector is
+    row 0) the bits of its own splitting."""
+    names = [which] if isinstance(which, str) else list(which)
+    for name in names:
+        if name not in _VDP_SPLITTINGS:
+            raise ValueError(f"unknown splitting {name!r}; use 'a' or 'b'")
+    L = np.reshape([_VDP_SPLITTINGS[name][0] for name in names], (-1, 2, 2))
+    (_, fa), (_, fb) = _VDP_SPLITTINGS["a"], _VDP_SPLITTINGS["b"]
+    is_a = np.array([name == "a" for name in names])
 
     def N(u):
         if u.ndim == 1:
-            return np.array([0.0, f(u[0] ** 2, u[1])])
+            return np.array([0.0, (fa if is_a[0] else fb)(u[0] ** 2, u[1])])
         # x ** 2 of each NumPy scalar is libm pow, as a 2-vector's u[0] ** 2
         # (and ex1's bits); NumPy's array power squares instead
         out = np.zeros(u.shape)
-        out[:, 1] = f(np.array([x ** 2 for x in u[:, 0]]), u[:, 1])
+        sq, y = np.array([x ** 2 for x in u[:, 0]]), u[:, 1]
+        out[:, 1] = np.where(is_a[:len(u)], fa(sq, y), fb(sq, y))
         return out
 
-    return L, N
+    return (L[0] if isinstance(which, str) else L), N
 
 
 def van_der_pol_rhs(x, y):
@@ -258,9 +262,9 @@ def van_der_pol_full(u):
     return np.array(van_der_pol_rhs(u[0], u[1]))
 
 
-def make_problem(kind: str, a: float = 0.0, n: int = 1000, splitting: str = "a"):
+def make_problem(kind: str, a: float = 0.0, n: int = 1000, splitting="a"):
     """Build (SemiDiscretization, initial state) for van der Pol (its
-    splitting) or a problem of ``PROBLEMS`` (a and n)."""
+    splitting, or one per row of a batch) or a problem of ``PROBLEMS`` (a and n)."""
     if kind == VAN_DER_POL:
         L, N = van_der_pol_splitting(splitting)
         sys = SemiDiscretization(n=2, L=L, N=N, dx=float("nan"))

@@ -924,18 +924,23 @@ def _per_dt_errors(rec, splitting, dts, uref):
     return out
 
 
-@pytest.mark.parametrize("splitting", ["a", "b"])
+@pytest.mark.parametrize("splitting", ["a", "b", "ab", "ba"])
 @pytest.mark.parametrize("name", methods.method_names())
 def test_batched_van_der_pol_errors_equal_the_per_dt_loop(name, splitting):
     # ex1's default dts, the same unsorted, and 0.04 and 0.041, which both
     # take 12 steps; uref = 0 reads max(|x|, |y|) of the state itself, and
-    # the dts may come as an iterator, read once
+    # the dts may come as an iterator, read once.  Two splittings step as
+    # one batch of (splitting, dt) rows, each splitting's errors those of
+    # that splitting alone
     rec = methods.get(name)
     for dts in ([0.02, 0.04, 0.06, 0.08, 0.10], [0.06, 0.1, 0.02, 0.08, 0.04],
                 [0.041, 0.1, 0.04]):
         for uref in (np.array(analysis.VAN_DER_POL_REFERENCE), np.zeros(2)):
-            got = analysis.van_der_pol_errors(rec, splitting, iter(dts), uref)
-            assert got == _per_dt_errors(rec, splitting, dts, uref)
+            want = [_per_dt_errors(rec, s, dts, uref) for s in splitting]
+            got = analysis.van_der_pol_errors_batch(rec, list(splitting), iter(dts), uref)
+            assert got == want
+            if len(splitting) == 1:
+                assert analysis.van_der_pol_errors(rec, splitting, iter(dts), uref) == want[0]
 
 
 @pytest.mark.parametrize("bad", [np.nan, -0.3, 0.0, np.inf, 1e-320])

@@ -290,13 +290,14 @@ def test_cli_run_reads_a_value_alike_from_a_flag_and_from_a_file(tmp_path, capsy
     (None, ["sweep", "--method", "eSSPRK+(3,3)", "--n", "abc"]),
     (None, ["sweep", "--method", "eSSPRK+(3,3)", "--steps", "x"]),
     (None, ["sweep", "--method", "eSSPRK+(3,3)", "--a", "5,10"]),
+    (None, ["run", "ex1", "--splittings", "a,a"]),
 ])
 def test_cli_bad_values_exit_one_with_one_line(tmp_path, capsys, monkeypatch,
                                                config, argv):
     def solve_not_reached(*args):
         raise AssertionError("bad values must be rejected before ex1's first solve")
 
-    monkeypatch.setattr(cli, "van_der_pol_errors", solve_not_reached)
+    monkeypatch.setattr(analysis, "van_der_pol_errors_batch", solve_not_reached)
     if config is not None:
         path = tmp_path / "bad.cfg"
         path.write_text(config)

@@ -334,6 +334,45 @@ def test_dense_plan_steps_each_row_of_a_step_size_column_as_its_own_step(problem
         assert one.tobytes() == got.tobytes()
 
 
+def test_a_dense_operator_stack_steps_each_row_with_its_own_system(monkeypatch):
+    # ex1 steps a method's splittings as one batch on a (k, n, n) stack of L,
+    # one operator per row; a step size broadcast over the stack gives tau of
+    # shape (g, 1, 1), which at g == k gaps would pair gap i with row i's
+    # operator, without an error, so only a (k, 1) column of step sizes steps
+    rec = methods.get("eSSPRK+(3,3)")
+    so, c = shu_osher_form(rec), rec.tableau.c
+    rng = np.random.default_rng(44)
+    k, n = 3, 4
+    Ls = 3.0 * rng.standard_normal((k, n, n))
+
+    def N(u):
+        return 0.1 * u * u - u
+
+    sys_ = SemiDiscretization(n=n, L=Ls, N=N, dx=1.0)
+    with pytest.raises(ValueError, match=r"L must be n x n for n = 4, got \(3, 4, 5\)"):
+        SemiDiscretization(n=n, L=np.zeros((k, n, n + 1)), N=N, dx=1.0)
+    u0 = rng.standard_normal((k, n))
+    dts = np.array([[0.05], [0.1], [0.02]])
+    plans = (make_plan, lambda rec, sys_, dt: make_general_plan(so, c, sys_, dt))
+    for plan in plans:
+        batch = integrate(partial(step, plan(rec, sys_, dts), N), u0, 3)
+        for i in range(k):
+            one_sys = SemiDiscretization(n=n, L=Ls[i], N=N, dx=1.0)
+            one = integrate(partial(step, plan(rec, one_sys, dts[i, 0]), N), u0[i], 3)
+            assert one.tobytes() == batch[i].tobytes()
+    assert len(make_plan(rec, sys_, dts).cache.gaps) == k  # g == k below
+
+    def no_expm(M):
+        raise AssertionError("an exponential was built for a step size the stack refuses")
+
+    monkeypatch.setattr("sspint.expm.expm", no_expm)
+    for dt in (0.05, np.full((k + 1, 1), 0.05), np.full((k - 1, 1), 0.05)):
+        for plan in plans:
+            with pytest.raises(ValueError, match=r"a stack of 3 operators steps with a "
+                                                 r"\(3, 1\) column of step sizes"):
+                plan(rec, sys_, dt)
+
+
 def test_ifrk_ssp_guarantee_under_predicted_step():
     # TV never rises when lambda <= 0.99 C, for zero and nonzero wavespeed
     rec = methods.get("eSSPRK+(4,3)")

@@ -1,8 +1,12 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sspint
 from sspint import methods, optimizer
 from sspint.errors import SingularTransform
 from sspint.methods import FAMILY_PLUS, MethodRecord
@@ -278,3 +282,38 @@ def test_certificate_detects_decreasing_abscissas():
     report = verify_certificate(rec)
     assert not report.ok
     assert any("abscissa" in v for v in report.violations)
+
+
+def test_optimize_writes_the_same_bytes_under_any_blas_thread_setting(tmp_path):
+    # SLSQP's subproblems run on SciPy's bundled OpenBLAS; this search once
+    # wrote other A and b bits (the same C) at two threads than at one, and
+    # optimize now runs its starts at one thread, whatever the caller's setting
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sspint.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.json"
+        subprocess.run([sys.executable, "-m", "sspint.cli", "optimize", "--stages", "3",
+                        "--order", "3", "--nondecreasing", "--seed", "0", "--out", str(out)],
+                       env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
+                       check=True, capture_output=True)
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
+def test_optimize_restores_the_callers_blas_thread_count():
+    threads = optimizer._scipy_blas_threads()
+    assert threads is not None  # SciPy's wheels bundle OpenBLAS with both calls
+    get, set_ = threads
+    before = get()
+    try:
+        set_(2)
+        seen = []
+        with optimizer._one_blas_thread():
+            seen.append(get())
+        assert seen == [1] and get() == 2
+        with pytest.raises(RuntimeError), optimizer._one_blas_thread():
+            raise RuntimeError
+        assert get() == 2
+    finally:
+        set_(before)

@@ -146,14 +146,27 @@ def test_van_der_pol_splittings_sum_to_full_rhs():
         van_der_pol_splitting("c")
 
 
-@pytest.mark.parametrize("which", ["a", "b"])
+@pytest.mark.parametrize("which", ["a", "b", "abba"])
 def test_van_der_pol_N_gives_each_row_of_a_batch_the_bits_of_its_own_call(which):
     # NumPy's array power squares, x * x, where a NumPy scalar's power is libm
     # pow; at this x the two differ in the last bit, and ex1's bits are pow's
     x = float.fromhex("0x1.cf44069e4c810p+0")
     assert x * x != x ** 2
-    _, N = van_der_pol_splitting(which)
     rows = np.array([[x, 1.0], [2.0, 0.0], [x, -0.7], [-1.3, 0.25]])
+    if len(which) > 1:
+        # one splitting per row: a stack of the rows' own operators, and each
+        # row's N, in a batch of all rows or of the first j (ex1's rows still
+        # stepping), with the bits of its own splitting on that row alone
+        L, N = van_der_pol_splitting(list(which))
+        assert L.shape == (4, 2, 2)
+        for j in (4, 3, 2):
+            for name, Li, row, got in zip(which, L, rows, N(rows[:j])):
+                L1, N1 = van_der_pol_splitting(name)
+                assert Li.tobytes() == L1.tobytes()
+                assert N1(row).tobytes() == got.tobytes()
+        assert N(rows[0]).tobytes() == van_der_pol_splitting(which[0])[1](rows[0]).tobytes()
+        return
+    _, N = van_der_pol_splitting(which)
     for k in (1, 4):
         batch = N(rows[:k])
         assert batch.shape == (k, 2)
